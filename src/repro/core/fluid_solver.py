@@ -25,7 +25,7 @@ two backends on the paper-figure quantities.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core import formulas
 from repro.core.config import QAConfig
@@ -212,10 +212,3 @@ def conservation_error(sent: Bytes, consumed: Bytes, discarded: Bytes,
     the receiver *wanted*; see ``FluidQAFlow``).
     """
     return sent - consumed - discarded - buffered + stalled
-
-
-def mean_of_samples(values: Sequence[float]) -> float:
-    """Plain mean used by batch summaries (0.0 for an empty sequence)."""
-    if not values:
-        return 0.0
-    return sum(values) / len(values)

@@ -12,17 +12,19 @@ Layer map::
 
     repro.core.adapter.QualityAdapter      the paper's mechanism
     repro.server.core.SessionCore          transport-agnostic wiring
+    repro.transport.law.RapLaw             the one AIMD controller
       |                      |
     repro.server (simulated) repro.service (this package)
-      RapSource / Simulator    RapPacer / asyncio UDP
+      RapSource: its clock     RapPacer: its clock
+      on Simulator timers      on asyncio deadlines, over UDP
 
 Pieces:
 
 - :mod:`repro.service.protocol` -- the datagram wire format
   (HELLO/WELCOME/DATA/ACK/FIN frames, struct-packed hot path).
-- :mod:`repro.service.pacing` -- a sans-IO RAP-style AIMD pacer
-  (additive increase, hole/timeout loss detection, one backoff per
-  congestion event) clocked by the caller.
+- :mod:`repro.service.pacing` -- :class:`~repro.transport.law.RapLaw`
+  plus send/step/timeout deadlines for a caller-driven clock, an SRTT
+  floor and a rate cap.
 - :mod:`repro.service.impairment` -- a seeded loopback loss/delay/
   token-bucket shim so CI can script congestion without root/netem.
 - :mod:`repro.service.server` -- :class:`StreamingService`, the asyncio
@@ -49,7 +51,7 @@ seeded via :mod:`repro.sim.rng`.
 """
 
 from repro.service.impairment import Impairment, ImpairmentConfig
-from repro.service.pacing import PacerActions, RapPacer
+from repro.service.pacing import RapPacer
 from repro.service.results import fleet_result, render_fleet_report
 from repro.service.sanitizer import LoopSanitizer, SanitizerConfig
 from repro.service.server import ServiceConfig, StreamingService
@@ -59,7 +61,6 @@ __all__ = [
     "Impairment",
     "ImpairmentConfig",
     "LoopSanitizer",
-    "PacerActions",
     "RapPacer",
     "SanitizerConfig",
     "ServiceConfig",

@@ -7,7 +7,7 @@ plus feedback wiring — the same object the simulator drives) and one
 :class:`~repro.service.pacing.RapPacer` (the sans-IO AIMD controller).
 A per-session asyncio task runs the send loop; the shared
 ``datagram_received`` dispatches ACK/FIN feedback to the owning session
-by session id.
+by session id, and only when it comes from that session's own address.
 
 Clocking: every timestamp is *service-relative* — ``loop.time() - t0``
 — so decision records and FIN_ACK summaries read like simulation
@@ -34,10 +34,11 @@ from typing import Optional
 from repro.core.config import QAConfig
 from repro.server.core import SessionCore
 from repro.service import protocol
-from repro.service.pacing import PacerActions, RapPacer
+from repro.service.pacing import RapPacer
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.tracing import SpanRecorder, TraceContext
+from repro.transport.law import NOTHING, Feedback
 
 #: Feedback-latency histogram bounds (seconds): loopback sits in the
 #: first buckets, an impaired WAN profile in the last.
@@ -209,29 +210,32 @@ class ServiceSession:
 
     # ----------------------------------------------------------- feedback
 
-    def _apply(self, actions: PacerActions) -> None:
-        # Order matters and mirrors the simulated RapSource: deliveries,
-        # then losses, then the (single) backoff for the event.
-        for seq, meta, size in actions.acked:
-            self.core.on_ack(seq, meta, size)
-        for seq, meta, size in actions.lost:
-            self.core.on_loss(seq, meta, size)
-        if actions.backoff_rate is not None:
-            self.core.on_backoff(actions.backoff_rate)
-            span = self._span
-            if span is not None:
-                now = self.service.now()
-                span(now, now, "pacer.backoff", {
-                    "rate": actions.backoff_rate,
-                    "lost": len(actions.lost),
-                    "timeout": actions.timed_out,
-                })
+    def _apply(self, feedback: Feedback) -> None:
+        if feedback is not NOTHING:
+            feedback.replay(self.core.on_ack, self.core.on_loss,
+                            self._backed_off)
+
+    def _backed_off(self, feedback: Feedback) -> None:
+        self.core.on_backoff(feedback.backoff_rate)
+        span = self._span
+        if span is not None:
+            now = self.service.now()
+            span(now, now, "pacer.backoff", {
+                "rate": feedback.backoff_rate,
+                "lost": len(feedback.lost),
+                "timeout": feedback.timed_out,
+            })
 
     def handle_ack(self, frame: protocol.AckFrame) -> None:
         now = self.service.now()
+        # The pacer protects itself from an impossible ACK either way;
+        # here it only decides what the service counts and measures.
+        if self.pacer.plausible(frame.acked_seq, frame.echo_ts, now):
+            self.service.observe_feedback_latency(now - frame.echo_ts)
+        else:
+            self.service.count("malformed_frames")
         self._apply(self.pacer.on_ack(frame.acked_seq, frame.echo_ts,
                                       now))
-        self.service.observe_feedback_latency(now - frame.echo_ts)
 
     # ---------------------------------------------------------- main loop
 
@@ -247,7 +251,7 @@ class ServiceSession:
                 # statement-atomic by construction.
                 self._apply(self.pacer.advance(now))  # repro-lint: disable=RL014
                 while now >= self._next_tick:
-                    self.core.tick()
+                    self.core.tick()  # repro-lint: disable=RL014
                     self._next_tick += self._drain_period
                 if self.pacer.send_due(now):
                     self._send_data(now)  # repro-lint: disable=RL014
@@ -401,8 +405,6 @@ class StreamingService(asyncio.DatagramProtocol):
                 f"service_{name}_total").inc(amount)
 
     def observe_feedback_latency(self, latency: float) -> None:
-        if latency < 0:
-            return
         if len(self.feedback_latencies) < MAX_LATENCY_SAMPLES:
             self.feedback_latencies.append(latency)
         if self._feedback_hist is not None:
@@ -448,9 +450,13 @@ class StreamingService(asyncio.DatagramProtocol):
             self._handle_hello(frame, addr)
         elif isinstance(frame, protocol.AckFrame):
             session = self.sessions.get(frame.session_id)
-            if session is not None and not session.done:
-                self.count("acks_received")
-                session.handle_ack(frame)
+            if session is None or session.done:
+                return
+            if addr != session.addr:
+                self.count("malformed_frames")  # spoofed feedback
+                return
+            self.count("acks_received")
+            session.handle_ack(frame)
         elif isinstance(frame, protocol.FinFrame):
             self._handle_fin(frame, addr)
         else:
@@ -518,6 +524,9 @@ class StreamingService(asyncio.DatagramProtocol):
             # with an empty summary so the client stops retrying.
             self.sendto(protocol.encode_fin_ack(frame.session_id, {}),
                         addr)
+            return
+        if addr != session.addr:
+            self.count("malformed_frames")  # spoofed teardown
             return
         # Summarize while the session is live: finish() freezes the
         # pacer, so a later rate/slope read would observe zeros (RL016).

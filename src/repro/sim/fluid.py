@@ -394,7 +394,6 @@ class FluidEngine:
 
     def _advance_drain(self, t0: Seconds, horizon: Seconds) -> None:
         cons = self.consumption
-        rate0 = self.bandwidth.rate(t0)
         t_fill = self._fill_resume_time()
         if t_fill is not None:
             horizon = min(horizon, t_fill)
@@ -429,7 +428,6 @@ class FluidEngine:
                 # threshold is zero against a positive deficit, so this
                 # is a rule drop at the exhaustion instant.
                 self._apply_drop_rule(self.bandwidth.rate(self.t))
-        _ = rate0  # anchor documented; closed forms re-derive per call
 
     def _advance_stall(self, t0: Seconds, horizon: Seconds) -> None:
         """Base-layer starvation: arrivals play out instantly, no refill.

@@ -6,7 +6,9 @@ provides exactly that test vehicle: a TCP-style *window* AIMD transport
 with the same application hooks as RAP, so the unchanged
 :class:`~repro.core.adapter.QualityAdapter` can drive either.
 
-Differences from RAP that matter to quality adaptation:
+Loss detection, the one-back-off-per-event guard and the RTT estimate
+are the shared :class:`~repro.transport.law.AckLedger`; what this
+adapter adds is the window law and its clocking:
 
 - transmission is ACK-clocked (bursty at RTT timescales) instead of
   IPG-paced, so the instantaneous rate seen by the adapter is the
@@ -24,23 +26,19 @@ from typing import Optional
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
 from repro.sim.packet import Packet
-from repro.transport.base import TransportAgent, next_flow_id
+from repro.transport.law import AckLedger, Feedback, PacketHandler
 from repro.transport.rap import (
-    AckHandler,
+    AimdSource,
     BackoffHandler,
     EventHook,
-    LossHandler,
     PayloadPicker,
     RapSink,
 )
 
 
-class WindowAimdSource(TransportAgent):
+class WindowAimdSource(AimdSource):
     """Window-based AIMD media transport with RAP-compatible hooks."""
 
-    REORDER_THRESHOLD = 3
-    SRTT_GAIN = 0.125
-    RTTVAR_GAIN = 0.25
     INITIAL_CWND = 2.0
     MIN_CWND = 1.0
 
@@ -55,61 +53,26 @@ class WindowAimdSource(TransportAgent):
         start: float = 0.0,
         stop: Optional[float] = None,
         payload_picker: Optional[PayloadPicker] = None,
-        on_ack: Optional[AckHandler] = None,
-        on_loss: Optional[LossHandler] = None,
+        on_ack: Optional[PacketHandler] = None,
+        on_loss: Optional[PacketHandler] = None,
         on_backoff: Optional[BackoffHandler] = None,
         on_event: Optional[EventHook] = None,
     ) -> None:
-        super().__init__(sim, host, peer_name,
-                         flow_id if flow_id is not None else next_flow_id())
-        if packet_size <= 0:
-            raise ValueError("packet_size must be positive")
-        self.packet_size = packet_size
-        self.srtt = srtt_init
-        self.rttvar = srtt_init / 2
         self.cwnd = self.INITIAL_CWND
-        self.payload_picker = payload_picker
-        self.on_ack = on_ack
-        self.on_loss = on_loss
-        self.on_backoff = on_backoff
-        self.on_event = on_event
-
-        self.next_seq = 0
-        self.recovery_seq = 0
-        self.highest_acked = -1
-        self._outstanding: dict[int, tuple[float, dict, int]] = {}
-        self._last_ack_time = start
-        self._stopped = False
-        self.stop_time = stop
-        sim.schedule(max(0.0, start - sim.now), self._start, priority=0)
-
-    # ------------------------------------------------------------------ API
+        super().__init__(
+            sim, host, peer_name, flow_id,
+            AckLedger(packet_size, start, srtt_init, self._halve_window),
+            start, stop, payload_picker, on_ack, on_loss, on_backoff,
+            on_event)
 
     @property
     def rate(self) -> float:
         """Window-based rate estimate in bytes/s."""
-        return self.cwnd * self.packet_size / self.srtt
+        return self.cwnd * self.law.packet_size / self.law.srtt
 
-    @property
-    def slope(self) -> float:
-        """One packet per window per RTT: S = P / srtt**2."""
-        return self.packet_size / (self.srtt * self.srtt)
-
-    @property
-    def rto(self) -> float:
-        return min(5.0, max(0.2, self.srtt + 4 * self.rttvar))
-
-    def stop(self) -> None:
-        self._stopped = True
-
-    # ------------------------------------------------------------ internals
-
-    def _active(self) -> bool:
-        if self._stopped:
-            return False
-        if self.stop_time is not None and self.sim.now >= self.stop_time:
-            return False
-        return True
+    def _halve_window(self) -> float:
+        self.cwnd = max(self.MIN_CWND, self.cwnd / 2)
+        return self.rate
 
     def _start(self) -> None:
         if not self._active():
@@ -119,105 +82,34 @@ class WindowAimdSource(TransportAgent):
 
     def _fill_window(self) -> None:
         while (self._active()
-               and len(self._outstanding) < int(self.cwnd)):
+               and len(self.law.outstanding) < int(self.cwnd)):
             if not self._send_one():
-                break
-
-    def _send_one(self) -> bool:
-        meta: Optional[dict] = {}
-        if self.payload_picker is not None:
-            meta = self.payload_picker(self.next_seq)
-            if meta is None:
                 # Application idle: retry shortly so the window refills.
                 self.sim.schedule(
-                    self.srtt / 4, self._fill_window, priority=0
+                    self.law.srtt / 4, self._fill_window, priority=0
                 )
-                return False
-        packet = self._make_packet(self.next_seq, self.packet_size,
-                                   **meta)
-        self._outstanding[self.next_seq] = (self.sim.now, packet.meta,
-                                            self.packet_size)
-        self.next_seq += 1
-        self._transmit(packet)
-        return True
+                break
 
     def _timeout_tick(self) -> None:
         if not self._active():
             return
-        idle = self.sim.now - self._last_ack_time
-        if self._outstanding and idle > self.rto:
-            self.stats.timeouts += 1
-            if self.on_event is not None:
-                self.on_event(self.sim.now, "transport_timeout", {
-                    "outstanding": len(self._outstanding),
-                    "idle": idle, "rto": self.rto,
-                })
-            for seq in sorted(self._outstanding):
-                self._declare_lost(seq)
-            self._backoff(self.next_seq)
-            self._last_ack_time = self.sim.now
-            self._fill_window()
-        elif not self._outstanding and idle > self.rto:
-            self._fill_window()  # restart a stalled window
-        self.sim.schedule(self.rto / 2, self._timeout_tick, priority=0)
+        if (self._check_timeout().timed_out
+                or self.law.quiet(self.sim.now)):
+            self._fill_window()  # restart a flushed or stalled window
+        self.sim.schedule(self.law.rto / 2, self._timeout_tick, priority=0)
 
-    def _backoff(self, triggering_seq: int) -> None:
-        if triggering_seq < self.recovery_seq:
-            return
-        self.cwnd = max(self.MIN_CWND, self.cwnd / 2)
-        self.recovery_seq = self.next_seq
-        self.stats.backoffs += 1
-        if self.on_event is not None:
-            self.on_event(self.sim.now, "transport_backoff", {
-                "rate": self.rate, "srtt": self.srtt,
-                "cwnd": self.cwnd, "trigger_seq": triggering_seq,
-            })
-        if self.on_backoff is not None:
-            self.on_backoff(self.rate)
-
-    def _declare_lost(self, seq: int) -> None:
-        _, meta, size = self._outstanding.pop(seq)
-        self.stats.packets_lost += 1
-        if self.on_event is not None:
-            self.on_event(self.sim.now, "transport_loss", {
-                "seq": seq, "size": size,
-                "layer": meta.get("layer"),
-            })
-        if self.on_loss is not None:
-            self.on_loss(seq, meta, size)
-
-    def _update_rtt(self, sample: float) -> None:
-        self.rttvar = ((1 - self.RTTVAR_GAIN) * self.rttvar
-                       + self.RTTVAR_GAIN * abs(self.srtt - sample))
-        self.srtt = (1 - self.SRTT_GAIN) * self.srtt + self.SRTT_GAIN \
-            * sample
+    def _backoff_fields(self, feedback: Feedback) -> dict[str, object]:
+        return {**super()._backoff_fields(feedback), "cwnd": self.cwnd}
 
     def receive(self, packet: Packet) -> None:
         if not packet.is_ack():
             return
-        self.stats.acks_received += 1
-        self._last_ack_time = self.sim.now
-        seq = packet.meta["acked_seq"]
-        echo = packet.meta.get("echo_ts")
-        if echo is not None:
-            self._update_rtt(self.sim.now - echo)
-
-        entry = self._outstanding.pop(seq, None)
-        if entry is not None:
-            _, meta, size = entry
-            if self.on_ack is not None:
-                self.on_ack(seq, meta, size)
-            # Additive increase: one packet per window per RTT.
+        if packet.meta["acked_seq"] in self.law.outstanding:
+            # Additive increase: one packet per window per RTT. It
+            # precedes the law's verdict, so a halving this ACK causes
+            # applies to the grown window.
             self.cwnd += 1.0 / self.cwnd
-        self.highest_acked = max(self.highest_acked, seq)
-
-        horizon = self.highest_acked - self.REORDER_THRESHOLD
-        lost = [s for s in self._outstanding if s <= horizon]
-        if lost:
-            newest = max(lost)
-            for s in sorted(lost):
-                self._declare_lost(s)
-            self._backoff(newest)
+        super().receive(packet)
         self._fill_window()
 
 

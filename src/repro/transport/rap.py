@@ -1,23 +1,19 @@
 """RAP: the Rate Adaptation Protocol (Rejaie, Handley, Estrin '99).
 
-RAP is a rate-based, TCP-friendly congestion controller using AIMD:
+RAP is a rate-based, TCP-friendly AIMD congestion controller; this is
+the variant **without** fine-grain (inter-RTT) adaptation, the one the
+paper's quality adaptation analysis assumes. The controller itself is
+:class:`~repro.transport.law.RapLaw`; :class:`RapSource` is its
+simulator clock. It adds three timers and nothing else:
 
-- packets are emitted every IPG (inter-packet gap) seconds, so the send
-  rate is ``packet_size / ipg``;
-- once per smoothed RTT the rate is *additively* increased by one packet
-  per RTT (``rate += packet_size / srtt``);
-- losses are detected from ACK sequence holes (three-later-packets rule,
-  analogous to TCP's three dup-ACKs) or a conservative timeout, and cause a
-  *multiplicative* halving of the rate;
-- all losses belonging to one congestion event trigger a single backoff
-  (losses of packets sent before the last backoff are ignored).
+- *send*: a packet every IPG (``packet_size / rate``) seconds;
+- *step*: the additive increase once per SRTT, first at ``start``;
+- *timeout*: the loss backstop, checked every ``rto / 2``.
 
-This is the variant **without** fine-grain (inter-RTT) adaptation, which is
-the one the paper's quality adaptation analysis assumes, because its
-sawtooth is the clean ``R -> R/2 -> linear climb`` shape the buffer
-formulas integrate over.
-
-The application hooks are what quality adaptation plugs into:
+ACKs and timer firings are handed to the law, and the
+:class:`~repro.transport.law.Feedback` it returns is replayed into the
+flow's stats, the ``on_event`` decision records and the application
+hooks quality adaptation plugs into:
 
 - ``payload_picker(seq)``: called at every transmission opportunity;
   returns the ``meta`` dict for the outgoing packet (e.g. which video layer
@@ -38,26 +34,147 @@ from repro.sim.engine import Simulator
 from repro.sim.node import Host
 from repro.sim.packet import Packet, PacketType
 from repro.transport.base import TransportAgent, next_flow_id
+from repro.transport.law import NOTHING, AckLedger, Feedback, PacketHandler, RapLaw
 
 ACK_SIZE = 40
 
 PayloadPicker = Callable[[int], Optional[dict]]
-AckHandler = Callable[[int, dict, int], None]
-LossHandler = Callable[[int, dict, int], None]
 BackoffHandler = Callable[[float], None]
 #: ``(time, kind, fields)`` decision-record sink (same shape as the
 #: adapter's hook); ``None`` when nobody is recording (RL007).
 EventHook = Callable[[float, str, dict[str, object]], None]
 
 
-class RapSource(TransportAgent):
-    """The sending half of a RAP flow."""
+class AimdSource(TransportAgent):
+    """What the simulated AIMD senders share around their law.
 
-    #: Loss is declared when a packet this many seqs newer is ACKed.
-    REORDER_THRESHOLD = 3
-    #: EWMA gains for SRTT/RTTVAR, RFC 6298 style.
-    SRTT_GAIN = 0.125
-    RTTVAR_GAIN = 0.25
+    Start/stop gating, the application hooks, and the replay of the
+    law's :class:`~repro.transport.law.Feedback` into stats, decision
+    records and hooks. Subclasses choose the law and own the timers,
+    starting them in ``_start``.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        host: Host,
+        peer_name: str,
+        flow_id: Optional[int],
+        law: AckLedger,
+        start: float,
+        stop: Optional[float],
+        payload_picker: Optional[PayloadPicker],
+        on_ack: Optional[PacketHandler],
+        on_loss: Optional[PacketHandler],
+        on_backoff: Optional[BackoffHandler],
+        on_event: Optional[EventHook],
+    ) -> None:
+        super().__init__(sim, host, peer_name,
+                         flow_id if flow_id is not None else next_flow_id())
+        self.law = law
+        self.packet_size = law.packet_size
+        self.payload_picker = payload_picker
+        self.on_ack = on_ack
+        self.on_loss = on_loss
+        self.on_backoff = on_backoff
+        self.on_event = on_event
+        self._stopped = False
+        self.stop_time = stop
+        sim.schedule(max(0.0, start - sim.now), self._start, priority=0)
+
+    # ------------------------------------------------------------------ API
+
+    @property
+    def srtt(self) -> float:
+        """Smoothed round-trip time in seconds."""
+        return self.law.srtt
+
+    @property
+    def slope(self) -> float:
+        """Rate of linear increase S = P / srtt**2 in bytes/s per second."""
+        return self.law.slope
+
+    @property
+    def rto(self) -> float:
+        """Retransmission-style timeout used as the loss backstop."""
+        return self.law.rto
+
+    def stop(self) -> None:
+        """Silence the source permanently."""
+        self._stopped = True
+
+    # ------------------------------------------------------------ internals
+
+    def _active(self) -> bool:
+        if self._stopped:
+            return False
+        if self.stop_time is not None and self.sim.now >= self.stop_time:
+            return False
+        return True
+
+    def _send_one(self) -> bool:
+        """Offer the next seq to the application; False if it passed."""
+        law = self.law
+        meta: Optional[dict] = {}
+        if self.payload_picker is not None:
+            meta = self.payload_picker(law.next_seq)
+            if meta is None:
+                return False  # application has nothing to send this slot
+        packet = self._make_packet(law.next_seq, law.packet_size, **meta)
+        law.track(packet.meta, law.packet_size)
+        self._transmit(packet)
+        return True
+
+    def _check_timeout(self) -> Feedback:
+        feedback = self.law.check_timeout(self.sim.now)
+        if feedback.timed_out:
+            self.stats.timeouts += 1
+            if self.on_event is not None:
+                self.on_event(self.sim.now, "transport_timeout", {
+                    "outstanding": len(feedback.lost),
+                    "idle": feedback.idle, "rto": self.law.rto,
+                })
+            feedback.replay(self.on_ack, self._lost, self._backed_off)
+        return feedback
+
+    def _lost(self, seq: int, meta: dict, size: int) -> None:
+        self.stats.packets_lost += 1
+        if self.on_event is not None:
+            self.on_event(self.sim.now, "transport_loss", {
+                "seq": seq, "size": size,
+                "layer": meta.get("layer"),
+            })
+        if self.on_loss is not None:
+            self.on_loss(seq, meta, size)
+
+    def _backoff_fields(self, feedback: Feedback) -> dict[str, object]:
+        return {"rate": feedback.backoff_rate, "srtt": self.law.srtt,
+                "trigger_seq": feedback.trigger_seq}
+
+    def _backed_off(self, feedback: Feedback) -> None:
+        self.stats.backoffs += 1
+        if self.on_event is not None:
+            self.on_event(self.sim.now, "transport_backoff",
+                          self._backoff_fields(feedback))
+        if self.on_backoff is not None:
+            self.on_backoff(feedback.backoff_rate)
+
+    def receive(self, packet: Packet) -> None:
+        """Handle an incoming ACK."""
+        if not packet.is_ack():
+            return
+        self.stats.acks_received += 1
+        meta = packet.meta
+        feedback = self.law.on_ack(meta["acked_seq"], meta.get("echo_ts"),
+                                   self.sim.now)
+        if feedback is not NOTHING:
+            feedback.replay(self.on_ack, self._lost, self._backed_off)
+
+
+class RapSource(AimdSource):
+    """The sending half of a RAP flow: RapLaw on the simulator's clock."""
+
+    law: RapLaw
 
     def __init__(
         self,
@@ -72,70 +189,27 @@ class RapSource(TransportAgent):
         start: float = 0.0,
         stop: Optional[float] = None,
         payload_picker: Optional[PayloadPicker] = None,
-        on_ack: Optional[AckHandler] = None,
-        on_loss: Optional[LossHandler] = None,
+        on_ack: Optional[PacketHandler] = None,
+        on_loss: Optional[PacketHandler] = None,
         on_backoff: Optional[BackoffHandler] = None,
         on_event: Optional[EventHook] = None,
     ) -> None:
-        super().__init__(sim, host, peer_name,
-                         flow_id if flow_id is not None else next_flow_id())
-        if packet_size <= 0:
-            raise ValueError("packet_size must be positive")
-        self.packet_size = packet_size
-        self.srtt = srtt_init
-        self.rttvar = srtt_init / 2
-        self.min_rate = (min_rate if min_rate is not None
-                         else packet_size / 2.0)  # one packet per 2 s
-        self._rate = (initial_rate if initial_rate is not None
-                      else packet_size / srtt_init)
-        self._rate = max(self._rate, self.min_rate)
-        self.payload_picker = payload_picker
-        self.on_ack = on_ack
-        self.on_loss = on_loss
-        self.on_backoff = on_backoff
-        self.on_event = on_event
-
-        self.next_seq = 0
-        self.recovery_seq = 0  # seqs below this don't trigger another backoff
-        self.highest_acked = -1
-        self._outstanding: dict[int, tuple[float, dict, int]] = {}
-        self._last_ack_time = start
-        self._stopped = False
-        self.stop_time = stop
-
-        sim.schedule(max(0.0, start - sim.now), self._start, priority=0)
-
-    # ------------------------------------------------------------------ API
+        super().__init__(
+            sim, host, peer_name, flow_id,
+            RapLaw(packet_size, start, srtt_init, initial_rate, min_rate),
+            start, stop, payload_picker, on_ack, on_loss, on_backoff,
+            on_event)
+        self.min_rate = self.law.min_rate
 
     @property
     def rate(self) -> float:
         """Current transmission rate in bytes/s."""
-        return self._rate
+        return self.law.rate
 
     @property
     def ipg(self) -> float:
         """Current inter-packet gap in seconds."""
-        return self.packet_size / self._rate
-
-    @property
-    def slope(self) -> float:
-        """Estimated rate of linear increase S in bytes/s per second.
-
-        RAP adds one packet per SRTT every SRTT, so S = P / srtt**2. This
-        is exactly the ``S`` the paper's buffer formulas need.
-        """
-        return self.packet_size / (self.srtt * self.srtt)
-
-    @property
-    def rto(self) -> float:
-        """Retransmission-style timeout used as the loss backstop."""
-        return min(5.0, max(0.2, self.srtt + 4 * self.rttvar))
-
-    def stop(self) -> None:
-        """Silence the source permanently."""
-        self._stopped = True
-
-    # ------------------------------------------------------------ internals
+        return self.law.ipg
 
     def _start(self) -> None:
         if self._stopped:
@@ -144,112 +218,23 @@ class RapSource(TransportAgent):
         self._step_tick()
         self._timeout_tick()
 
-    def _active(self) -> bool:
-        if self._stopped:
-            return False
-        if self.stop_time is not None and self.sim.now >= self.stop_time:
-            return False
-        return True
-
     def _send_tick(self) -> None:
         if not self._active():
             return
         self._send_one()
-        self.sim.schedule(self.ipg, self._send_tick, priority=0)
-
-    def _send_one(self) -> None:
-        meta: Optional[dict] = {}
-        if self.payload_picker is not None:
-            meta = self.payload_picker(self.next_seq)
-            if meta is None:
-                return  # application has nothing to send this slot
-        packet = self._make_packet(self.next_seq, self.packet_size, **meta)
-        self._outstanding[self.next_seq] = (self.sim.now, packet.meta,
-                                            self.packet_size)
-        self.next_seq += 1
-        self._transmit(packet)
+        self.sim.schedule(self.law.ipg, self._send_tick, priority=0)
 
     def _step_tick(self) -> None:
-        """Once per SRTT: additive increase (the AI of AIMD)."""
         if not self._active():
             return
-        self._rate += self.packet_size / self.srtt
-        self.sim.schedule(self.srtt, self._step_tick, priority=0)
+        self.law.additive_increase()
+        self.sim.schedule(self.law.srtt, self._step_tick, priority=0)
 
     def _timeout_tick(self) -> None:
         if not self._active():
             return
-        idle = self.sim.now - self._last_ack_time
-        if self._outstanding and idle > self.rto:
-            self.stats.timeouts += 1
-            if self.on_event is not None:
-                self.on_event(self.sim.now, "transport_timeout", {
-                    "outstanding": len(self._outstanding),
-                    "idle": idle, "rto": self.rto,
-                })
-            for seq in sorted(self._outstanding):
-                self._declare_lost(seq)
-            self._backoff(self.next_seq)
-            self._last_ack_time = self.sim.now
-        self.sim.schedule(self.rto / 2, self._timeout_tick, priority=0)
-
-    def _backoff(self, triggering_seq: int) -> None:
-        """Multiplicative decrease, once per congestion event."""
-        if triggering_seq < self.recovery_seq:
-            return  # this loss belongs to an already-handled event
-        self._rate = max(self.min_rate, self._rate / 2)
-        self.recovery_seq = self.next_seq
-        self.stats.backoffs += 1
-        if self.on_event is not None:
-            self.on_event(self.sim.now, "transport_backoff", {
-                "rate": self._rate, "srtt": self.srtt,
-                "trigger_seq": triggering_seq,
-            })
-        if self.on_backoff is not None:
-            self.on_backoff(self._rate)
-
-    def _declare_lost(self, seq: int) -> None:
-        sent_at, meta, size = self._outstanding.pop(seq)
-        self.stats.packets_lost += 1
-        if self.on_event is not None:
-            self.on_event(self.sim.now, "transport_loss", {
-                "seq": seq, "size": size,
-                "layer": meta.get("layer"),
-            })
-        if self.on_loss is not None:
-            self.on_loss(seq, meta, size)
-
-    def _update_rtt(self, sample: float) -> None:
-        self.rttvar = ((1 - self.RTTVAR_GAIN) * self.rttvar
-                       + self.RTTVAR_GAIN * abs(self.srtt - sample))
-        self.srtt = (1 - self.SRTT_GAIN) * self.srtt + self.SRTT_GAIN * sample
-
-    def receive(self, packet: Packet) -> None:
-        """Handle an incoming ACK."""
-        if not packet.is_ack():
-            return
-        self.stats.acks_received += 1
-        self._last_ack_time = self.sim.now
-        seq = packet.meta["acked_seq"]
-        echo = packet.meta.get("echo_ts")
-        if echo is not None:
-            self._update_rtt(self.sim.now - echo)
-
-        entry = self._outstanding.pop(seq, None)
-        if entry is not None and self.on_ack is not None:
-            _, meta, size = entry
-            self.on_ack(seq, meta, size)
-        self.highest_acked = max(self.highest_acked, seq)
-
-        # Hole-based loss detection: anything REORDER_THRESHOLD older than
-        # the newest ACK is gone.
-        horizon = self.highest_acked - self.REORDER_THRESHOLD
-        lost = [s for s in self._outstanding if s <= horizon]
-        if lost:
-            newest_lost = max(lost)
-            for s in sorted(lost):
-                self._declare_lost(s)
-            self._backoff(newest_lost)
+        self._check_timeout()
+        self.sim.schedule(self.law.rto / 2, self._timeout_tick, priority=0)
 
 
 class RapSink(TransportAgent):

@@ -45,7 +45,7 @@ class TestBasics:
     def test_window_limits_outstanding(self, sim, wired):
         _, source, _ = wired
         sim.run(until=10.0)
-        assert len(source._outstanding) <= int(source.cwnd) + 1
+        assert len(source.law.outstanding) <= int(source.cwnd) + 1
 
 
 class TestAimdBehaviour:
