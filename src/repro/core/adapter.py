@@ -54,6 +54,8 @@ from repro.core.units import (
 Clock = Callable[[], Seconds]
 RateFn = Callable[[], BytesPerSec]
 SlopeFn = Callable[[], BytesPerSec2]
+#: ``(time, kind, fields)`` decision sink (RL007: ``None`` when nobody
+#: is recording).
 EventHook = Callable[[float, str, dict[str, object]], None]
 
 

@@ -63,10 +63,8 @@ class WorkloadConfig:
     cbr_stop: float = 60.0
     # Observability (off by default: golden runs record nothing)
     record_decisions: bool = False
-    recorder_capacity: int = 65536
     collect_metrics: bool = False
     trace_spans: bool = False
-    span_capacity: int = 65536
 
     def qa_config(self) -> QAConfig:
         return QAConfig(
@@ -182,10 +180,8 @@ class PaperWorkload:
             duration=cfg.duration,
             seed=cfg.seed,
             record_decisions=cfg.record_decisions,
-            recorder_capacity=cfg.recorder_capacity,
             collect_metrics=cfg.collect_metrics,
             trace_spans=cfg.trace_spans,
-            span_capacity=cfg.span_capacity,
         )
 
     def component_rng(self, label: str) -> SeededRNG:

@@ -90,16 +90,12 @@ class Scenario:
         # Shared observability sinks: one causal decision log and one
         # metrics registry per scenario, fed by every flow and backbone
         # link. Both are disabled (and cost nothing) unless asked for.
-        self.recorder = FlightRecorder(
-            capacity=config.recorder_capacity,
-            enabled=config.record_decisions)
+        self.recorder = FlightRecorder(enabled=config.record_decisions)
         self.metrics = MetricsRegistry(enabled=config.collect_metrics)
         # Span tracing: one recorder per scenario, one deterministic
         # trace per QA flow (ids derive from the seed and flow index,
         # so two same-seed runs produce identical trace ids).
-        self.spans = SpanRecorder(
-            capacity=config.span_capacity,
-            enabled=config.trace_spans)
+        self.spans = SpanRecorder(enabled=config.trace_spans)
         self.network: Union[Dumbbell, ParkingLot]
         if isinstance(config.topology, ParkingLotConfig):
             self.network = ParkingLot(self.sim, config.topology)
@@ -178,7 +174,6 @@ class Scenario:
                   src: Host, dst: Host) -> BuiltFlow:
         bus = TelemetryBus(self.sim,
                            enabled=self.config.telemetry,
-                           decimate=self.config.telemetry_decimate,
                            recorder=self.recorder,
                            source=label)
         context = TraceContext.derive(self.config.seed, "trace", index)

@@ -127,13 +127,11 @@ class ScenarioConfig:
         seed: master seed; per-flow streams are spawned from it.
         telemetry: False disables all per-session sampling and event
             logging (near-zero tracing cost).
-        telemetry_decimate: sample every Nth period (N >= 1).
         monitor_period: FlowMonitor throughput sampling period (seconds).
         record_decisions: True attaches a shared flight recorder so QA
             adapters and transports log causal decision records
             (independent of ``telemetry``: the causal log works even
             with time-series sampling off).
-        recorder_capacity: flight-recorder ring size (records).
         collect_metrics: True attaches a shared metrics registry to the
             backbone links and flows (counters/gauges/histograms).
         trace_spans: True attaches a shared
@@ -142,7 +140,6 @@ class ScenarioConfig:
             ``seed`` and the flow index: adapter ticks and §2.2
             decision events land as spans, exportable through the
             Chrome-trace path alongside service-side traces.
-        span_capacity: span-recorder ring size (spans).
         backend: ``"packet"`` builds the discrete-event simulation
             (:class:`repro.scenario.builder.Scenario`); ``"fluid"``
             solves the same spec analytically
@@ -157,13 +154,10 @@ class ScenarioConfig:
     duration: float = 40.0
     seed: int = 1
     telemetry: bool = True
-    telemetry_decimate: int = 1
     monitor_period: float = 1.0
     record_decisions: bool = False
-    recorder_capacity: int = 65536
     collect_metrics: bool = False
     trace_spans: bool = False
-    span_capacity: int = 65536
     backend: str = "packet"
 
     def __post_init__(self) -> None:
@@ -179,10 +173,6 @@ class ScenarioConfig:
                 raise ValueError(
                     "the fluid backend only runs scripted_qa flows; "
                     f"got kinds {sorted(set(bad))}")
-        if self.recorder_capacity < 1:
-            raise ValueError("recorder_capacity must be >= 1")
-        if self.span_capacity < 1:
-            raise ValueError("span_capacity must be >= 1")
         if isinstance(self.topology, ParkingLotConfig):
             want = self.topology.n_hops + 1
             if len(self.flows) != want:

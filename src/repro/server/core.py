@@ -36,14 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol, runtime_checkable
 
-from repro.core.adapter import QualityAdapter
+from repro.core.adapter import EventHook, QualityAdapter
 from repro.core.config import QAConfig
 from repro.media.stream import LayeredStream
 from repro.telemetry.tracing import SpanHook
-
-#: ``(time, kind, fields)`` decision-record sink (RL007: ``None`` when
-#: nobody is recording).
-EventHook = Callable[[float, str, dict[str, object]], None]
 
 
 def _tee_decision_spans(on_event: Optional[EventHook],

@@ -372,7 +372,6 @@ class LoadFleet:
         spread: float = 1.0,
         sample_period: float = 0.1,
         trace_spans: bool = False,
-        span_capacity: int = 65536,
     ) -> None:
         if sessions <= 0:
             raise ValueError("sessions must be positive")
@@ -386,8 +385,7 @@ class LoadFleet:
         self.sample_period = sample_period
         #: Shared across all clients; trace ids derive from the fleet
         #: seed so reruns produce the same id per client index.
-        self.spans = SpanRecorder(capacity=span_capacity,
-                                  enabled=trace_spans)
+        self.spans = SpanRecorder(enabled=trace_spans)
 
     async def run(self) -> list[LoadSessionResult]:
         """Run the whole fleet; one result per session, in index order."""

@@ -35,7 +35,7 @@ from repro.core.config import QAConfig
 from repro.server.core import SessionCore
 from repro.service import protocol
 from repro.service.pacing import RapPacer
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, SampleHook
 from repro.telemetry.recorder import FlightRecorder
 from repro.telemetry.tracing import SpanRecorder, TraceContext
 from repro.transport.law import NOTHING, Feedback
@@ -80,7 +80,6 @@ class ServiceConfig:
     rate_headroom: float = 2.0
     #: Record adapter decisions into a FlightRecorder.
     record_decisions: bool = False
-    recorder_capacity: int = 65536
     #: Collect MetricsRegistry counters/gauges/histograms.
     collect_metrics: bool = False
     #: Record distributed-tracing spans into a SpanRecorder. Sessions
@@ -88,7 +87,6 @@ class ServiceConfig:
     #: echo it in the WELCOME config); clients that send none get a
     #: context derived from their session id.
     trace_spans: bool = False
-    span_capacity: int = 65536
 
     def __post_init__(self) -> None:
         if self.qa.packet_size < protocol.MIN_PACKET_SIZE:
@@ -242,28 +240,25 @@ class ServiceSession:
     async def run(self) -> None:
         service = self.service
         timeout = service.config.session_timeout
-        try:
-            while not self.done:
-                now = service.now()
-                # Pacer state is re-read from `self` at the top of every
-                # iteration and each step below is a single statement on
-                # the one loop thread, so the RL014 spans here are
-                # statement-atomic by construction.
-                self._apply(self.pacer.advance(now))  # repro-lint: disable=RL014
-                while now >= self._next_tick:
-                    self.core.tick()  # repro-lint: disable=RL014
-                    self._next_tick += self._drain_period
-                if self.pacer.send_due(now):
-                    self._send_data(now)  # repro-lint: disable=RL014
-                if now - self.pacer.last_ack_time > timeout:
-                    service.expire_session(self)
-                    return
-                now = service.now()
-                deadline = min(self.pacer.next_deadline(now),
-                               self._next_tick)
-                await asyncio.sleep(max(0.0, deadline - now))
-        except asyncio.CancelledError:
-            raise
+        while not self.done:
+            now = service.now()
+            # Pacer state is re-read from `self` at the top of every
+            # iteration and each step below is a single statement on
+            # the one loop thread, so the RL014 spans here are
+            # statement-atomic by construction.
+            self._apply(self.pacer.advance(now))  # repro-lint: disable=RL014
+            while now >= self._next_tick:
+                self.core.tick()  # repro-lint: disable=RL014
+                self._next_tick += self._drain_period
+            if self.pacer.send_due(now):
+                self._send_data(now)  # repro-lint: disable=RL014
+            if now - self.pacer.last_ack_time > timeout:
+                service.expire_session(self)
+                return
+            now = service.now()
+            deadline = min(self.pacer.next_deadline(now),
+                           self._next_tick)
+            await asyncio.sleep(max(0.0, deadline - now))
 
     def finish(self) -> None:
         """Stop the send loop; the task exits at its next wakeup."""
@@ -292,26 +287,14 @@ class StreamingService(asyncio.DatagramProtocol):
         await service.close()
     """
 
-    def __init__(self, config: Optional[ServiceConfig] = None,
-                 recorder: Optional[FlightRecorder] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 spans: Optional[SpanRecorder] = None) -> None:
+    def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         cfg = self.config
-        if recorder is None and cfg.record_decisions:
-            recorder = FlightRecorder(capacity=cfg.recorder_capacity)
-        if metrics is None and cfg.collect_metrics:
-            metrics = MetricsRegistry()
-        if metrics is not None and not metrics.enabled:
-            # RL007 discipline: a disabled registry is the same as none.
-            metrics = None
-        if spans is None and cfg.trace_spans:
-            spans = SpanRecorder(capacity=cfg.span_capacity)
-        if spans is not None and not spans.enabled:
-            spans = None
-        self.recorder = recorder
+        # RL007 discipline: a sink that is off is ``None``, not disabled.
+        self.recorder = FlightRecorder() if cfg.record_decisions else None
+        metrics = MetricsRegistry() if cfg.collect_metrics else None
         self.metrics = metrics
-        self.spans = spans
+        self.spans = SpanRecorder() if cfg.trace_spans else None
         self.sessions: dict[int, ServiceSession] = {}
         self._by_addr: dict[tuple, int] = {}
         #: Every live session task, including FIN'd sessions whose task
@@ -341,17 +324,18 @@ class StreamingService(asyncio.DatagramProtocol):
                 "ACK echo-to-receipt latency",
                 buckets=FEEDBACK_BUCKETS)
             if metrics is not None else None)
+        #: Bound ``inc``/``set`` per family, cached on first use: no
+        #: registry lookup per ACK, and a family still appears in
+        #: /metrics only once it has a sample.
+        self._counter_incs: dict[str, SampleHook] = {}
+        self._active_set: Optional[SampleHook] = None
 
     # ------------------------------------------------------------ lifecycle
 
     @classmethod
-    async def start(cls, config: Optional[ServiceConfig] = None,
-                    recorder: Optional[FlightRecorder] = None,
-                    metrics: Optional[MetricsRegistry] = None,
-                    spans: Optional[SpanRecorder] = None,
+    async def start(cls, config: Optional[ServiceConfig] = None
                     ) -> "StreamingService":
-        service = cls(config, recorder=recorder, metrics=metrics,
-                      spans=spans)
+        service = cls(config)
         loop = asyncio.get_running_loop()
         service._loop = loop
         service._t0 = loop.time()
@@ -400,9 +384,20 @@ class StreamingService(asyncio.DatagramProtocol):
 
     def count(self, name: str, amount: int = 1) -> None:
         self.counters[name] += amount
+        metrics = self.metrics
+        if metrics is not None:
+            inc = self._counter_incs.get(name)
+            if inc is None:
+                inc = self._counter_incs[name] = metrics.counter(
+                    f"service_{name}_total").inc
+            inc(amount)
+
+    def _gauge_active_sessions(self) -> None:
         if self.metrics is not None:
-            self.metrics.counter(
-                f"service_{name}_total").inc(amount)
+            if self._active_set is None:
+                self._active_set = self.metrics.gauge(
+                    "service_active_sessions").set
+            self._active_set(len(self.sessions))
 
     def observe_feedback_latency(self, latency: float) -> None:
         if len(self.feedback_latencies) < MAX_LATENCY_SAMPLES:
@@ -498,9 +493,7 @@ class StreamingService(asyncio.DatagramProtocol):
         self.sessions[session_id] = session
         self._by_addr[addr] = session_id
         self.count("sessions_started")
-        if self.metrics is not None:
-            self.metrics.gauge("service_active_sessions").set(
-                len(self.sessions))
+        self._gauge_active_sessions()
         self.sendto(protocol.encode_welcome(
             session_id, self._welcome_body(session)), addr)
         assert self._loop is not None
@@ -513,9 +506,7 @@ class StreamingService(asyncio.DatagramProtocol):
         self.sessions.pop(session.session_id, None)
         if self._by_addr.get(session.addr) == session.session_id:
             self._by_addr.pop(session.addr, None)
-        if self.metrics is not None:
-            self.metrics.gauge("service_active_sessions").set(
-                len(self.sessions))
+        self._gauge_active_sessions()
 
     def _handle_fin(self, frame: protocol.FinFrame, addr: tuple) -> None:
         session = self.sessions.get(frame.session_id)

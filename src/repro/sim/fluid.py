@@ -36,17 +36,16 @@ pins these claims on the paper-figure scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core import fluid_solver, formulas
+from repro.core.adapter import EventHook
 from repro.core.config import QAConfig
 from repro.core.fluid import ScriptedAimd
 from repro.core.metrics import DropCause, DropEvent, QualityMetrics
 from repro.core.tolerances import TIME_SLACK as _TOL
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2, Seconds
 from repro.sim.trace import Tracer
-
-EventHook = Callable[[float, str, dict[str, object]], None]
 
 #: Phases of the fluid state machine (Figure 3's filling/draining plus
 #: the stalled-base corner the paper calls playback starvation).

@@ -5,10 +5,9 @@ StreamingSession` — every run paid full per-layer sampling cost whether
 or not anyone looked at the series. This package splits that into:
 
 - :class:`TelemetryBus` — owns the :class:`~repro.sim.trace.Tracer`,
-  schedules subscribed probes, and can decimate (sample every Nth
-  period) or disable sampling entirely. A disabled bus schedules no
-  samplers and drops all records, so headless/batch runs pay near-zero
-  tracing cost.
+  schedules subscribed probes at their own ``period``, and can disable
+  sampling entirely. A disabled bus schedules no samplers and drops all
+  records, so headless/batch runs pay near-zero tracing cost.
 - probes — registered channels. :class:`SessionProbe` samples every
   series the paper's figures plot (rates, layer counts, per-layer
   buffers and drain rates); :class:`QueueOccupancyProbe` and
@@ -19,12 +18,14 @@ Adapter events (add/drop/backoff) flow through :meth:`TelemetryBus.
 event_hook`, which is ``None`` when the bus is disabled so producers
 skip the call entirely.
 
-On top of the bus sit three observability layers (see
+On top of the bus sit these observability layers (see
 ``docs/OBSERVABILITY.md``):
 
-- :class:`FlightRecorder` — a bounded, seed-stable causal log of
-  *decisions* (drop-rule evaluations with their §2.2 inputs, layer
-  adds/drops, transport backoffs) exported as deterministic JSONL.
+- :class:`FlightRecorder` — a seed-stable causal log of *decisions*
+  (drop-rule evaluations with their §2.2 inputs, layer adds/drops,
+  transport backoffs) exported as deterministic JSONL. It and
+  :class:`SpanRecorder` are the one bounded ring,
+  :class:`~repro.telemetry.recorder.SignalRing`.
 - :class:`MetricsRegistry` — counters/gauges/histograms with labels,
   RL007 hook discipline (``None`` when disabled), Prometheus text
   export; :func:`instrument_engine` feeds it per-handler timings and

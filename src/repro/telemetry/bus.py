@@ -1,4 +1,4 @@
-"""The telemetry bus: probe subscription, decimation, on/off switch."""
+"""The telemetry bus: probe subscription and the on/off switch."""
 
 from __future__ import annotations
 
@@ -17,14 +17,9 @@ class TelemetryBus:
 
     Args:
         sim: the event engine (drives the periodic samplers).
-        tracer: series sink; a fresh one is created if omitted.
         enabled: when False, no samplers are scheduled, records are
             dropped, and :meth:`event_hook` returns ``None`` — the
             simulation runs with near-zero instrumentation cost.
-        decimate: sample every Nth probe period (N >= 1). Stretches each
-            probe's effective period by the factor; probes see the
-            effective period as their ``dt`` so rate derivations stay
-            correct.
         recorder: optional shared :class:`FlightRecorder`. When it is
             enabled, :meth:`event_hook` fans every discrete event out to
             it as a decision record tagged ``source`` — even if the bus
@@ -37,18 +32,13 @@ class TelemetryBus:
     def __init__(
         self,
         sim: Simulator,
-        tracer: Optional[Tracer] = None,
         enabled: bool = True,
-        decimate: int = 1,
         recorder: Optional[FlightRecorder] = None,
         source: str = "session",
     ) -> None:
-        if decimate < 1:
-            raise ValueError(f"decimate must be >= 1, got {decimate}")
         self.sim = sim
         self.enabled = enabled
-        self.decimate = decimate
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = Tracer()
         self.recorder = recorder
         self.source = source
         self.probes: list["Probe"] = []
@@ -69,8 +59,7 @@ class TelemetryBus:
         if not self.enabled:
             return None
         sampler = PeriodicSampler(
-            self.sim, probe.period * self.decimate, probe.sample,
-            start=start)
+            self.sim, probe.period, probe.sample, start=start)
         self._samplers.append(sampler)
         return sampler
 

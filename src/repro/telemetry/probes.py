@@ -23,12 +23,9 @@ class Probe:
             raise ValueError("period must be positive")
         self.period = period
         self.bus: Optional["TelemetryBus"] = None
-        #: Effective seconds between samples (period x bus decimation).
-        self.dt = period
 
     def bind(self, bus: "TelemetryBus") -> None:
         self.bus = bus
-        self.dt = self.period * bus.decimate
 
     def sample(self, now: float) -> None:
         raise NotImplementedError
@@ -79,7 +76,7 @@ class SessionProbe(Probe):
         bus.record(f"{pre}total_buffer", now, playout.total_buffered())
         bus.record(f"{pre}srtt", now, self.server.rap.srtt)
 
-        dt = self.dt
+        dt = self.period
         for i in range(self.server.config.max_layers):
             sent = adapter.sent_bytes_per_layer[i]
             bus.record(f"{pre}send_rate_L{i}", now,

@@ -1,4 +1,4 @@
-"""The flight recorder: a bounded, seed-stable structured decision log.
+"""The signal ring and the flight recorder built on it.
 
 Time-series telemetry (the :class:`~repro.telemetry.bus.TelemetryBus`)
 answers *what* happened — rates, buffer levels, layer counts. The flight
@@ -8,19 +8,22 @@ recorder answers *why*: every coarse-grain add/drop decision, every
 ``na*C``, ``sqrt(2*S*buf)``, per-layer buffer levels, the ``K_max``
 margin) and the outcome.
 
-Design constraints, in order:
+:class:`SignalRing` is the one bounded log in the repo; the span sink
+(:class:`~repro.telemetry.tracing.SpanRecorder`) is the same ring over
+a different entry type. Design constraints, in order:
 
-- **Seed-stable.** Records contain only simulation-derived values
+- **Seed-stable.** Entries contain only caller-supplied values
   (simulation time, byte counts, rates) plus a monotonic sequence
   number; two runs of the same seed produce bit-for-bit identical JSONL
   whether they execute serially or in a worker process.
-- **Bounded.** Records live in a ring buffer (``capacity`` entries);
-  old records are evicted FIFO and counted, never silently lost.
+- **Bounded.** Entries live in a ring buffer (``capacity`` entries,
+  :data:`RING_CAPACITY` everywhere outside eviction tests); old entries
+  are evicted FIFO and counted, never silently lost.
 - **Free when off.** A disabled recorder hands producers ``None`` from
   :meth:`FlightRecorder.hook` — the same RL007 discipline as
   ``TelemetryBus.event_hook`` — so the hot path never builds a record
-  that nobody will read, and :meth:`write_jsonl` refuses to create a
-  file for a run that recorded nothing.
+  that nobody will read, and :meth:`SignalRing.write_jsonl` refuses to
+  create a file for a run that recorded nothing.
 """
 
 from __future__ import annotations
@@ -28,19 +31,113 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from collections import deque
-from typing import Callable, Iterator, Mapping, Optional, Union
+from collections import Counter, deque
+from typing import (Callable, Generic, Iterable, Iterator, Mapping,
+                    Optional, Protocol, TypeVar, Union)
 
-#: A JSON-serializable decision payload value. Producers hand fields
-#: over as ``Mapping[str, object]`` (matching the adapter's event-hook
-#: signature); anything json.dumps rejects fails loudly at export.
-FieldValue = Union[str, int, float, bool, None, list["FieldValue"]]
+#: Entries every recorder in the repo retains before FIFO eviction.
+RING_CAPACITY = 65536
 
 #: ``(time, kind, fields)`` — what a producer hands the recorder. The
 #: producer's identity (``source``) is bound into the hook itself.
 RecorderHook = Callable[[float, str, Mapping[str, object]], None]
 
-_JSON_SEPARATORS = (",", ":")
+
+class _JsonLine(Protocol):
+    def to_json(self) -> str: ...
+
+
+EntryT = TypeVar("EntryT", bound=_JsonLine)
+
+
+def json_line(payload: Mapping[str, object]) -> str:
+    """One deterministic JSON line (sorted keys, compact separators)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def tally(labels: Iterable[str]) -> dict[str, int]:
+    """Occurrences per label, in sorted label order."""
+    return dict(sorted(Counter(labels).items()))
+
+
+class SignalRing(Generic[EntryT]):
+    """The one bounded signal log: FIFO ring, counted eviction, JSONL.
+
+    :class:`FlightRecorder` (decision records) and
+    :class:`~repro.telemetry.tracing.SpanRecorder` (spans) are this
+    ring plus their own entry type and producer hook. Appending stays
+    inline in each producer path — ``_entries.append`` and one
+    ``_accepted`` increment — so the ring adds no call per entry.
+    """
+
+    def __init__(self, capacity: int = RING_CAPACITY,
+                 enabled: bool = True) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self.enabled = enabled
+        self._entries: deque[EntryT] = deque(maxlen=capacity)
+        self._accepted = 0
+
+    # ------------------------------------------------------------ queries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[EntryT]:
+        return iter(self._entries)
+
+    @property
+    def total_recorded(self) -> int:
+        """Entries ever accepted (retained + evicted)."""
+        return self._accepted
+
+    @property
+    def evicted(self) -> int:
+        """Entries pushed out of the ring by newer ones."""
+        return self._accepted - len(self._entries)
+
+    # ------------------------------------------------------------- export
+
+    def to_jsonl(self) -> str:
+        """The retained entries as JSONL (one entry per line)."""
+        if not self._entries:
+            return ""
+        return "\n".join(e.to_json() for e in self._entries) + "\n"
+
+    def digest(self) -> str:
+        """sha256 of :meth:`to_jsonl` — the run's fingerprint."""
+        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
+
+    def write_jsonl(self, path: Union[str, pathlib.Path]
+                    ) -> Optional[pathlib.Path]:
+        """Write the JSONL log to ``path``.
+
+        A disabled ring writes nothing and returns ``None`` — runs with
+        a signal off must not scatter empty artifacts.
+        """
+        if not self.enabled:
+            return None
+        target = pathlib.Path(path)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(self.to_jsonl())
+        return target
+
+    def summary(self) -> dict[str, object]:
+        """Manifest-ready block (counts, eviction, breakdown, sha256)."""
+        return {
+            "enabled": self.enabled,
+            "capacity": self.capacity,
+            "recorded": self.total_recorded,
+            "retained": len(self._entries),
+            "evicted": self.evicted,
+            **self._breakdown(),
+            "digest": self.digest(),
+        }
+
+    def _breakdown(self) -> dict[str, object]:
+        """Entry-type-specific summary keys (between counts and digest)."""
+        raise NotImplementedError
 
 
 class DecisionRecord:
@@ -64,17 +161,13 @@ class DecisionRecord:
 
     def to_json(self) -> str:
         """One deterministic JSON line (sorted keys, compact separators)."""
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "t": round(self.time, 9),
-                "src": self.source,
-                "kind": self.kind,
-                "fields": self.fields,
-            },
-            sort_keys=True,
-            separators=_JSON_SEPARATORS,
-        )
+        return json_line({
+            "seq": self.seq,
+            "t": round(self.time, 9),
+            "src": self.source,
+            "kind": self.kind,
+            "fields": self.fields,
+        })
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -83,16 +176,8 @@ class DecisionRecord:
         )
 
 
-class FlightRecorder:
-    """Bounded in-memory decision log with deterministic JSONL export."""
-
-    def __init__(self, capacity: int = 65536, enabled: bool = True) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.enabled = enabled
-        self._records: deque[DecisionRecord] = deque(maxlen=capacity)
-        self._seq = 0
+class FlightRecorder(SignalRing[DecisionRecord]):
+    """The decision log: a :class:`SignalRing` of :class:`DecisionRecord`."""
 
     # ---------------------------------------------------------- recording
 
@@ -122,74 +207,20 @@ class FlightRecorder:
         """Append one decision record (dropped when disabled)."""
         if not self.enabled:
             return
-        self._records.append(
-            DecisionRecord(self._seq, time, source, kind, fields)
+        self._entries.append(
+            DecisionRecord(self._accepted, time, source, kind, fields)
         )
-        self._seq += 1
+        self._accepted += 1
 
     # ------------------------------------------------------------ queries
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[DecisionRecord]:
-        return iter(self._records)
-
-    @property
-    def total_recorded(self) -> int:
-        """Records ever accepted (retained + evicted)."""
-        return self._seq
-
-    @property
-    def evicted(self) -> int:
-        """Records pushed out of the ring buffer by newer ones."""
-        return self._seq - len(self._records)
 
     def records_of(self, kind: str, source: Optional[str] = None
                    ) -> list[DecisionRecord]:
         """Retained records of ``kind`` (optionally from one source)."""
         return [
-            r for r in self._records
+            r for r in self._entries
             if r.kind == kind and (source is None or r.source == source)
         ]
 
-    # ------------------------------------------------------------- export
-
-    def to_jsonl(self) -> str:
-        """The retained records as JSONL (one record per line)."""
-        if not self._records:
-            return ""
-        return "\n".join(r.to_json() for r in self._records) + "\n"
-
-    def digest(self) -> str:
-        """sha256 of :meth:`to_jsonl` — the run's causal fingerprint."""
-        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
-
-    def write_jsonl(self, path: Union[str, pathlib.Path]
-                    ) -> Optional[pathlib.Path]:
-        """Write the JSONL log to ``path``.
-
-        A disabled recorder writes nothing and returns ``None`` — runs
-        with telemetry off must not scatter empty artifacts.
-        """
-        if not self.enabled:
-            return None
-        target = pathlib.Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_jsonl())
-        return target
-
-    def summary(self) -> dict[str, object]:
-        """Manifest-ready digest block (counts, eviction, sha256)."""
-        kinds: dict[str, int] = {}
-        for record in self._records:
-            kinds[record.kind] = kinds.get(record.kind, 0) + 1
-        return {
-            "enabled": self.enabled,
-            "capacity": self.capacity,
-            "recorded": self.total_recorded,
-            "retained": len(self._records),
-            "evicted": self.evicted,
-            "kinds": dict(sorted(kinds.items())),
-            "digest": self.digest(),
-        }
+    def _breakdown(self) -> dict[str, object]:
+        return {"kinds": tally(r.kind for r in self._entries)}

@@ -17,11 +17,12 @@ correlation layer:
   correlated to the trace via ``session_id`` + ``seq``.
 - :class:`Span` — one timed operation (``start``/``end`` on the
   caller's clock; instant events have ``end == start``).
-- :class:`SpanRecorder` — the bounded sink. Producers bind a
-  :meth:`~SpanRecorder.span_hook` once per ``(source, context)`` and
-  get ``None`` when recording is disabled — the exact RL007 discipline
-  of ``FlightRecorder.hook`` and the metric hooks, so the hot path
-  stays free when tracing is off.
+- :class:`SpanRecorder` — the bounded sink, the same
+  :class:`~repro.telemetry.recorder.SignalRing` the flight recorder is
+  built on. Producers bind a :meth:`~SpanRecorder.span_hook` once per
+  ``(source, context)`` and get ``None`` when recording is disabled —
+  the exact RL007 discipline of ``FlightRecorder.hook`` and the metric
+  hooks, so the hot path stays free when tracing is off.
 
 This module never reads a clock (it lives in the RL001 ``telemetry``
 determinism zone): timestamps arrive as hook arguments — simulation
@@ -32,13 +33,10 @@ span recorded through a given hook always gets the same id.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import pathlib
-from collections import deque
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional
 
 from repro.sim.rng import derive_seed
+from repro.telemetry.recorder import SignalRing, json_line, tally
 
 #: ``(start, end, name, fields)`` — what a producer hands the recorder.
 #: Returns the new span's id so producers can link follow-up spans.
@@ -50,8 +48,6 @@ SpanHook = Callable[[float, float, str, Mapping[str, object]], str]
 #: options — absent entirely when tracing is off, so traced and
 #: untraced wire exchanges stay byte-compatible.
 TRACE_OPTION = "trace"
-
-_JSON_SEPARATORS = (",", ":")
 
 
 def _hex_id(seed: int, *parts: object) -> str:
@@ -175,45 +171,29 @@ class Span:
 
     def to_json(self) -> str:
         """One deterministic JSON line (sorted keys, compact)."""
-        return json.dumps(
-            {
-                "trace_id": self.trace_id,
-                "span_id": self.span_id,
-                "parent_id": self.parent_id,
-                "src": self.source,
-                "name": self.name,
-                "t0": round(self.start, 9),
-                "t1": round(self.end, 9),
-                "fields": self.fields,
-            },
-            sort_keys=True,
-            separators=_JSON_SEPARATORS,
-        )
+        return json_line({
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
+            "src": self.source,
+            "name": self.name,
+            "t0": round(self.start, 9),
+            "t1": round(self.end, 9),
+            "fields": self.fields,
+        })
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Span({self.name!r}, src={self.source!r}, "
                 f"t0={self.start:.6f}, t1={self.end:.6f})")
 
 
-class SpanRecorder:
-    """Bounded in-memory span sink with deterministic JSONL export.
+class SpanRecorder(SignalRing[Span]):
+    """The span sink: a :class:`SignalRing` of :class:`Span`.
 
-    Mirrors :class:`~repro.telemetry.recorder.FlightRecorder`: a ring
-    buffer (FIFO eviction, evictions counted), RL007 ``None``-hook
-    discipline when disabled, and bit-stable export. Span ids derive
-    from the owning trace id and a per-hook counter, so the n-th span a
-    hook records is identical across runs — bind one hook per
-    ``(source, context)`` pair to keep that property.
+    Span ids derive from the owning trace id and a per-hook counter, so
+    the n-th span a hook records is identical across runs — bind one
+    hook per ``(source, context)`` pair to keep that property.
     """
-
-    def __init__(self, capacity: int = 65536, enabled: bool = True) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.enabled = enabled
-        self._spans: deque[Span] = deque(maxlen=capacity)
-        self._recorded = 0
-        self._by_source: dict[str, int] = {}
 
     # ---------------------------------------------------------- recording
 
@@ -234,46 +214,22 @@ class SpanRecorder:
                     fields: Mapping[str, object]) -> str:
             span_id = _hex_id(trace_seed, source, sequence[0])
             sequence[0] += 1
-            self._append(Span(
+            self._entries.append(Span(
                 context.trace_id, span_id, context.span_id,
                 source, name, start, end, fields))
+            self._accepted += 1
             return span_id
 
         return _record
 
-    def _append(self, span: Span) -> None:
-        self._spans.append(span)
-        self._recorded += 1
-        self._by_source[span.source] = (
-            self._by_source.get(span.source, 0) + 1)
-
     # ------------------------------------------------------------ queries
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def __iter__(self) -> Iterator[Span]:
-        return iter(self._spans)
-
-    @property
-    def total_recorded(self) -> int:
-        """Spans ever accepted (retained + evicted)."""
-        return self._recorded
-
-    @property
-    def evicted(self) -> int:
-        return self._recorded - len(self._spans)
-
-    def recorded_for(self, source: str) -> int:
-        """Spans ever recorded by ``source`` (survives eviction)."""
-        return self._by_source.get(source, 0)
 
     def spans_of(self, name: Optional[str] = None,
                  source: Optional[str] = None,
                  trace_id: Optional[str] = None) -> list[Span]:
         """Retained spans filtered by name / source / trace."""
         return [
-            s for s in self._spans
+            s for s in self._entries
             if (name is None or s.name == name)
             and (source is None or s.source == source)
             and (trace_id is None or s.trace_id == trace_id)
@@ -281,44 +237,11 @@ class SpanRecorder:
 
     def trace_ids(self) -> list[str]:
         """Distinct trace ids among retained spans, sorted."""
-        return sorted({s.trace_id for s in self._spans})
+        return sorted({s.trace_id for s in self._entries})
 
-    # ------------------------------------------------------------- export
-
-    def to_jsonl(self) -> str:
-        if not self._spans:
-            return ""
-        return "\n".join(s.to_json() for s in self._spans) + "\n"
-
-    def digest(self) -> str:
-        """sha256 of :meth:`to_jsonl` — the trace's fingerprint."""
-        return hashlib.sha256(self.to_jsonl().encode()).hexdigest()
-
-    def write_jsonl(self, path: Union[str, pathlib.Path]
-                    ) -> Optional[pathlib.Path]:
-        """Write span JSONL; a disabled recorder writes nothing."""
-        if not self.enabled:
-            return None
-        target = pathlib.Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(self.to_jsonl())
-        return target
-
-    def summary(self) -> dict[str, object]:
-        """Manifest-ready block (counts, traces, sha256)."""
-        names: dict[str, int] = {}
-        for span in self._spans:
-            names[span.name] = names.get(span.name, 0) + 1
-        return {
-            "enabled": self.enabled,
-            "capacity": self.capacity,
-            "recorded": self.total_recorded,
-            "retained": len(self._spans),
-            "evicted": self.evicted,
-            "traces": len(self.trace_ids()),
-            "names": dict(sorted(names.items())),
-            "digest": self.digest(),
-        }
+    def _breakdown(self) -> dict[str, object]:
+        return {"traces": len(self.trace_ids()),
+                "names": tally(s.name for s in self._entries)}
 
 
 def merge_spans(*recorders: Optional[SpanRecorder]) -> list[Span]:

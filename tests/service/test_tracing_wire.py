@@ -12,8 +12,7 @@ from repro.core.config import QAConfig
 from repro.service import protocol
 from repro.service.client import LoadFleet
 from repro.service.server import ServiceConfig, StreamingService
-from repro.telemetry.tracing import (SpanRecorder, TraceContext,
-                                     merge_spans)
+from repro.telemetry.tracing import TraceContext, merge_spans
 
 QA = QAConfig(layer_rate=4000.0, max_layers=3, packet_size=200,
               startup_delay=0.5, max_buffer_seconds=4.0)
@@ -155,9 +154,8 @@ class TestWireContext:
 class TestEndToEndTraces:
     def test_fleet_and_service_spans_share_trace_ids(self):
         async def run():
-            spans = SpanRecorder()
             service = await StreamingService.start(
-                service_config(trace_spans=True), spans=spans)
+                service_config(trace_spans=True))
             try:
                 fleet = LoadFleet(
                     "127.0.0.1", service.port, sessions=3,
@@ -165,7 +163,7 @@ class TestEndToEndTraces:
                 results = await fleet.run()
             finally:
                 await service.close()
-            return results, fleet.spans, spans
+            return results, fleet.spans, service.spans
 
         results, client_spans, server_spans = asyncio.run(run())
         assert all(r.ok for r in results)

@@ -32,14 +32,6 @@ class TestEnabledBus:
         assert len(probe.times) == 11  # t = 0.0, 0.1, ..., 1.0
         assert bus.series("count").values[-1] == 11
 
-    def test_decimate_stretches_the_period(self, sim):
-        bus = TelemetryBus(sim, decimate=5)
-        probe = CountingProbe(period=0.1)
-        bus.subscribe(probe)
-        sim.run(until=1.0)
-        assert len(probe.times) == 3  # t = 0.0, 0.5, 1.0
-        assert probe.dt == pytest.approx(0.5)
-
     def test_event_hook_logs_into_the_tracer(self, sim):
         bus = TelemetryBus(sim)
         hook = bus.event_hook()
@@ -82,11 +74,6 @@ class TestDisabledBus:
 
     def test_event_hook_is_none(self, sim):
         assert TelemetryBus(sim, enabled=False).event_hook() is None
-
-
-def test_decimate_must_be_positive(sim):
-    with pytest.raises(ValueError, match="decimate"):
-        TelemetryBus(sim, decimate=0)
 
 
 def test_probe_period_must_be_positive():

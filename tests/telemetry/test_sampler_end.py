@@ -1,10 +1,11 @@
-"""Sampler shutdown and decimation at simulation end (satellite audit).
+"""Sampler shutdown and the last tick at simulation end (satellite audit).
 
 ``sim.run(until=T)`` is inclusive: a sampler tick scheduled exactly at
-``T`` runs, and a decimated sampler's last tick is the largest multiple
-of ``period * decimate`` at or below ``T``. These counts are pinned —
-the figure experiments derive per-sample rates from them, so an
-off-by-one at the end of a run silently skews every final data point.
+``T`` runs, and a probe's last tick is the largest multiple of its
+``period`` at or below ``T``. These counts are pinned — the figure
+experiments derive per-sample rates from them, so an off-by-one at the
+end of a run silently skews every final data point. A probe's own
+``period`` is the only way to slow sampling down.
 """
 
 from __future__ import annotations
@@ -15,39 +16,36 @@ from repro.sim.trace import PeriodicSampler
 from repro.telemetry import TelemetryBus
 from tests.telemetry.test_bus import CountingProbe
 
-#: period 0.1 s over a 1.0 s run: ticks at 0.0, 0.1 * d, ..., <= 1.0.
+#: period 0.1 s * m over a 1.0 s run: ticks at 0.0, 0.1 * m, ..., <= 1.0.
 PINNED_COUNTS = {1: 11, 2: 6, 5: 3}
 
 
 class TestDecimationAtRunEnd:
-    @pytest.mark.parametrize("decimate", sorted(PINNED_COUNTS))
-    def test_sample_count_is_pinned(self, sim, decimate):
-        bus = TelemetryBus(sim, decimate=decimate)
-        probe = CountingProbe(period=0.1)
-        bus.subscribe(probe)
+    @pytest.mark.parametrize("multiple", sorted(PINNED_COUNTS))
+    def test_sample_count_is_pinned(self, sim, multiple):
+        probe = CountingProbe(period=0.1 * multiple)
+        TelemetryBus(sim).subscribe(probe)
         sim.run(until=1.0)
-        assert len(probe.times) == PINNED_COUNTS[decimate]
+        assert len(probe.times) == PINNED_COUNTS[multiple]
 
-    @pytest.mark.parametrize("decimate", sorted(PINNED_COUNTS))
+    @pytest.mark.parametrize("multiple", sorted(PINNED_COUNTS))
     def test_final_sample_lands_on_the_last_full_period(self, sim,
-                                                        decimate):
-        bus = TelemetryBus(sim, decimate=decimate)
-        probe = CountingProbe(period=0.1)
-        bus.subscribe(probe)
+                                                        multiple):
+        step = 0.1 * multiple
+        probe = CountingProbe(period=step)
+        TelemetryBus(sim).subscribe(probe)
         sim.run(until=1.0)
-        step = 0.1 * decimate
         assert probe.times[0] == 0.0
         assert probe.times[-1] == pytest.approx(
-            step * (PINNED_COUNTS[decimate] - 1))
+            step * (PINNED_COUNTS[multiple] - 1))
         # Uniform spacing all the way to the end — no truncated or
         # doubled tick at the boundary.
         gaps = [b - a for a, b in zip(probe.times, probe.times[1:])]
         assert gaps == pytest.approx([step] * (len(probe.times) - 1))
 
     def test_non_divisible_duration_has_no_phantom_tick(self, sim):
-        bus = TelemetryBus(sim, decimate=2)
-        probe = CountingProbe(period=0.1)
-        bus.subscribe(probe)
+        probe = CountingProbe(period=0.2)
+        TelemetryBus(sim).subscribe(probe)
         sim.run(until=0.95)
         # Ticks at 0.0, 0.2, ..., 0.8 only; the 1.0 tick is beyond the
         # horizon even though it was already scheduled.
@@ -76,8 +74,8 @@ class TestSamplerStop:
         assert len(sim._heap) == 0
 
     def test_bus_stop_halts_every_sampler(self, sim):
-        bus = TelemetryBus(sim, decimate=2)
-        probes = [CountingProbe(period=0.1) for _ in range(3)]
+        bus = TelemetryBus(sim)
+        probes = [CountingProbe(period=0.2) for _ in range(3)]
         for probe in probes:
             bus.subscribe(probe)
         sim.run(until=0.4)

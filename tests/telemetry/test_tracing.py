@@ -1,4 +1,8 @@
-"""Tests for repro.telemetry.tracing: contexts, spans, recorder, merge."""
+"""Tests for repro.telemetry.tracing: contexts, spans, recorder, merge.
+
+The ring behaviour ``SpanRecorder`` shares with ``FlightRecorder``
+(eviction, disabled path, empty export) is in ``test_ring.py``.
+"""
 
 import json
 
@@ -61,12 +65,6 @@ class TestTraceContext:
 
 
 class TestSpanRecorder:
-    def test_disabled_recorder_hands_out_none(self):
-        recorder = SpanRecorder(enabled=False)
-        ctx = TraceContext.derive(1, "x")
-        assert recorder.span_hook("src", ctx) is None
-        assert recorder.write_jsonl("/tmp/never-written.jsonl") is None
-
     def test_hook_records_and_returns_span_id(self):
         recorder = SpanRecorder()
         ctx = TraceContext.derive(1, "x")
@@ -91,16 +89,6 @@ class TestSpanRecorder:
 
         assert ids() == ids()
         assert len(set(ids())) == 5
-
-    def test_ring_eviction_counts(self):
-        recorder = SpanRecorder(capacity=3)
-        hook = recorder.span_hook("s", TraceContext.derive(1, "z"))
-        for i in range(10):
-            hook(float(i), float(i), "e", {})
-        assert len(recorder) == 3
-        assert recorder.total_recorded == 10
-        assert recorder.evicted == 7
-        assert recorder.recorded_for("s") == 10
 
     def test_filters_and_trace_ids(self):
         recorder = SpanRecorder()
