@@ -1,10 +1,10 @@
 """RL008: scheduler determinism at equal timestamps.
 
-The event core orders equal-time events by ``(priority, seq)`` -- PR 3's
-hand-written ``Event.__lt__``. A call site that schedules at a
+The event core orders equal-time events by ``(priority, seq)`` -- the
+heap key of ``repro.sim.engine``. A call site that schedules at a
 potentially-equal timestamp (periodic ticks, zero-delay forwards,
 simultaneous session starts) and *omits* the priority leans on whatever
-the default happens to be; if a refactor of ``__lt__`` or of the default
+the default happens to be; if a refactor of the key or of the default
 ever reorders ties, every golden trace shifts silently. Requiring the
 tiebreaker to be explicit at the call site turns that silent
 reordering into a loud diff.

@@ -6,8 +6,9 @@ scheduled earlier run earlier at equal timestamps, which keeps runs fully
 reproducible.
 
 This module is the hot path of every packet-level experiment, so the
-event record is a ``__slots__`` class with a hand-written ``__lt__``
-(early exit on the common unequal-time case), callbacks may carry a
+heap holds ``(time, priority, seq, event)`` tuples: ``heapq`` orders
+them with C float/int comparisons and, ``seq`` being unique, never
+reaches the :class:`Event` in the last slot. Callbacks may carry a
 pre-bound argument tuple instead of forcing callers to allocate a closure
 per packet, and :meth:`Simulator.schedule_many` amortizes heap pushes for
 bulk scheduling.
@@ -25,47 +26,28 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled callback: the handle ``schedule*`` returns.
 
-    Events compare by ``(time, priority, seq)``. ``cancelled`` events stay in
-    the heap but are skipped when popped (lazy deletion). ``args`` (when
+    The heap orders the ``(time, priority, seq)`` key stored beside the
+    event, never the event itself. ``cancelled`` events stay in the heap
+    but are skipped when popped (lazy deletion). ``args`` (when
     non-empty) are passed to ``callback`` at fire time, which lets hot
     paths schedule bound methods with a payload instead of building a
     fresh closure for every packet.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
+    __slots__ = ("time", "callback", "args", "cancelled")
 
     def __init__(
         self,
         time: float,
-        priority: int,
-        seq: int,
         callback: Callable[..., None],
         args: tuple[Any, ...] = (),
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.priority, self.seq) == (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def cancel(self) -> None:
         """Mark this event so it will be skipped when its time comes."""
@@ -73,7 +55,11 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""
-        return f"Event(t={self.time:.6f}, prio={self.priority}, seq={self.seq}{flag})"
+        return f"Event(t={self.time:.6f}{flag})"
+
+
+#: One heap slot: the C-compared ``(time, priority, seq)`` key, then the event.
+_Entry = tuple[float, int, int, Event]
 
 
 class Simulator:
@@ -91,7 +77,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[_Entry] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -125,7 +111,10 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, priority, args)
+        time = self._now + delay
+        event = Event(time, callback, args)
+        heapq.heappush(self._heap, (time, priority, next(self._seq), event))
+        return event
 
     def schedule_at(
         self,
@@ -139,8 +128,8 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule at t={time} before now={self._now}"
             )
-        event = Event(time, priority, next(self._seq), callback, args)
-        heapq.heappush(self._heap, event)
+        event = Event(time, callback, args)
+        heapq.heappush(self._heap, (time, priority, next(self._seq), event))
         return event
 
     def schedule_many(
@@ -156,17 +145,16 @@ class Simulator:
         ``heapify`` instead of N pushes.
         """
         now = self._now
-        batch: list[Event] = []
+        batch: list[_Entry] = []
         for delay, callback in items:
             if delay < 0:
                 raise ValueError(
                     f"cannot schedule in the past (delay={delay})"
                 )
+            time = now + delay
             batch.append(
-                Event(now + delay, priority, next(self._seq), callback)
+                (time, priority, next(self._seq), Event(time, callback))
             )
-        if not batch:
-            return batch
         heap = self._heap
         # N pushes cost O(N log H); extend+heapify costs O(H + N). Prefer
         # the rebuild once the batch is a sizeable fraction of the heap.
@@ -175,25 +163,26 @@ class Simulator:
             heapq.heapify(heap)
         else:
             push = heapq.heappush
-            for event in batch:
-                push(heap, event)
-        return batch
+            for entry in batch:
+                push(heap, entry)
+        return [entry[3] for entry in batch]
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the heap is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run the single next event. Returns False when nothing is pending."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            if event.time < self._now:
+            if time < self._now:
                 raise SimulationError("event heap yielded an event in the past")
-            self._now = event.time
+            self._now = time
             self._events_processed += 1
             if event.args:
                 event.callback(*event.args)
@@ -229,6 +218,8 @@ class Simulator:
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run and
         the clock finishes at ``until`` even if the heap drained earlier.
+        After :meth:`stop` the clock stays at the last event run, so the
+        events still pending before ``until`` run on the next call.
         ``max_events`` (when nonzero) bounds total events as a runaway guard.
         """
         if self._obs_record is not None:
@@ -240,18 +231,18 @@ class Simulator:
         processed = 0
         try:
             while self._running and heap:
-                event = heap[0]
+                time, _, _, event = heap[0]
                 if event.cancelled:
                     pop(heap)
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
                 pop(heap)
-                if event.time < self._now:
+                if time < self._now:
                     raise SimulationError(
                         "event heap yielded an event in the past"
                     )
-                self._now = event.time
+                self._now = time
                 self._events_processed += 1
                 if event.args:
                     event.callback(*event.args)
@@ -262,10 +253,12 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (runaway sim?)"
                     )
+            # stop() leaves the clock at the last event run: events still
+            # pending before ``until`` must not end up in the past.
+            if self._running and until is not None and self._now < until:
+                self._now = until
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
 
     def _run_observed(
         self, until: Optional[float] = None, max_events: int = 0
@@ -285,18 +278,18 @@ class Simulator:
         processed = 0
         try:
             while self._running and heap:
-                event = heap[0]
+                time, _, _, event = heap[0]
                 if event.cancelled:
                     pop(heap)
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
                 pop(heap)
-                if event.time < self._now:
+                if time < self._now:
                     raise SimulationError(
                         "event heap yielded an event in the past"
                     )
-                self._now = event.time
+                self._now = time
                 self._events_processed += 1
                 started = timer()
                 if event.args:
@@ -309,10 +302,12 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events} (runaway sim?)"
                     )
+            # stop() leaves the clock at the last event run: events still
+            # pending before ``until`` must not end up in the past.
+            if self._running and until is not None and self._now < until:
+                self._now = until
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
 
     def stop(self) -> None:
         """Stop a :meth:`run` in progress after the current event."""

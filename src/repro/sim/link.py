@@ -6,6 +6,15 @@ link owns an output queue (drop-tail by default); arrivals while the
 transmitter is busy wait in the queue, arrivals to a full queue are dropped.
 This is the standard store-and-forward model ns-2 uses, and is the sole
 source of packet loss in the paper's simulations.
+
+Event model: the transmitter is a timestamp, ``_free_at``, not a chain
+of events. A packet offered to an idle link (``now >= _free_at``, nothing
+queued) costs one event, its delivery at ``_free_at + delay``. A packet
+offered to a busy link waits in the queue for the link's single
+``_drain`` event, which fires at ``_free_at``, starts the head packet and
+re-arms itself while packets remain: two events per backlogged packet.
+Completion has no event of its own, so the forwarded counters fold the
+in-service packet in lazily (:meth:`Link._settle`).
 """
 
 from __future__ import annotations
@@ -51,9 +60,15 @@ class Link:
         self.queue = queue if queue is not None else DropTailQueue(10_000)
         self.name = name
         self.receiver: Optional[Receiver] = None
-        self._busy = False
-        self.bytes_forwarded = 0
-        self.packets_forwarded = 0
+        #: When the packet in service (if any) leaves the transmitter.
+        self._free_at = 0.0
+        #: True while a ``_drain`` event is pending at ``_free_at``;
+        #: equivalent to "the queue is non-empty".
+        self._draining = False
+        #: Size of the packet in service until it is counted as forwarded.
+        self._unsettled: Optional[int] = None
+        self._bytes_forwarded = 0
+        self._packets_forwarded = 0
         # Metrics hooks (None unless attach_metrics ran): the hot path
         # pays one attribute load + None check when metrics are off.
         self._forward_hook: Optional[Callable[[float], None]] = None
@@ -90,11 +105,40 @@ class Link:
     @property
     def busy(self) -> bool:
         """True while a packet is being serialized onto the wire."""
-        return self._busy
+        return self._draining or self.sim.now < self._free_at
+
+    @property
+    def bytes_forwarded(self) -> int:
+        """Bytes whose serialization has completed."""
+        if self.sim.now >= self._free_at:
+            self._settle()
+        return self._bytes_forwarded
+
+    @property
+    def packets_forwarded(self) -> int:
+        """Packets whose serialization has completed."""
+        if self.sim.now >= self._free_at:
+            self._settle()
+        return self._packets_forwarded
 
     def utilization_bytes(self) -> int:
         """Total bytes forwarded so far (for utilization accounting)."""
         return self.bytes_forwarded
+
+    def _settle(self) -> None:
+        """Count the packet that was in service as forwarded.
+
+        Only valid once ``now >= _free_at``: called when the next
+        transmission starts and when a reader looks after that instant.
+        """
+        size = self._unsettled
+        if size is not None:
+            self._unsettled = None
+            self._bytes_forwarded += size
+            self._packets_forwarded += 1
+            hook = self._forward_hook
+            if hook is not None:
+                hook(float(size))
 
     def send(self, packet: Packet) -> bool:
         """Offer ``packet`` to the link.
@@ -104,40 +148,46 @@ class Link:
         """
         if self.receiver is None:
             raise RuntimeError(f"{self.name}: receiver not connected")
-        if not self.queue.enqueue(packet):
+        queue = self.queue
+        if not queue.enqueue(packet):
             hook = self._qdrop_hook
             if hook is not None:
                 hook(1.0)
             return False
-        if not self._busy:
-            self._start_transmission()
+        if self._draining:
+            return True
+        sim = self.sim
+        now = sim.now
+        if now >= self._free_at:
+            queue.dequeue()
+            self._transmit(packet, now)
+        else:
+            self._draining = True
+            sim.schedule_at(self._free_at, self._drain, priority=0)
         return True
 
-    def _start_transmission(self) -> None:
-        packet = self.queue.dequeue()
-        if packet is None:
-            self._busy = False
-            return
-        self._busy = True
-        tx_time = packet.size / self.bandwidth
-        self.sim.schedule(
-            tx_time, self._transmission_done, priority=0, args=(packet,)
-        )
+    def _drain(self) -> None:
+        """Start the head-of-queue packet the instant the wire frees up."""
+        queue = self.queue
+        packet = queue.dequeue()
+        if packet is not None:
+            free_at = self._transmit(packet, self._free_at)
+            if len(queue) > 0:
+                self.sim.schedule_at(free_at, self._drain, priority=0)
+                return
+        self._draining = False
 
-    def _transmission_done(self, packet: Packet) -> None:
-        self.bytes_forwarded += packet.size
-        self.packets_forwarded += 1
-        hook = self._forward_hook
-        if hook is not None:
-            hook(float(packet.size))
-        # Propagation: deliver after `delay`; the transmitter frees up now.
-        self.sim.schedule(
-            self.delay, self._deliver, priority=0, args=(packet,)
+    def _transmit(self, packet: Packet, now: float) -> float:
+        """Serialize ``packet`` from ``now``; returns when the wire frees."""
+        self._settle()
+        self._unsettled = packet.size
+        # Two additions, in this order: delivery instants are the floats
+        # a tx-complete event followed by a propagation event would give.
+        free_at = self._free_at = now + packet.size / self.bandwidth
+        self.sim.schedule_at(
+            free_at + self.delay, self._deliver, priority=0, args=(packet,)
         )
-        if len(self.queue) > 0:
-            self._start_transmission()
-        else:
-            self._busy = False
+        return free_at
 
     def _deliver(self, packet: Packet) -> None:
         assert self.receiver is not None

@@ -37,17 +37,14 @@ class Node:
     def set_default_route(self, link: Link) -> None:
         self.default_route = link
 
-    def _route_for(self, packet: Packet) -> Optional[Link]:
+    def forward(self, packet: Packet) -> bool:
+        """Send ``packet`` toward its destination; False if unroutable/dropped."""
         link = self.routes.get(packet.dst)
         if link is None:
             link = self.default_route
-        return link
-
-    def forward(self, packet: Packet) -> bool:
-        """Send ``packet`` toward its destination; False if unroutable/dropped."""
-        link = self._route_for(packet)
-        if link is None:
-            raise RuntimeError(f"{self.name}: no route for dst={packet.dst!r}")
+            if link is None:
+                raise RuntimeError(
+                    f"{self.name}: no route for dst={packet.dst!r}")
         return link.send(packet)
 
     def receive(self, packet: Packet) -> None:

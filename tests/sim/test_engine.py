@@ -117,8 +117,26 @@ class TestRun:
         sim.schedule(1.0, lambda: (hits.append(1), sim.stop()))
         sim.schedule(2.0, lambda: hits.append(2))
         sim.run()
-        assert hits == [1, sim.stop()] or hits[0] == 1
-        assert len([h for h in hits if h == 2]) == 0
+        assert hits == [1]
+        assert sim.now == 1.0
+        sim.run()
+        assert hits == [1, 2]
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_stop_keeps_the_clock_behind_pending_events(self, sim, observed):
+        # run(until=) used to leap to ``until`` after a stop(), stranding
+        # the t=2 event in the past: the next run() raised SimulationError.
+        if observed:
+            sim.instrument(lambda: 0.0, lambda callback, seconds, depth: None)
+        hits = []
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, lambda: hits.append(sim.now))
+        sim.run(until=10.0)
+        assert sim.now == 1.0
+        assert hits == []
+        sim.run(until=20.0)
+        assert hits == [2.0]
+        assert sim.now == 20.0
 
     def test_events_processed_counter(self, sim):
         for t in (1.0, 2.0):
@@ -148,6 +166,33 @@ class TestCancellation:
         assert sim.peek_time() == 2.0
 
     def test_peek_empty_returns_none(self, sim):
+        assert sim.peek_time() is None
+
+
+class TestHeapOrder:
+    def test_colliding_keys_dispatch_in_schedule_order(self, sim):
+        """10 k events on 12 distinct ``(time, priority)`` keys: within a
+        key the unique ``seq`` decides, so the heap never has to compare
+        two events; cancelled ones are skipped and ``peek_time`` agrees
+        with what ``step`` runs next."""
+        fired = []
+        scheduled = []
+        for n in range(10_000):
+            time, priority = float(n % 4), (n // 4) % 3
+            event = sim.schedule_at(
+                time, fired.append, priority=priority, args=(n,))
+            if n % 7 == 0:
+                event.cancel()
+            else:
+                scheduled.append((time, priority, n))
+        expected = sorted(scheduled)
+        for time, _, n in expected[:100]:
+            assert sim.peek_time() == time
+            assert sim.step()
+            assert fired[-1] == n
+        sim.run()
+        assert fired == [n for _, _, n in expected]
+        assert sim.events_processed == len(expected)
         assert sim.peek_time() is None
 
 

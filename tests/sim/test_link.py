@@ -5,6 +5,7 @@ import pytest
 from repro.sim.link import Link
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
+from repro.telemetry import MetricsRegistry
 
 
 def make_packet(seq=0, size=1000):
@@ -99,3 +100,50 @@ class TestQueueInteraction:
         assert link.packets_forwarded == 2
         assert link.bytes_forwarded == 1000
         assert link.utilization_bytes() == 1000
+
+
+class TestCompletionWithoutAnEvent:
+    """Nothing fires when serialization ends, so ``busy`` and the
+    forwarded counters are derived from the clock when read."""
+
+    def test_counters_exclude_the_packet_on_the_wire(self, sim, link):
+        link.send(make_packet(size=700))   # on the wire until t=0.07
+        link.send(make_packet(size=300))   # then until t=0.10
+        seen = []
+
+        def look():
+            seen.append((link.packets_forwarded, link.bytes_forwarded))
+
+        for t in (0.0, 0.069, 0.07, 0.099, 0.1):
+            sim.schedule_at(t, look, priority=1)
+        sim.run()
+        assert seen == [(0, 0), (0, 0), (1, 700), (1, 700), (2, 1000)]
+
+    def test_metrics_export_settles_the_finished_packet(self, sim, link):
+        registry = MetricsRegistry()
+        link.attach_metrics(registry)
+
+        def exported():
+            families = registry.snapshot()
+            return (families["link_tx_bytes_total"]["samples"][0]["value"],
+                    families["link_packets_forwarded"]["samples"][0]["value"])
+
+        link.send(make_packet(size=700))
+        link.send(make_packet(size=300))
+        sim.run(until=0.05)
+        assert exported() == (0.0, 0.0)
+        sim.run(until=0.08)
+        assert exported() == (700.0, 1.0)
+        sim.run()
+        # The collector alone flushed it: nobody read the properties.
+        assert exported() == (1000.0, 2.0)
+
+    def test_backlogged_link_is_busy_between_two_packets(self, sim, link):
+        seen = []
+        # Scheduled first, so it runs before the link's own event at 0.1.
+        sim.schedule_at(0.1, lambda: seen.append(link.busy), priority=0)
+        link.send(make_packet(0))
+        link.send(make_packet(1))
+        sim.run()
+        assert seen == [True]
+        assert not link.busy

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator
+from repro.sim.link import Link
+from repro.sim.packet import Packet
 from repro.telemetry import MetricsRegistry, instrument_engine
 
 
@@ -92,3 +94,28 @@ class TestObservedLoopEquivalence:
         assert drive(plain) == drive(observed)
         assert plain.now == observed.now
         assert plain.events_processed == observed.events_processed
+
+
+class TestLinkAttribution:
+    def test_link_time_lands_on_deliver_and_drain(self, sim):
+        """A link's work is attributed to its two handlers: one
+        ``_deliver`` per packet, one ``_drain`` per packet that waited."""
+        registry = MetricsRegistry()
+        instrument_engine(sim, registry, fake_timer())
+        link = Link(sim, bandwidth=10_000, delay=0.05, name="l")
+        link.connect(lambda packet: None)
+        for seq in range(3):
+            link.send(Packet(flow_id=1, seq=seq, size=1000))
+        sim.run()
+
+        def handler(name):
+            return registry.counter(
+                "engine_handler_calls_total", handler=name).value
+
+        assert handler("Link._deliver") == 3.0
+        assert handler("Link._drain") == 2.0
+        assert registry.histogram(
+            "engine_handler_seconds", handler="Link._drain").count == 2
+        names = {sample["labels"]["handler"] for sample in
+                 registry.snapshot()["engine_handler_calls_total"]["samples"]}
+        assert names == {"Link._deliver", "Link._drain"}
