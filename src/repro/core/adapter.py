@@ -403,15 +403,16 @@ class QualityAdapter:
                 # describes). kmax_margin is the worst layer's headroom
                 # over the Figure-4 targets — negative says why the add
                 # was refused, None means the layer ceiling.
+                levels = self.buffer_levels()
                 self.on_event(now, "add_eval", {
                     "rate": rate,
                     "average_rate": self.average_rate,
                     "consumption": self.consumption,
                     "active": self.active_layers,
                     "kmax_margin": self.add_drop.kmax_margin(
-                        rate, self.active_layers, self.buffer_levels(),
+                        rate, self.active_layers, levels,
                         self.slope, base_reserve=self._base_reserve()),
-                    "buffers": self.buffer_levels(),
+                    "buffers": levels,
                     "added": added,
                 })
         else:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from repro.core import formulas
 from repro.core.config import QAConfig
-from repro.core.states import StateSequence
+from repro.core.states import kmax_targets
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2
 
 
@@ -96,9 +96,8 @@ class AddDropPolicy:
         # add / ride-the-buffers / drop cycles -- the paper's modem
         # example expects the extra layer to be delivered "90% of the
         # time" rather than never.
-        targets = list(StateSequence(
-            rate, cfg.layer_rate, active_layers, slope, cfg.k_max
-        ).final_targets)
+        targets = list(kmax_targets(
+            rate, cfg.layer_rate, active_layers, slope, cfg.k_max))
         targets[0] += base_reserve
         return all(
             buffers[i] + formulas.EPSILON >= targets[i]
@@ -126,9 +125,8 @@ class AddDropPolicy:
         cfg = self.config
         if active_layers >= cfg.max_layers:
             return None
-        targets = list(StateSequence(
-            rate, cfg.layer_rate, active_layers, slope, cfg.k_max
-        ).final_targets)
+        targets = list(kmax_targets(
+            rate, cfg.layer_rate, active_layers, slope, cfg.k_max))
         targets[0] += base_reserve
         return min(
             buffers[i] - targets[i] for i in range(active_layers)

@@ -40,6 +40,7 @@ from typing import Optional, Sequence
 from repro.core import formulas
 from repro.core.config import QAConfig
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
+from repro.core.states import kmax_targets
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2
 
 #: Runaway guard for the (normally small) scenario-2 search.
@@ -166,10 +167,8 @@ class FillingPolicy:
             # distribution itself is complete per layer (the pseudocode's
             # total-based loops can leave a middle layer below its share
             # while the base over-fills, which would stall the add rule).
-            from repro.core.states import StateSequence
-
-            targets = StateSequence(rate, cfg.layer_rate, na, slope,
-                                    cfg.k_max).final_targets
+            targets = kmax_targets(rate, cfg.layer_rate, na, slope,
+                                   cfg.k_max)
             for layer in range(na):
                 if targets[layer] > buffers[layer] + formulas.EPSILON:
                     return FillingDecision(layer, s1_k, s2_k,

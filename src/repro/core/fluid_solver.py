@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from repro.core import formulas
 from repro.core.config import QAConfig
-from repro.core.states import StateSequence
+from repro.core.states import kmax_targets
 
 # Re-exported: the tolerance itself is centralized (RL009 discipline).
 from repro.core.tolerances import TIME_TOLERANCE as TIME_TOLERANCE
@@ -97,10 +97,12 @@ def add_requirement(rate: BytesPerSec, config: QAConfig,
     :func:`split_total`): every per-layer target of the ``K_max``
     sequence is met, and §2.1's condition 2 (one further backoff with
     the new layer) holds, exactly when the *total* clears this level.
+    Probed at every scan and bisection step of the add residual, so the
+    targets come from :func:`repro.core.states.kmax_targets`, not from
+    a state sequence built per probe.
     """
-    targets = StateSequence(
-        rate, config.layer_rate, active_layers, slope, config.k_max
-    ).final_targets
+    targets = kmax_targets(
+        rate, config.layer_rate, active_layers, slope, config.k_max)
     condition2 = formulas.one_backoff_requirement(
         rate, config.consumption(active_layers + 1), slope)
     return base_reserve + max(formulas.share_sum(targets), condition2)
@@ -141,18 +143,18 @@ def split_total(total: Bytes, rate: BytesPerSec, config: QAConfig,
 
     Approximates where the §4.1 filling policy would have put the data:
     the base layer first holds its stall-protection floor, then every
-    layer fills bottom-up toward its ``K_max``-sequence target (plus the
-    maintenance floor), and any excess parks in the base layer (§2.3:
-    lower-layer buffering is the most efficient). The exact per-layer
+    layer fills bottom-up toward its ``K_max`` target
+    (:func:`repro.core.states.kmax_targets`, plus the maintenance
+    floor), and any excess parks in the base layer (§2.3: lower-layer
+    buffering is the most efficient). The exact per-layer
     walk is packet-level detail; this split preserves the totals the
     drop rule reasons about and the base-first shape of Figure 5.
     """
     if active_layers < 1:
         return []
     path_rate: BytesPerSec = max(rate, config.consumption(active_layers))
-    targets = list(StateSequence(
-        path_rate, config.layer_rate, active_layers, slope, config.k_max
-    ).final_targets)
+    targets = kmax_targets(
+        path_rate, config.layer_rate, active_layers, slope, config.k_max)
     caps: list[Bytes] = []
     for layer in range(active_layers):
         floor: Bytes = (config.base_floor_bytes if layer == 0

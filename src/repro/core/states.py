@@ -21,6 +21,10 @@ state it has passed.
 The per-packet filling algorithm (:mod:`repro.core.filling`) does not read
 a precomputed sequence -- following the paper's pseudocode it recomputes
 its working state on the fly -- but the two agree (tested).
+
+The add condition (section 3.1) needs only the *end* of the path, the
+per-layer maxima over all states. :func:`kmax_targets` computes that
+vector directly; nothing on the add path builds a sequence.
 """
 
 from __future__ import annotations
@@ -169,3 +173,47 @@ class StateSequence:
             else:
                 break
         return pos
+
+
+def kmax_targets(rate: BytesPerSec, layer_rate: BytesPerSec,
+                 active_layers: int, slope: BytesPerSec2,
+                 k_max: int) -> tuple[Bytes, ...]:
+    """``StateSequence(...).final_targets`` without the sequence.
+
+    The last state's effective shares are the element-wise maximum over
+    every raw state, and a maximum does not depend on the Figure 9 order:
+    no totals, no sort, no :class:`BufferState` objects. Every share is
+    computed with the float expressions :func:`formulas.scenario_shares`
+    uses, so the result is the same tuple of floats (tested with ``==``).
+    """
+    # Checks in the order the sequence meets them (k1 validates the rate).
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if active_layers < 1:
+        raise ValueError("need at least one active layer")
+    consumption = active_layers * layer_rate
+    k1 = formulas.k1_backoffs(rate, consumption)
+    if slope <= 0:
+        raise ValueError("slope must be positive")
+    targets = [0.0] * active_layers
+    padding = (0.0,) * active_layers
+    first = seq = padding
+    for k in range(1, k_max + 1):
+        # Scenario 1: one triangle after k immediate backoffs.
+        bands = formulas.band_shares(
+            consumption - rate / (2.0 ** k), layer_rate, slope)
+        for i, share in enumerate(bands[:active_layers]):
+            if share > targets[i]:
+                targets[i] = share
+        if k == k1:
+            # Scenario 2 departs from here: these bands plus (k - k1)
+            # sequential triangles of height consumption/2.
+            first = bands + padding
+            seq = formulas.band_shares(
+                consumption / 2.0, layer_rate, slope) + padding
+        elif k > k1:
+            for i in range(active_layers):
+                share = first[i] + (k - k1) * seq[i]
+                if share > targets[i]:
+                    targets[i] = share
+    return tuple(targets)

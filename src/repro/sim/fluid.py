@@ -36,7 +36,7 @@ pins these claims on the paper-figure scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.core import fluid_solver, formulas
 from repro.core.adapter import EventHook
@@ -184,16 +184,22 @@ class FluidEngine:
         """
         return max(0.0, total - min(total, self.config.base_floor_bytes))
 
-    def _delta(self, t0: Seconds, t1: Seconds,
-               cons: BytesPerSec) -> Bytes:
-        """Closed-form buffer change over ``[t0, t1]`` (no epoch inside).
+    def _net_since(self, t0: Seconds,
+                   cons: BytesPerSec) -> Callable[[Seconds], Bytes]:
+        """``t -> buffer change over [t0, t]`` for a window with no epoch.
 
         The sawtooth has no pending backoff in the window, so the rate
-        is the capped ramp anchored at ``(t0, r(t0))``.
+        is the capped ramp anchored at ``(t0, r(t0))``. The anchor is
+        read once here, not at every probe of a residual.
         """
-        return fluid_solver.net_buffer_delta(
-            self.bandwidth.rate(t0), self.bandwidth.slope, t0, cons,
-            t0, t1, self.bandwidth.max_rate)
+        rate0 = self.bandwidth.rate(t0)
+        slope, cap = self.bandwidth.slope, self.bandwidth.max_rate
+        net = fluid_solver.net_buffer_delta
+
+        def delta(t: Seconds) -> Bytes:
+            return net(rate0, slope, t0, cons, t0, t, cap)
+
+        return delta
 
     def _sent(self, t0: Seconds, t1: Seconds) -> Bytes:
         return fluid_solver.ramp_integral(
@@ -307,13 +313,13 @@ class FluidEngine:
         """
         if self._next_sample is None or self.sample_period is None:
             return
+        delta = self._net_since(t0, cons)
         while self._next_sample <= t1 + _TOL:
             g = self._next_sample
             if g > self.duration + _TOL:
                 return
             g = min(g, t1)
-            total = (self.buffer if frozen
-                     else self.buffer + self._delta(t0, g, cons))
+            total = self.buffer if frozen else self.buffer + delta(g)
             self._record_sample(g, self.bandwidth.rate(g), max(0.0, total))
             self._next_sample += self.sample_period
 
@@ -378,16 +384,18 @@ class FluidEngine:
 
     def _find_add_crossing(self, t0: Seconds, hi: Seconds,
                            cons: BytesPerSec) -> Optional[Seconds]:
-        if self.active_layers >= self.config.max_layers:
+        config, na = self.config, self.active_layers
+        if na >= config.max_layers:
             return None
-        b0 = self.buffer
-        reserve = self.config.base_floor_bytes
+        # Everything constant over the window is bound here, so a probe
+        # of the residual is arithmetic only.
+        b0, reserve, slope = self.buffer, config.base_floor_bytes, self.slope
+        rate_at, delta = self.bandwidth.rate, self._net_since(t0, cons)
+        add_margin = fluid_solver.add_margin
 
         def residual(t: Seconds) -> float:
-            total = b0 + self._delta(t0, t, cons)
-            return fluid_solver.add_margin(
-                self.bandwidth.rate(t), total, self.config,
-                self.active_layers, self.slope, reserve)
+            return add_margin(rate_at(t), b0 + delta(t), config, na,
+                              slope, reserve)
 
         return fluid_solver.first_crossing(residual, t0, hi)
 
@@ -396,20 +404,20 @@ class FluidEngine:
         t_fill = self._fill_resume_time()
         if t_fill is not None:
             horizon = min(horizon, t_fill)
-        b0 = self.buffer
+        b0, slope = self.buffer, self.slope
+        rate_at, delta = self.bandwidth.rate, self._net_since(t0, cons)
+        drop_margin, drainable = fluid_solver.drop_margin, self._drainable
 
         # Rule crossing: the deficit shrinks linearly while the drop
         # threshold sinks with the draining buffer; first sign change
         # wins. Checked continuously — the packet adapter re-evaluates
         # once per drain_period tick, hence the documented decision lag.
         def rule_residual(t: Seconds) -> float:
-            total = b0 + self._delta(t0, t, cons)
-            return fluid_solver.drop_margin(
-                self.bandwidth.rate(t), cons, self.slope,
-                self._drainable(total))
+            return drop_margin(rate_at(t), cons, slope,
+                               drainable(b0 + delta(t)))
 
         def empty_residual(t: Seconds) -> float:
-            return -(b0 + self._delta(t0, t, cons))
+            return -(b0 + delta(t))
 
         t_rule = (fluid_solver.first_crossing(rule_residual, t0, horizon)
                   if self.active_layers > 1 else None)

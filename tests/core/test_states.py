@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.states import BufferState, StateSequence
+from repro.core import formulas
+from repro.core.states import BufferState, StateSequence, kmax_targets
 
 rates = st.floats(min_value=5_000, max_value=200_000)
 layer_rates = st.floats(min_value=1_000, max_value=20_000)
@@ -132,3 +133,60 @@ class TestQueries:
             assert seq[pos].total <= budget + 1e-6
         if pos + 1 < len(seq):
             assert seq[pos + 1].total > budget - 1e-6
+
+
+class TestKmaxTargetsKernel:
+    """``kmax_targets`` is ``StateSequence.final_targets``, float for float."""
+
+    @given(rate_factor=st.floats(min_value=0.05, max_value=6.0),
+           layer_rate=layer_rates, na=st.integers(min_value=1, max_value=8),
+           slope=st.floats(min_value=0.0, max_value=5.0).map(
+               lambda e: 10.0 ** e),
+           k_max=k_maxes)
+    @settings(max_examples=500)
+    def test_equals_the_sequence_end_exactly(self, rate_factor, layer_rate,
+                                             na, slope, k_max):
+        rate = rate_factor * na * layer_rate
+        assert (kmax_targets(rate, layer_rate, na, slope, k_max)
+                == StateSequence(rate, layer_rate, na, slope,
+                                 k_max).final_targets)
+
+    @pytest.mark.parametrize("rate,layer_rate,na,slope,k_max,k1", [
+        (90_000.0, 2_500.0, 4, 1_000.0, 2, 4),    # k1 > k_max: no S2 state
+        (30_000.0, 2_500.0, 4, 1_000.0, 2, 2),    # k1 == k_max
+        (6_000.0, 2_500.0, 4, 1_000.0, 5, 1),     # rate < consumption
+        (30_000.0, 6_500.0, 1, 8_000.0, 5, 3),    # one layer
+        (30_000.0, 6_500.0, 4, 8_000.0, 5, 1),    # Figure 9's interleaving
+    ])
+    def test_explicit_cases(self, rate, layer_rate, na, slope, k_max, k1):
+        assert formulas.k1_backoffs(rate, na * layer_rate) == k1
+        assert (kmax_targets(rate, layer_rate, na, slope, k_max)
+                == StateSequence(rate, layer_rate, na, slope,
+                                 k_max).final_targets)
+
+    def test_bands_outnumbering_the_layers_are_cut_alike(self):
+        # Repeated addition of C falls short of na*C here, so the band
+        # slicer yields an eighth sliver for seven layers.
+        rate, layer_rate, na = 1.0342646672844409e-05, 9330526794.440449, 7
+        bands = formulas.band_shares(na * layer_rate - rate / 2.0,
+                                     layer_rate, 1_000.0)
+        assert len(bands) == na + 1
+        targets = kmax_targets(rate, layer_rate, na, 1_000.0, 2)
+        assert len(targets) == na
+        assert targets == StateSequence(rate, layer_rate, na, 1_000.0,
+                                        2).final_targets
+
+    @pytest.mark.parametrize("overrides", [
+        {"k_max": 0}, {"na": 0}, {"rate": 0.0}, {"rate": -1.0},
+        {"layer_rate": 0.0}, {"slope": 0.0},
+    ])
+    def test_rejects_what_the_sequence_rejects(self, overrides):
+        args = dict(rate=30_000.0, layer_rate=6_500.0, na=4, slope=8_000.0,
+                    k_max=5)
+        args.update(overrides)
+        with pytest.raises(ValueError) as from_sequence:
+            make(**args)
+        with pytest.raises(ValueError) as from_kernel:
+            kmax_targets(args["rate"], args["layer_rate"], args["na"],
+                         args["slope"], args["k_max"])
+        assert str(from_kernel.value) == str(from_sequence.value)

@@ -8,6 +8,7 @@ from repro.core.config import QAConfig
 from repro.core.fluid import ScriptedAimd
 from repro.core.metrics import DropCause
 from repro.sim.fluid import FluidEngine
+from repro.sim.rng import SeededRNG, derive_seed
 
 
 def make_engine(initial_rate=3750.0, slope=900.0, backoffs=(28.0,),
@@ -90,3 +91,73 @@ def test_summary_reports_trace_derived_means():
     assert summary["sent_bytes"] > 0
     assert 1.0 <= summary["mean_layers"] <= 5.0
     assert summary["mean_rate"] > 0
+
+
+# ---------------------------------------------------------------- pins
+#
+# Recorded at commit c48acff, where every probe of the add residual
+# built a StateSequence and re-read the sawtooth anchor. The kernel and
+# the window binding promise the same floats, so ``==`` and no tolerance.
+
+
+def seeded_backoffs(seed, count, lo, hi):
+    rng = SeededRNG(derive_seed(seed, "fluid-pin"))
+    return tuple(sorted(rng.uniform(lo, hi) for _ in range(count)))
+
+
+PINNED_RUNS = {
+    # Capped below the eight-layer consumption: rides five or six layers.
+    "capped": (
+        dict(initial_rate=20_000.0, slope=1000.0, max_rate=32_000.0,
+             backoffs=seeded_backoffs(11, 8, 5.0, 115.0), duration=120.0,
+             layer_rate=5000.0, max_layers=8, k_max=2, startup_delay=1.0),
+        (24, 2635723.577826712, 20636.40394208388, 5,
+         [(0.29778313636779785, 1), (0.8544822141258237, 2),
+          (4.307179547085192, 3), (9.83135802001469, 4),
+          (20.97247322484504, 5), (39.297197468782265, 3),
+          (49.298431201714486, 4), (83.2409276976357, 3),
+          (89.00596617819065, 4), (100.0876462168282, 5)],
+         [(25.672087928198227, 5), (26.988877546336898, 4),
+          (26.988877546336898, 3), (63.77495181185867, 4),
+          (69.05511602362056, 3), (109.57870347567055, 5)])),
+    # Reaches the three-layer ceiling, loses the top layer late.
+    "ceiling": (
+        dict(initial_rate=8_000.0, slope=100.0, max_rate=None,
+             backoffs=seeded_backoffs(12, 4, 20.0, 55.0), duration=90.0,
+             layer_rate=2500.0, max_layers=3, k_max=2, startup_delay=1.0),
+        (8, 608144.8185732943, 61179.638811776706, 2,
+         [(0.9373006224632263, 1), (11.440399503784455, 2)],
+         [(52.226471408391475, 2)])),
+    # Six back-offs inside five seconds: the base layer stalls once.
+    "stall": (
+        dict(initial_rate=4_000.0, slope=120.0, max_rate=None,
+             backoffs=seeded_backoffs(13, 6, 2.0, 20.0), duration=60.0,
+             layer_rate=2500.0, max_layers=4, k_max=1, startup_delay=0.5),
+        (12, 186272.38769678405, 28927.919646149436, 2,
+         [(11.201297398871155, 1), (56.90853822279537, 1)],
+         [(13.197820761606941, 1)])),
+}
+
+
+def behaviour(result):
+    return (result.epochs, result.sent_bytes, result.final_buffer,
+            result.final_layers, result.metrics.adds,
+            [(event.time, event.layer) for event in result.metrics.drops])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_seeded_scripts_reproduce_their_floats(name):
+    overrides, expected = PINNED_RUNS[name]
+    result = make_engine(sample_period=None, **overrides).run()
+    assert behaviour(result) == expected
+    assert (result.metrics.stall_count > 0) == (name == "stall")
+
+
+def test_sampling_reads_the_same_closed_forms():
+    overrides, expected = PINNED_RUNS["ceiling"]
+    result = make_engine(sample_period=0.5, **overrides).run()
+    assert behaviour(result) == expected
+    total = result.tracer.get("total_buffer")
+    assert len(total.values) == 181
+    assert total.time_average() == 88052.82140720975
+    assert result.tracer.get("buffer_L1").time_average() == 7673.15867356238
