@@ -20,11 +20,11 @@ distribution decision -- exactly the ablation Table 2 quantifies.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core import formulas
 from repro.core.draining import DrainingPlanner, DrainPlan
-from repro.core.filling import FillingDecision, FillingPolicy
+from repro.core.filling import FillingPolicy
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
 from repro.core.states import StateSequence
 
@@ -36,50 +36,10 @@ class _RedistributedFillingPolicy(FillingPolicy):
     def _distribute(self, total: float, active_layers: int) -> list[float]:
         raise NotImplementedError
 
-    def choose(
-        self,
-        rate: float,
-        buffers: Sequence[float],
-        active_layers: int,
-        slope: float,
-        needs_floor: Optional[Sequence[bool]] = None,
-        safety_levels: Optional[Sequence[float]] = None,
-    ) -> FillingDecision:
-        cfg = self.config
-        na = active_layers
-        buffers = list(buffers[:na])
-        total = sum(buffers)
-        consumption = na * cfg.layer_rate
-
-        if needs_floor is None:
-            needs_floor = [True] * na
-        if safety_levels is None:
-            safety_levels = buffers
-        floors = [cfg.floor_bytes] * na
-        floors[na - 1] = min(cfg.floor_bytes, float(cfg.packet_size))
-        floors[0] = cfg.base_floor_bytes
-        starving = [i for i in range(na)
-                    if needs_floor[i] and safety_levels[i] < floors[i]]
-        if starving:
-            layer = min(starving, key=lambda i: safety_levels[i])
-            return FillingDecision(layer, 0, 0, SCENARIO_ONE,
-                                   maintenance=True)
-
-        s1_k, req1 = self._first_unsatisfied(
-            rate, consumption, slope, total, SCENARIO_ONE, cap=cfg.k_max)
-        s2_k, req2 = self._first_unsatisfied(
-            rate, consumption, slope, total, SCENARIO_TWO, cap=None)
-        s1_pending = s1_k <= cfg.k_max
-        if s1_pending and req1 <= req2:
-            scenario, req = SCENARIO_ONE, req1
-        else:
-            scenario, req = SCENARIO_TWO, req2
-
-        targets = self._distribute(req, na)
-        for layer in range(na):
-            if targets[layer] > buffers[layer] + formulas.EPSILON:
-                return FillingDecision(layer, s1_k, s2_k, scenario)
-        return FillingDecision(None, s1_k, s2_k, scenario)
+    def _targets(self, rate, na, slope, buffers, s1_k, req1, s2_k, req2):
+        if s1_k <= self.config.k_max and req1 <= req2:
+            return SCENARIO_ONE, self._distribute(req1, na)
+        return SCENARIO_TWO, self._distribute(req2, na)
 
 
 class EqualShareFillingPolicy(_RedistributedFillingPolicy):

@@ -29,6 +29,13 @@ deliveries come from ACKs (one RTT stale, hence conservative) and
 consumption from the playout clock agreed at session start. An ``oracle``
 feedback mode (deliveries applied at send time) exists for tests and
 sensitivity studies.
+
+``pick_layer``, ``tick`` and ``on_backoff`` read the clock and the rate
+once, advance the consumption clocks, then take one snapshot of the
+buffer levels that the rest of the call works from. Only a layer move
+(``_activate_layer`` / ``_drop_top_layer``) makes the snapshot stale; a
+helper that may move a layer returns the one current afterwards
+(docs/MECHANISM.md, "What an entry point reads").
 """
 
 from __future__ import annotations
@@ -167,11 +174,13 @@ class QualityAdapter:
         return self.buffers.levels(self.active_layers)
 
     def is_filling(self) -> bool:
+        """Is the session in a filling phase at the current rate?"""
+        return self._filling(self.rate_fn())
+
+    def _filling(self, rate: BytesPerSec) -> bool:
         """Filling phase: nothing drains before playout starts, and once
         it has, the phase is set by rate vs. consumption (Figure 3)."""
-        if not self.playout_started:
-            return True
-        return self.rate_fn() >= self.consumption
+        return not self.playout_started or rate >= self.consumption
 
     # -------------------------------------------------------- layer moves
 
@@ -190,20 +199,13 @@ class QualityAdapter:
             self.metrics.record_add(now, layer)
             self._emit("add", layer=layer, active=self.active_layers)
 
-    def _base_protected_bytes(self) -> Bytes:
-        """Base-layer bytes unusable for recovery (stall-margin + flight)."""
-        if self.config.feedback == "ack":
-            margin = self.config.base_floor_bytes
-        else:
-            margin = self.config.base_floor_bytes + self._inflight[0]
-        return min(self.buffers.level(0), margin)
+    def _drainable_total(self, levels: list[Bytes]) -> Bytes:
+        """Receiver buffering actually available to absorb a deficit:
+        everything but the base-layer bytes unusable for recovery
+        (stall margin + flight)."""
+        return max(0.0, sum(levels) - min(levels[0], self._base_reserve()))
 
-    def _drainable_total(self) -> Bytes:
-        """Receiver buffering actually available to absorb a deficit."""
-        return max(0.0, self.buffers.total(self.active_layers)
-                   - self._base_protected_bytes())
-
-    def _drop_top_layer(self, cause: DropCause) -> None:
+    def _drop_top_layer(self, cause: DropCause, rate: BytesPerSec) -> None:
         if self.active_layers <= 1:
             return  # the base layer is always sent
         now = self.now_fn()
@@ -211,12 +213,13 @@ class QualityAdapter:
         # Measure what the receiver actually holds: data still in flight
         # for the dropped layer arrives and is played out, so it is not
         # wasted buffering.
-        safety = self.safety_levels()
+        levels = self.buffer_levels()
+        safety = self._safety(levels)
         buf_total = sum(safety)
         buf_drop = safety[layer]
         required = formulas.draining_recovery_requirement(
-            self.rate_fn(), self.consumption, self.slope)
-        drainable = self._drainable_total()
+            rate, self.consumption, self.slope)
+        drainable = self._drainable_total(levels)
         consumption = self.consumption  # na*C as the drop rule saw it
         self.metrics.record_drop(DropEvent(
             time=now, layer=layer, buf_drop=buf_drop, buf_total=buf_total,
@@ -230,7 +233,6 @@ class QualityAdapter:
         # (R, na*C, S, sqrt(2*S*buf)) regardless of which critical
         # situation triggered it, so a decision log can always answer
         # "would the rule alone have fired here?".
-        rate = self.rate_fn()
         self._emit("drop", layer=layer, cause=cause.value,
                    active=self.active_layers, buf_drop=buf_drop,
                    buf_total=buf_total, required=required,
@@ -264,27 +266,34 @@ class QualityAdapter:
         layer's buffer is at its cap and the slot is left idle.
         """
         now = self.now_fn()
-        self._advance_clocks(now)
-        layer = self._pick_retransmission()
+        rate = self.rate_fn()
+        self._advance_clocks(now, rate)
+        levels = self.buffer_levels()
+        quota_spent = 0.0
+        layer = resend = self._retransmission_due()
         if layer is None:
-            if self.is_filling():
-                layer = self._pick_filling(now)
+            if self._filling(rate):
+                layer = self._pick_filling(rate, levels)
             else:
-                layer = self._pick_draining(now)
+                layer, quota_spent = self._pick_draining(now, rate, levels)
         if self._flow_control_full(layer):
-            # Receiver full: idle this slot. Return any draining quota
-            # the pick already spent.
-            if not self.is_filling() and layer < len(self._quota):
-                self._quota[layer] += self.config.packet_size
+            # Receiver full: idle this slot, returning exactly the
+            # draining quota the pick spent on it.
+            if quota_spent:
+                self._quota[layer] += quota_spent
             return None
-        self.sent_bytes_per_layer[layer] += self.config.packet_size
-        if self.config.feedback != "oracle":
+        if resend is not None:
+            self._spend_retransmission(layer)
+        size = self.config.packet_size
+        feedback = self.config.feedback
+        self.sent_bytes_per_layer[layer] += size
+        if feedback != "oracle":
             # Oracle mode models instant delivery: nothing is in flight.
-            self._inflight[layer] += self.config.packet_size
-        if self.config.feedback in ("send", "oracle"):
+            self._inflight[layer] += size
+        if feedback in ("send", "oracle"):
             # The server knows its own transmission history (the paper's
             # model): credit the receiver estimate right away.
-            self.buffers.deliver(layer, self.config.packet_size)
+            self.buffers.deliver(layer, size)
             self._start_consumption_if_due(layer)
         return {"layer": layer, "active": self.active_layers}
 
@@ -327,21 +336,24 @@ class QualityAdapter:
         return (self.buffers.level(layer)
                 >= cap_seconds * self.config.layer_rate)
 
-    def _pick_retransmission(self) -> Optional[int]:
-        """Serve outstanding retransmission debt, lowest layer first."""
+    def _retransmission_due(self) -> Optional[int]:
+        """The lowest layer owed a packet of retransmission, if any."""
         for layer in range(min(self.config.retransmit_layers,
                                self.active_layers)):
             if self._retransmit_debt[layer] >= self.config.packet_size:
-                self._retransmit_debt[layer] -= self.config.packet_size
-                self.retransmitted_bytes += self.config.packet_size
-                if self.on_event is not None:
-                    self.on_event(self.now_fn(), "retransmit", {
-                        "layer": layer,
-                        "nbytes": self.config.packet_size,
-                        "debt": self._retransmit_debt[layer],
-                    })
                 return layer
         return None
+
+    def _spend_retransmission(self, layer: int) -> None:
+        """A packet of ``layer``'s retransmission debt is going out."""
+        self._retransmit_debt[layer] -= self.config.packet_size
+        self.retransmitted_bytes += self.config.packet_size
+        if self.on_event is not None:
+            self.on_event(self.now_fn(), "retransmit", {
+                "layer": layer,
+                "nbytes": self.config.packet_size,
+                "debt": self._retransmit_debt[layer],
+            })
 
     def _start_consumption_if_due(self, layer: int) -> None:
         """Playout of a layer begins once it has a cushion of data.
@@ -362,20 +374,21 @@ class QualityAdapter:
     def on_backoff(self, new_rate: BytesPerSec) -> None:
         """The congestion controller halved its rate."""
         now = self.now_fn()
-        self._advance_clocks(now)
+        rate = self.rate_fn()  # the controller's, which may have moved on
+        self._advance_clocks(now, rate)
         # Freeze the state path at the pre-backoff rate: the draining
         # phase walks the same path the filling phase climbed.
         self._frozen_rate = max(new_rate * 2.0, self.consumption)
         self._refreeze_sequence()
         self._emit("backoff", rate=new_rate)
-        self._apply_drop_rule(new_rate)
+        self._apply_drop_rule(new_rate, rate, self.buffer_levels())
         self._invalidate_plan()
 
     def tick(self) -> None:
         """Periodic housekeeping; call every ``config.drain_period``."""
         now = self.now_fn()
-        self._advance_clocks(now)
         rate = self.rate_fn()
+        self._advance_clocks(now, rate)
         # The "average available bandwidth" of section 3.1 is measured
         # from acknowledged deliveries: the instantaneous send rate
         # overshoots the path capacity between loss detections, which
@@ -394,8 +407,9 @@ class QualityAdapter:
             self.average_rate += gain * (sample - self.average_rate)
         self._update_slope()
 
-        if self.is_filling():
-            added = self._maybe_add(rate)
+        levels = self.buffer_levels()
+        if self._filling(rate):
+            added = self._maybe_add(rate, levels)
             if self.on_event is not None:
                 # One causal record per coarse-grain add evaluation (not
                 # per packet: _pick_filling also probes _maybe_add, but
@@ -403,7 +417,8 @@ class QualityAdapter:
                 # describes). kmax_margin is the worst layer's headroom
                 # over the Figure-4 targets — negative says why the add
                 # was refused, None means the layer ceiling.
-                levels = self.buffer_levels()
+                if added:
+                    levels = self.buffer_levels()
                 self.on_event(now, "add_eval", {
                     "rate": rate,
                     "average_rate": self.average_rate,
@@ -416,12 +431,12 @@ class QualityAdapter:
                     "added": added,
                 })
         else:
-            self._apply_drop_rule(rate)
-            self._ensure_plan(now)
+            levels = self._apply_drop_rule(rate, rate, levels)
+            self._ensure_plan(now, rate, levels)
 
     # ----------------------------------------------------------- internals
 
-    def _advance_clocks(self, now: Seconds) -> None:
+    def _advance_clocks(self, now: Seconds, rate: BytesPerSec) -> None:
         if not self.playout_started and now >= self.playout_start_time:
             self.playout_started = True
             self.metrics.startup_latency = self.config.startup_delay
@@ -429,6 +444,12 @@ class QualityAdapter:
                 self._start_consumption_if_due(layer)
             self._emit("playout_start")
         shortfalls = self.buffers.consume_until(now)
+        if not shortfalls:
+            # Nothing starved: every debt resets, so the starvation drop
+            # below cannot fire (its limit is positive).
+            self._shortfall_debt[:self.active_layers] = (
+                [0.0] * self.active_layers)
+            return
         for layer in range(self.active_layers):
             missing = shortfalls.get(layer, 0.0)
             if missing > 0:
@@ -445,34 +466,43 @@ class QualityAdapter:
         # shortfalls caused by packetization and feedback lag.
         debt_limit = (self.config.underflow_debt_packets
                       * self.config.packet_size)
-        if (not self.is_filling()
+        if (not self._filling(rate)
                 and any(self._shortfall_debt[layer] > debt_limit
                         for layer in range(1, self.active_layers))):
-            self._drop_top_layer(DropCause.UNDERFLOW)
+            self._drop_top_layer(DropCause.UNDERFLOW, rate)
 
-    def _apply_drop_rule(self, rate: BytesPerSec) -> None:
+    def _apply_drop_rule(self, rule_rate: BytesPerSec, rate: BytesPerSec,
+                         levels: list[Bytes]) -> list[Bytes]:
+        """Shed top layers while the section 2.2 rule says so.
+
+        ``rule_rate`` is what the rule is evaluated at (the post-backoff
+        rate in :meth:`on_backoff`), ``rate`` the controller's current
+        rate that each drop is annotated with. Returns the levels
+        snapshot, refreshed if a layer went.
+        """
         while True:
             # Only drainable buffering counts: the base layer's
             # stall-protection margin cannot absorb the deficit.
-            total = self._drainable_total()
+            total = self._drainable_total(levels)
             keep = self.add_drop.layers_after_drop_rule(
-                rate, total, self.active_layers, self.slope)
+                rule_rate, total, self.active_layers, self.slope)
             if self.on_event is not None:
                 self.on_event(self.now_fn(), "drop_rule", {
-                    "rate": rate,
+                    "rate": rule_rate,
                     "consumption": self.consumption,
                     "slope": self.slope,
                     "drainable": total,
                     "threshold": formulas.drop_threshold(self.slope, total),
                     "active": self.active_layers,
                     "keep": keep,
-                    "buffers": self.safety_levels(),
+                    "buffers": self._safety(levels),
                 })
             if keep >= self.active_layers:
-                return
-            self._drop_top_layer(DropCause.RULE)
+                return levels
+            self._drop_top_layer(DropCause.RULE, rate)
+            levels = self.buffer_levels()
             if self.active_layers <= 1:
-                return
+                return levels
 
     def _base_reserve(self) -> Bytes:
         """Stall-protection bytes the base must hold beyond its targets."""
@@ -480,12 +510,10 @@ class QualityAdapter:
             return self.config.base_floor_bytes
         return self.config.base_floor_bytes + self._inflight[0]
 
-    def _maybe_add(self, rate: BytesPerSec) -> bool:
+    def _maybe_add(self, rate: BytesPerSec, levels: list[Bytes]) -> bool:
         if not self.add_drop.can_add(
-            rate, self.average_rate, self.active_layers,
-            self.buffer_levels(), self.slope,
-            base_reserve=self._base_reserve(),
-        ):
+                rate, self.average_rate, self.active_layers, levels,
+                self.slope, base_reserve=self._base_reserve()):
             return False
         self._activate_layer(self.now_fn())
         return True
@@ -497,26 +525,28 @@ class QualityAdapter:
         bytes still in flight; subtracting them gives what has certainly
         arrived. (In "ack" mode the estimate itself is the lower bound.)
         """
-        levels = self.buffer_levels()
+        return self._safety(self.buffer_levels())
+
+    def _safety(self, levels: list[Bytes]) -> list[Bytes]:
+        """:meth:`safety_levels` of a levels snapshot."""
         if self.config.feedback == "ack":
             return levels
-        return [max(0.0, levels[i] - self._inflight[i])
-                for i in range(self.active_layers)]
+        return [spare if (spare := level - flight) > 0.0 else 0.0
+                for level, flight in zip(levels, self._inflight)]
 
-    def _pick_filling(self, now: Seconds) -> int:
-        rate = self.rate_fn()
+    def _pick_filling(self, rate: BytesPerSec, levels: list[Bytes]) -> int:
         # Once playback runs, every active layer needs the maintenance
         # floor: consuming layers so they keep playing, and freshly added
         # (not yet consuming) layers as their bootstrap cushion.
         needs_floor = [self.playout_started] * self.active_layers
         decision = self.filling_policy.choose(
-            rate, self.buffer_levels(), self.active_layers, self.slope,
-            needs_floor, safety_levels=self.safety_levels())
+            rate, levels, self.active_layers, self.slope,
+            needs_floor, safety_levels=self._safety(levels))
         if decision.layer is not None:
             return decision.layer
         # Every current-layer target is satisfied: time to add a layer
         # (the first packet of the new layer goes out immediately) ...
-        if self._maybe_add(rate):
+        if self._maybe_add(rate, levels):
             return self.active_layers - 1
         # ... or, when adding is not yet possible (the base must still
         # build its stall-protection reserve on top of the targets, or
@@ -524,13 +554,18 @@ class QualityAdapter:
         # layer, where buffering is most efficient (section 2.3).
         return 0
 
-    def _ensure_plan(self, now: Seconds) -> None:
+    def _ensure_plan(self, now: Seconds, rate: BytesPerSec,
+                     levels: list[Bytes]) -> list[Bytes]:
+        """Plan the coming drain period unless a plan is still current.
+
+        Returns the levels snapshot, refreshed if planning shed a layer.
+        """
         if self._plan is not None and now < self._plan_until:
-            return
+            return levels
         if self._sequence is None or self._frozen_rate is None:
             # Draining without a recorded backoff (e.g. a slow start below
             # consumption): freeze a path at the current consumption rate.
-            self._frozen_rate = max(self.rate_fn(), self.consumption)
+            self._frozen_rate = max(rate, self.consumption)
             self._refreeze_sequence()
         elif self._sequence.active_layers != self.active_layers:
             self._refreeze_sequence()
@@ -540,8 +575,8 @@ class QualityAdapter:
         base_protection = (self._inflight[0]
                            if self.config.feedback != "ack" else 0.0)
         plan = self.planner.plan(
-            self.rate_fn(), self.buffer_levels(), self.active_layers,
-            period, sequence, base_protection=base_protection)
+            rate, levels, self.active_layers, period, sequence,
+            base_protection=base_protection)
         if plan.shortfall > formulas.EPSILON:
             # Regressing the whole path cannot cover this period's
             # deficit. A single period's sliver can be jitter; a
@@ -554,33 +589,38 @@ class QualityAdapter:
                       * self.config.packet_size)
         if (self._plan_shortfall_debt > debt_limit
                 and self.active_layers > 1):
-            self._drop_top_layer(DropCause.SHORTFALL)
+            self._drop_top_layer(DropCause.SHORTFALL, rate)
             self._plan_shortfall_debt = 0.0
             sequence = self._sequence
             assert sequence is not None  # refrozen by _drop_top_layer
+            levels = self.buffer_levels()
             plan = self.planner.plan(
-                self.rate_fn(), self.buffer_levels(), self.active_layers,
-                period, sequence, base_protection=base_protection)
+                rate, levels, self.active_layers, period, sequence,
+                base_protection=base_protection)
         self._plan = plan
         self._plan_until = now + period
         self._quota = list(plan.quotas)
+        return levels
 
-    def _pick_draining(self, now: Seconds) -> int:
-        self._ensure_plan(now)
+    def _pick_draining(self, now: Seconds, rate: BytesPerSec,
+                       levels: list[Bytes]) -> tuple[int, Bytes]:
+        """The layer for a draining-phase packet and the quota it spent
+        (none when the slot is surplus, filling-phase bandwidth)."""
+        levels = self._ensure_plan(now, rate, levels)
         # Starvation override for the *base* layer only: it must never run
         # dry (stall), whatever the quotas say. Enhancement layers are
         # allowed to drain to empty during a draining phase -- that is the
         # maximally efficient pattern, and an empty top layer is the one
         # that gets dropped (with nothing wasted) when the phase turns
         # critical.
-        safety = self.safety_levels()
+        safety = self._safety(levels)
         floor = self.config.base_floor_bytes
         if self.buffers.is_consuming(0) and safety[0] < floor:
             layer = 0
         elif max(self._quota) <= 0:
             # The controller is sending faster than the plan assumed; the
             # surplus is filling-phase bandwidth.
-            return self._pick_filling(now)
+            return self._pick_filling(rate, levels), 0.0
         else:
             # Spend quotas emptiest-layer-first (ties: largest remaining
             # quota). If the controller under-delivers this period, the
@@ -591,4 +631,4 @@ class QualityAdapter:
             layer = min(candidates,
                         key=lambda i: (safety[i], -self._quota[i]))
         self._quota[layer] -= self.config.packet_size
-        return layer
+        return layer, self.config.packet_size

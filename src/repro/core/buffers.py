@@ -11,25 +11,11 @@ delivered - consumed``, consumption is a constant ``C`` per active layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import insort
 from typing import Optional
 
+from repro.core.tolerances import EPSILON
 from repro.core.units import Bytes, BytesPerSec, Seconds
-
-
-@dataclass
-class LayerAccount:
-    """Accounting for one layer."""
-
-    delivered: Bytes = 0.0
-    consumed: Bytes = 0.0
-    active: bool = False
-    consuming_since: Optional[Seconds] = None
-    clock: Seconds = 0.0  # consumption clock position (simulation time)
-
-    @property
-    def level(self) -> Bytes:
-        return self.delivered - self.consumed
 
 
 class LayerBufferSet:
@@ -39,6 +25,11 @@ class LayerBufferSet:
     draining ``C * dt`` from each and reporting shortfalls (bytes a layer
     wanted to play but did not have). A layer can be active (being sent and
     buffered) before its consumption starts -- that is the startup window.
+
+    The state is a struct of arrays -- one list per field, indexed by
+    layer -- plus the ascending list of consuming layers, so the
+    per-packet calls (:meth:`consume_until`, :meth:`levels`) touch only
+    floats in lists.
     """
 
     def __init__(self, layer_rate: BytesPerSec, max_layers: int) -> None:
@@ -48,40 +39,48 @@ class LayerBufferSet:
             raise ValueError("max_layers must be at least 1")
         self.layer_rate = layer_rate
         self.max_layers = max_layers
-        self._accounts = [LayerAccount() for _ in range(max_layers)]
+        self._delivered: list[Bytes] = [0.0] * max_layers
+        self._consumed: list[Bytes] = [0.0] * max_layers
+        #: Consumption clock position per layer (simulation time). Clocks
+        #: are per layer: one can start without advancing the others.
+        self._clock: list[Seconds] = [0.0] * max_layers
+        self._active = [False] * max_layers
+        self._consuming: list[int] = []  # ascending
 
     # ---------------------------------------------------------- lifecycle
 
     def activate(self, layer: int, now: Seconds) -> None:
         """Start buffering (and clocking) layer ``layer`` at time ``now``."""
-        acct = self._accounts[layer]
-        if acct.active:
+        if self._active[layer]:
             raise ValueError(f"layer {layer} already active")
-        acct.active = True
-        acct.clock = now
+        self._active[layer] = True
+        self._clock[layer] = now
 
     def start_consuming(self, layer: int, now: Seconds) -> None:
         """Begin draining ``layer`` at rate C from time ``now``."""
-        acct = self._accounts[layer]
-        if not acct.active:
+        if not self._active[layer]:
             raise ValueError(f"layer {layer} not active")
-        acct.consuming_since = now
-        acct.clock = now
+        if layer not in self._consuming:
+            insort(self._consuming, layer)
+        self._clock[layer] = now
 
     def deactivate(self, layer: int) -> Bytes:
         """Stop layer ``layer``; returns the buffered bytes discarded."""
-        acct = self._accounts[layer]
-        if not acct.active:
+        if not self._active[layer]:
             raise ValueError(f"layer {layer} not active")
-        remaining = max(0.0, acct.level)
-        self._accounts[layer] = LayerAccount()
+        remaining = self.level(layer)
+        self._delivered[layer] = self._consumed[layer] = 0.0
+        self._clock[layer] = 0.0
+        self._active[layer] = False
+        if layer in self._consuming:
+            self._consuming.remove(layer)
         return remaining
 
     def is_active(self, layer: int) -> bool:
-        return self._accounts[layer].active
+        return self._active[layer]
 
     def is_consuming(self, layer: int) -> bool:
-        return self._accounts[layer].consuming_since is not None
+        return layer in self._consuming
 
     # --------------------------------------------------------------- data
 
@@ -89,10 +88,9 @@ class LayerBufferSet:
         """Record ``nbytes`` of layer data arriving at the receiver."""
         if nbytes < 0:
             raise ValueError("cannot deliver negative bytes")
-        acct = self._accounts[layer]
-        if not acct.active:
-            return  # data for a dropped layer still plays but isn't tracked
-        acct.delivered += nbytes
+        if self._active[layer]:
+            # (data for a dropped layer still plays but isn't tracked)
+            self._delivered[layer] += nbytes
 
     def withdraw(self, layer: int, nbytes: Bytes) -> None:
         """Un-credit ``nbytes`` that turned out to be lost in transit.
@@ -103,59 +101,68 @@ class LayerBufferSet:
         """
         if nbytes < 0:
             raise ValueError("cannot withdraw negative bytes")
-        acct = self._accounts[layer]
-        if not acct.active:
-            return
-        acct.delivered -= nbytes
+        if self._active[layer]:
+            self._delivered[layer] -= nbytes
 
     def consume_until(self, now: Seconds) -> dict[int, Bytes]:
         """Advance all consumption clocks to ``now``.
 
-        Returns ``{layer: shortfall_bytes}`` for layers that wanted more
-        data than they had (underflow). Clocks advance even on shortfall;
-        stall semantics (pausing) are the playout policy's job and are
-        implemented by it calling :meth:`pause` instead.
+        Returns ``{layer: shortfall_bytes}``, ascending by layer, for
+        layers that wanted more data than they had (underflow). Clocks
+        advance even on shortfall; stall semantics (pausing) are the
+        playout policy's job and are implemented by it calling
+        :meth:`pause` instead.
         """
         shortfalls: dict[int, float] = {}
-        for layer, acct in enumerate(self._accounts):
-            if not acct.active or acct.consuming_since is None:
-                continue
-            dt = now - acct.clock
+        rate = self.layer_rate
+        delivered, consumed, clock = (
+            self._delivered, self._consumed, self._clock)
+        for layer in self._consuming:
+            dt = now - clock[layer]
             if dt <= 0:
                 continue
-            want = self.layer_rate * dt
-            take = min(want, max(0.0, acct.level))
-            acct.consumed += take
-            acct.clock = now
-            if want - take > 1e-9:
+            clock[layer] = now
+            want = rate * dt
+            have = delivered[layer] - consumed[layer]
+            if have >= want:  # the per-packet case: the layer plays
+                consumed[layer] += want
+                continue
+            take = max(0.0, have)
+            consumed[layer] += take
+            if want - take > EPSILON:
                 shortfalls[layer] = want - take
         return shortfalls
 
     def pause(self, now: Seconds) -> None:
         """Advance all clocks to ``now`` without consuming (playback stall)."""
-        for acct in self._accounts:
-            if acct.active and acct.consuming_since is not None:
-                acct.clock = now
+        for layer in self._consuming:
+            self._clock[layer] = now
 
     # ------------------------------------------------------------ queries
 
     def level(self, layer: int) -> Bytes:
         """Buffered bytes of ``layer`` (clamped at zero)."""
-        return max(0.0, self._accounts[layer].level)
+        return max(0.0, self._delivered[layer] - self._consumed[layer])
 
     def levels(self, active_layers: int) -> list[Bytes]:
         """Base-first buffer levels of the first ``active_layers`` layers."""
-        return [self.level(i) for i in range(active_layers)]
+        delivered, consumed = self._delivered, self._consumed
+        return [level if (level := delivered[i] - consumed[i]) > 0.0 else 0.0
+                for i in range(active_layers)]
 
     def total(self, active_layers: Optional[int] = None) -> Bytes:
         """Sum of buffered bytes over the first ``active_layers`` layers."""
-        n = self.max_layers if active_layers is None else active_layers
-        return sum(self.level(i) for i in range(n))
+        return sum(self.levels(
+            self.max_layers if active_layers is None else active_layers))
 
     def delivered(self, layer: int) -> Bytes:
         """Cumulative bytes credited to ``layer``."""
-        return self._accounts[layer].delivered
+        return self._delivered[layer]
 
     def consumed(self, layer: int) -> Bytes:
         """Cumulative bytes the decoder has consumed from ``layer``."""
-        return self._accounts[layer].consumed
+        return self._consumed[layer]
+
+    def total_consumed(self) -> Bytes:
+        """Bytes consumed from every layer that is still active."""
+        return sum(self._consumed)

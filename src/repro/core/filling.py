@@ -63,41 +63,11 @@ class FillingDecision:
         return f"S{self.working_scenario}k{k}"
 
 
-#: Bound on the exact-argument result caches below; cleared when full.
-_CACHE_LIMIT = 4096
-
-
 class FillingPolicy:
-    """Chooses the layer for each packet sent during a filling phase.
-
-    The per-packet work is dominated by :func:`formulas.scenario_total` /
-    :func:`formulas.scenario_shares` evaluations whose inputs (rate,
-    slope, layer count) repeat for long packet runs between rate changes.
-    Results are memoized on their exact float arguments — a pure-function
-    cache, so every returned value is bit-identical to the uncached
-    computation and golden traces are unaffected.
-    """
+    """Chooses the layer for each packet sent during a filling phase."""
 
     def __init__(self, config: QAConfig) -> None:
         self.config = config
-        self._shares_cache: dict[
-            tuple[float, int, float, int, int], tuple[float, ...]
-        ] = {}
-
-    def _shares(
-        self, rate: BytesPerSec, na: int, slope: BytesPerSec2, k: int,
-        scenario: int
-    ) -> tuple[Bytes, ...]:
-        """Memoized :func:`formulas.scenario_shares` (layer_rate is fixed)."""
-        key = (rate, na, slope, k, scenario)
-        cached = self._shares_cache.get(key)
-        if cached is None:
-            cached = formulas.scenario_shares(
-                rate, self.config.layer_rate, na, slope, k, scenario)
-            if len(self._shares_cache) >= _CACHE_LIMIT:
-                self._shares_cache.clear()
-            self._shares_cache[key] = cached
-        return cached
 
     def choose(
         self,
@@ -131,28 +101,14 @@ class FillingPolicy:
         """
         cfg = self.config
         na = active_layers
-        buffers = list(buffers[:na])
+        buffers = buffers[:na]
         total = sum(buffers)
         consumption = na * cfg.layer_rate
 
-        # Maintenance floor: keep every protected layer playable. The top
-        # layer gets only a one-packet floor -- in the optimal allocation
-        # it holds (near) nothing, riding the network at C, so that when
-        # it is dropped almost no buffered data is wasted (this is what
-        # drives the paper's buffering efficiency to ~100%).
-        if needs_floor is None:
-            needs_floor = [True] * na
-        if safety_levels is None:
-            safety_levels = buffers
-        floors = [cfg.floor_bytes] * na
-        floors[na - 1] = min(cfg.floor_bytes, float(cfg.packet_size))
-        floors[0] = cfg.base_floor_bytes  # the base never goes thin
-        starving = [
-            i for i in range(na)
-            if needs_floor[i] and safety_levels[i] < floors[i]
-        ]
-        if starving:
-            layer = min(starving, key=lambda i: safety_levels[i])
+        layer = self._most_starved(
+            na, needs_floor, buffers if safety_levels is None
+            else safety_levels)
+        if layer is not None:
             return FillingDecision(layer, 0, 0, SCENARIO_ONE,
                                    maintenance=True)
 
@@ -161,6 +117,20 @@ class FillingPolicy:
         s2_k, req2 = self._first_unsatisfied(
             rate, consumption, slope, total, SCENARIO_TWO, cap=None)
 
+        scenario, targets = self._targets(
+            rate, na, slope, buffers, s1_k, req1, s2_k, req2)
+        for layer in range(na):
+            if targets[layer] > buffers[layer] + formulas.EPSILON:
+                return FillingDecision(layer, s1_k, s2_k, scenario)
+        return FillingDecision(None, s1_k, s2_k, scenario)
+
+    def _targets(
+        self, rate: BytesPerSec, na: int, slope: BytesPerSec2,
+        buffers: Sequence[Bytes], s1_k: int, req1: Bytes, s2_k: int,
+        req2: Bytes,
+    ) -> tuple[int, Sequence[Bytes]]:
+        """The working scenario and the per-layer targets to fill to."""
+        cfg = self.config
         if s1_k > cfg.k_max and s2_k > cfg.k_max:
             # Every state up to K_max is covered *in total*; before
             # deepening protection beyond K_max, make sure the K_max
@@ -169,39 +139,52 @@ class FillingPolicy:
             # while the base over-fills, which would stall the add rule).
             targets = kmax_targets(rate, cfg.layer_rate, na, slope,
                                    cfg.k_max)
-            for layer in range(na):
-                if targets[layer] > buffers[layer] + formulas.EPSILON:
-                    return FillingDecision(layer, s1_k, s2_k,
-                                           SCENARIO_TWO)
-
-        s1_pending = s1_k <= cfg.k_max
-        shares1 = (
-            self._shares(rate, na, slope, s1_k, SCENARIO_ONE)
-            if s1_pending else None
-        )
-        shares2 = self._shares(rate, na, slope, s2_k, SCENARIO_TWO)
-
-        if shares1 is not None and req1 <= req2:
-            # Working towards the scenario-1 state.
-            for layer in range(na):
-                if shares1[layer] > buffers[layer] + formulas.EPSILON:
-                    return FillingDecision(layer, s1_k, s2_k, SCENARIO_ONE)
-            return FillingDecision(None, s1_k, s2_k, SCENARIO_ONE)
-
+            if any(targets[layer] > buffers[layer] + formulas.EPSILON
+                   for layer in range(na)):
+                return SCENARIO_TWO, targets
+        shares2 = formulas.scenario_shares(rate, cfg.layer_rate, na, slope,
+                                           s2_k, SCENARIO_TWO)
+        if s1_k > cfg.k_max:
+            return SCENARIO_TWO, shares2
+        shares1 = formulas.scenario_shares(rate, cfg.layer_rate, na, slope,
+                                           s1_k, SCENARIO_ONE)
+        if req1 <= req2:
+            return SCENARIO_ONE, shares1
         # Working towards the scenario-2 state, clamped by the pending
         # scenario-1 state: no layer is filled beyond its share at the
         # *next* scenario-1 state; the excess is redistributed to higher
         # layers (where it can still substitute for lower-layer
         # buffering). This is the section 4 constraint that keeps the
         # path monotone.
-        if shares1 is not None:
-            targets = self._clamp_shares(shares2, shares1)
-        else:
-            targets = shares2
+        return SCENARIO_TWO, self._clamp_shares(shares2, shares1)
+
+    def _most_starved(
+        self, na: int, needs_floor: Optional[Sequence[bool]],
+        safety_levels: Sequence[Bytes],
+    ) -> Optional[int]:
+        """The emptiest protected layer below its maintenance floor.
+
+        The floor keeps every protected layer playable. The top layer
+        gets only a one-packet floor -- in the optimal allocation it
+        holds (near) nothing, riding the network at C, so that when it
+        is dropped almost no buffered data is wasted (this is what
+        drives the paper's buffering efficiency to ~100%). The base
+        never goes thin. Ties go to the lower layer.
+        """
+        cfg = self.config
+        base = cfg.base_floor_bytes
+        middle = cfg.floor_bytes
+        top = min(middle, float(cfg.packet_size))
+        worst = None
         for layer in range(na):
-            if targets[layer] > buffers[layer] + formulas.EPSILON:
-                return FillingDecision(layer, s1_k, s2_k, SCENARIO_TWO)
-        return FillingDecision(None, s1_k, s2_k, SCENARIO_TWO)
+            floor = (base if layer == 0
+                     else middle if layer < na - 1 else top)
+            level = safety_levels[layer]
+            if (level < floor
+                    and (needs_floor is None or needs_floor[layer])
+                    and (worst is None or level < safety_levels[worst])):
+                worst = layer
+        return worst
 
     @staticmethod
     def _clamp_shares(

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from repro.core.tolerances import at_least
+
 
 class DropCause(Enum):
     """Why a layer was dropped."""
@@ -72,7 +74,7 @@ class DropEvent:
         """Table 2's criterion: usable buffering was sufficient, yet we
         dropped -- only a different distribution could have saved the
         layer."""
-        return self.drainable >= self.required - 1e-9
+        return at_least(self.drainable, self.required)
 
 
 @dataclass

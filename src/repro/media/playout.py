@@ -151,9 +151,7 @@ class PlayoutBuffer:
             else:
                 self.stats.gap_bytes_per_layer[layer] = (
                     self.stats.gap_bytes_per_layer.get(layer, 0.0) + nbytes)
-        played = sum(self.buffers.consumed(i)
-                     for i in range(self.max_layers))
-        self.stats.played_bytes = played
+        self.stats.played_bytes = self.buffers.total_consumed()
 
     def _begin_playout(self, now: float) -> None:
         self.playing = True

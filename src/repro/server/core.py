@@ -22,18 +22,29 @@ core through explicit calls (:meth:`SessionCore.pick_payload`,
 :meth:`~SessionCore.on_ack`, :meth:`~SessionCore.on_loss`,
 :meth:`~SessionCore.on_backoff`, :meth:`~SessionCore.tick`).
 
+The read budget per call (table in docs/MECHANISM.md, section 7):
+``pick_payload``, ``tick`` and ``on_backoff`` make the adapter read the
+clock once and the rate once (``tick`` also samples the slope once);
+``on_ack`` and ``on_loss`` read neither. On top of that come one clock
+read per layer add, per layer drop and per layer whose playout starts,
+and -- only when a decision hook is bound -- one per emitted event.
+Reads reach the transport in one hop: :meth:`SessionCore.bind_transport`
+hands the adapter plain attribute reads of the transport.
+
 The core can also run against a :class:`SessionTape`: recording mode
 captures every boundary crossing (driver calls plus each ``now``/
 ``rate``/``slope`` read), and :meth:`SessionCore.replay` re-drives a
 fresh core from the tape through a fake transport. Because the adapter
 is a pure function of those input streams, a replay reproduces the
 original decision log bit for bit — the equivalence proof the
-differential tests pin.
+differential tests pin. The stream lengths are the read budget above,
+so a tape replays on the commit that recorded it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 from repro.core.adapter import EventHook, QualityAdapter
@@ -189,7 +200,7 @@ class SessionCore:
         if self.stream.n_layers < config.max_layers:
             effective = config.with_(max_layers=self.stream.n_layers)
         self.config = effective
-        self._transport = transport
+        self.transport: Optional[SessionTransport] = None
         self.tape = tape
         self.span_hook = span_hook
         #: Span timestamps read the raw clock, never the taped wrapper:
@@ -200,19 +211,16 @@ class SessionCore:
 
         if tape is not None:
             now_fn = self._taped(now_fn, tape.clock)
-            rate_fn = self._taped(self._transport_rate, tape.rates)
-            slope_fn = self._taped(self._transport_slope, tape.slopes)
-        else:
-            rate_fn = self._transport_rate
-            slope_fn = self._transport_slope
         self.adapter = adapter_cls(
             effective,
             now_fn=now_fn,
-            rate_fn=rate_fn,
-            slope_fn=slope_fn,
+            rate_fn=self._unbound,
+            slope_fn=self._unbound,
             start_time=start,
             on_event=on_event,
         )
+        if transport is not None:
+            self.bind_transport(transport)
 
     @staticmethod
     def _taped(fn: Callable[[], float],
@@ -223,21 +231,23 @@ class SessionCore:
             return value
         return wrapper
 
-    def _transport_rate(self) -> float:
-        assert self._transport is not None, "transport not bound yet"
-        return self._transport.rate
-
-    def _transport_slope(self) -> float:
-        assert self._transport is not None, "transport not bound yet"
-        return self._transport.slope
+    @staticmethod
+    def _unbound() -> float:
+        raise RuntimeError("the adapter read its transport before "
+                           "bind_transport() gave it one")
 
     def bind_transport(self, transport: SessionTransport) -> None:
-        """Late-bind the controller (it usually needs our callbacks)."""
-        self._transport = transport
-
-    @property
-    def transport(self) -> Optional[SessionTransport]:
-        return self._transport
+        """Late-bind the controller (it usually needs our callbacks):
+        the adapter's ``rate_fn``/``slope_fn`` become plain attribute
+        reads of it (behind the logging wrapper on a taped core)."""
+        self.transport = transport
+        rate_fn: Callable[[], float] = partial(getattr, transport, "rate")
+        slope_fn: Callable[[], float] = partial(getattr, transport, "slope")
+        if self.tape is not None:
+            rate_fn = self._taped(rate_fn, self.tape.rates)
+            slope_fn = self._taped(slope_fn, self.tape.slopes)
+        self.adapter.rate_fn = rate_fn
+        self.adapter.slope_fn = slope_fn
 
     @property
     def active_layers(self) -> int:

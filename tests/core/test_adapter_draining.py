@@ -49,7 +49,7 @@ class TestDrainingPlanPath:
         h = draining_harness()
         h.send_packets(1)
         before = h.adapter._sequence.active_layers
-        h.adapter._drop_top_layer(DropCause.RULE)
+        h.adapter._drop_top_layer(DropCause.RULE, h.rate)
         assert h.adapter._sequence.active_layers == before - 1
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import formulas
+from repro.core.adapter import QualityAdapter
 from repro.core.config import QAConfig
 from repro.core.filling import FillingDecision, FillingPolicy
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
@@ -70,6 +71,39 @@ class TestMaintenanceFloor:
                                  safety_levels=[0.0, fine[1], fine[2]])
         assert decision.maintenance
         assert decision.layer == 0
+
+    @given(
+        levels=st.lists(
+            st.sampled_from([0.0, 1.0, 250.0, 499.0, 500.0, 501.0,
+                             5_999.0, 6_000.0, 9_000.0]),
+            min_size=1, max_size=5),
+        flags=st.one_of(st.none(), st.lists(st.booleans(), min_size=5,
+                                            max_size=5)),
+        maintenance_floor=st.sampled_from([0.05, 0.1, 1.0]),
+        allocator=st.sampled_from(["optimal", "equal_share"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_scan_agrees_with_the_floor_lists(
+            self, levels, flags, maintenance_floor, allocator):
+        """The scan against what it replaced: a floors list, the list of
+        starving layers, and ``min`` over it (first of equals wins)."""
+        cfg = QAConfig(layer_rate=5_000.0, max_layers=5, packet_size=500,
+                       maintenance_floor=maintenance_floor,
+                       allocator=allocator)
+        na = len(levels)
+        needs_floor = flags if flags is None else flags[:na]
+        floors = [cfg.floor_bytes] * na
+        floors[na - 1] = min(cfg.floor_bytes, float(cfg.packet_size))
+        floors[0] = cfg.base_floor_bytes
+        starving = [i for i in range(na)
+                    if (needs_floor is None or needs_floor[i])
+                    and levels[i] < floors[i]]
+        expected = (min(starving, key=lambda i: levels[i])
+                    if starving else None)
+        policy, _ = QualityAdapter._make_policies(cfg)
+        decision = policy.choose(30_000.0, [9_000.0] * na, na, 5_000.0,
+                                 needs_floor, safety_levels=levels)
+        assert (decision.layer if decision.maintenance else None) == expected
 
 
 class TestTargetFilling:

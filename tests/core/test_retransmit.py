@@ -8,12 +8,12 @@ from repro.core.metrics import DropCause
 from tests.core.test_adapter import Harness
 
 
-def make_harness(retransmit_layers=1, **overrides):
+def make_harness(retransmit_layers=1, rate=30_000.0, **overrides):
     params = dict(layer_rate=5_000.0, max_layers=4, k_max=2,
                   packet_size=500, startup_delay=0.5,
                   retransmit_layers=retransmit_layers)
     params.update(overrides)
-    return Harness(QAConfig(**params))
+    return Harness(QAConfig(**params), rate=rate)
 
 
 class TestConfig:
@@ -73,5 +73,74 @@ class TestRetransmission:
         assert h.adapter.active_layers >= 2
         top = h.adapter.active_layers - 1
         h.adapter.on_lost(top, 500)
-        h.adapter._drop_top_layer(DropCause.RULE)
+        h.adapter._drop_top_layer(DropCause.RULE, h.rate)
         assert h.adapter._retransmit_debt[top] == 0.0
+
+
+class TestIdleSlotSpendsNothing:
+    """Receiver flow control idles a slot *after* the pick: whatever the
+    pick would have charged (retransmission debt, draining quota) must
+    still be owed afterwards."""
+
+    @staticmethod
+    def fill_to_cap(h, layer):
+        cap = h.config.max_buffer_seconds * h.config.layer_rate
+        h.adapter.buffers.deliver(layer, cap + 2 * h.config.packet_size)
+
+    def draining(self, **overrides):
+        """Several layers, then a collapsed rate and a live drain plan."""
+        h = make_harness(max_buffer_seconds=30.0, rate=40_000.0,
+                         **overrides)
+        h.drive(8.0)
+        assert h.adapter.active_layers >= 3
+        h.rate = h.adapter.consumption * 0.7
+        h.adapter.on_backoff(h.rate)
+        h.send_packets(1)
+        assert not h.adapter.is_filling() and h.adapter._quota
+        return h
+
+    def test_idle_slot_keeps_retransmission_debt(self):
+        h = make_harness(max_buffer_seconds=0.5)
+        self.fill_to_cap(h, 0)
+        h.adapter.on_lost(0, h.config.packet_size)
+        del h.events[:]
+        assert h.adapter.pick_layer(0) is None
+        assert h.adapter._retransmit_debt[0] == h.config.packet_size
+        assert h.adapter.retransmitted_bytes == 0
+        assert [kind for _, kind, _ in h.events] == []
+        # The debt is served once the receiver has room again.
+        h.adapter.buffers.withdraw(0, 3 * h.config.packet_size)
+        assert h.send_packets(1) == [0]
+        assert h.adapter._retransmit_debt[0] == 0
+        assert h.adapter.retransmitted_bytes == h.config.packet_size
+        assert [kind for _, kind, _ in h.events] == ["retransmit"]
+
+    def test_idle_retransmission_is_not_refunded_quota(self):
+        h = self.draining()
+        h.adapter.on_lost(0, h.config.packet_size)  # owes quota + debt
+        h.config.max_buffer_seconds = 0.5
+        self.fill_to_cap(h, 0)
+        quota = list(h.adapter._quota)
+        assert h.adapter.pick_layer(0) is None
+        assert h.adapter._quota == quota
+
+    def test_idle_surplus_slot_is_not_refunded_quota(self):
+        """All quotas spent: the slot is filling-phase bandwidth and
+        never charged a quota, so idling it refunds nothing."""
+        h = self.draining(retransmit_layers=0)
+        h.adapter._quota = [0.0] * h.adapter.active_layers
+        h.config.max_buffer_seconds = 0.5
+        for layer in range(h.adapter.active_layers):
+            self.fill_to_cap(h, layer)
+        assert h.adapter.pick_layer(0) is None
+        assert h.adapter._quota == [0.0] * h.adapter.active_layers
+
+    def test_idle_quota_slot_is_refunded_what_it_paid(self):
+        h = self.draining(retransmit_layers=0)
+        h.config.max_buffer_seconds = 0.5
+        for layer in range(h.adapter.active_layers):
+            self.fill_to_cap(h, layer)
+        quota = list(h.adapter._quota)
+        assert max(quota) > 0
+        assert h.adapter.pick_layer(0) is None
+        assert h.adapter._quota == quota

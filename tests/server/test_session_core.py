@@ -1,5 +1,7 @@
 """The transport-agnostic session core: narrowing, taping, replay."""
 
+import sys
+
 import pytest
 
 from repro.core.config import QAConfig
@@ -217,3 +219,54 @@ class TestSpanHook:
             sim.run(until=sim.now + 0.1)
             core.tick()
         assert len(spans.spans_of(name="qa.tick")) == 3
+
+
+class TestTransportBinding:
+    def test_reading_an_unbound_transport_fails_loudly(self, sim, config):
+        core = SessionCore(config, now_fn=lambda: sim.now)
+        assert core.transport is None
+        with pytest.raises(RuntimeError, match="bind_transport"):
+            core.tick()
+        with pytest.raises(RuntimeError, match="bind_transport"):
+            core.pick_payload(0)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_the_adapter_reaches_the_transport_in_one_hop(
+            self, sim, config, taped):
+        """The transport's ``rate`` is read from the adapter's own frame
+        (a taped core puts its logging wrapper in between)."""
+        readers = []
+
+        class _Watched:
+            slope = 100.0
+
+            @property
+            def rate(self):
+                readers.append(sys._getframe(1).f_code.co_filename)
+                return 20_000.0
+
+        tape = SessionTape() if taped else None
+        core = SessionCore(config, now_fn=lambda: sim.now, tape=tape)
+        core.bind_transport(_Watched())
+        assert core.pick_payload(0) is not None
+        core.tick()
+        core.on_backoff(10_000.0)
+        expected = "server/core.py" if taped else "core/adapter.py"
+        assert len(readers) == 3
+        assert all(name.endswith(expected) for name in readers)
+        if taped:
+            assert tape.rates == [20_000.0] * 3
+
+    def test_rebinding_switches_the_adapter_over(self, sim, config):
+        class _Fixed:
+            slope = 100.0
+
+            def __init__(self, rate):
+                self.rate = rate
+
+        core = SessionCore(config, now_fn=lambda: sim.now,
+                           transport=_Fixed(1_000.0))
+        assert core.adapter.rate_fn() == 1_000.0
+        core.bind_transport(_Fixed(2_000.0))
+        assert core.adapter.rate_fn() == 2_000.0
+        assert core.transport.rate == 2_000.0
