@@ -26,10 +26,21 @@ stall bookkeeping — is the same closed forms as the scalar engine,
 applied elementwise. Flows never interact, so results are independent
 of batch partitioning: running a class in two halves and concatenating
 is bit-identical to one batch (the seed-split differential test).
+
+A window does dense work only where every flow needs it: one ramp
+across the window and the consumption/stall bookkeeping. The paper ties
+each rule to a phase, and the window follows it: the ramp is split and
+halved only for flows whose next scripted backoff falls inside the
+window, the drop rule runs on flows that are draining (``na*C - R >=
+-EPSILON`` and more than one layer; then on those that just fired), and
+the add requirement is computed for filling flows under the layer
+ceiling. Windows tile ``[0, duration]``; the last one is shorter when
+``duration`` is not a multiple of ``step``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -158,7 +169,8 @@ class FlowClassBatch:
         if finite.any() and float(gaps[finite].min()) < 2.0 * self.step:
             raise ValueError(
                 "backoff scripts need >= 2*step spacing per flow")
-        self._cursor = np.zeros(n_flows, dtype=np.int64)
+        #: 2.0 ** k for k in 0..k_max, exact: the k1 halvings' divisors.
+        self._pow2 = np.array([2.0 ** k for k in range(config.k_max + 1)])
 
     @classmethod
     def jittered(
@@ -197,15 +209,17 @@ class FlowClassBatch:
 
     # ---------------------------------------------------------- closed forms
 
-    def _ramp_area(self, r0: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    def _ramp_area(self, r0: np.ndarray,
+                   dt: "np.ndarray | float") -> np.ndarray:
         """Exact ``∫ r dt`` of the capped ramp, elementwise."""
         if self.max_rate is None:
             return r0 * dt + 0.5 * self.slope * dt * dt
-        t_cap = np.clip((self.max_rate - r0) / self.slope, 0.0, dt)
+        t_cap = ((self.max_rate - r0) / self.slope).clip(0.0, dt)
         ramp = r0 * t_cap + 0.5 * self.slope * t_cap * t_cap
         return ramp + self.max_rate * (dt - t_cap)
 
-    def _rate_after(self, r0: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    def _rate_after(self, r0: np.ndarray,
+                    dt: "np.ndarray | float") -> np.ndarray:
         out = r0 + self.slope * dt
         if self.max_rate is not None:
             out = np.minimum(out, self.max_rate)
@@ -229,7 +243,7 @@ class FlowClassBatch:
         k1 = np.minimum(k1, k_max)
         d1 = np.maximum(cons - rate / (2.0 ** k_max), 0.0)
         s1_total = d1 * d1 / (2.0 * self.slope)
-        d_first = np.maximum(cons - rate / (2.0 ** k1), 0.0)
+        d_first = np.maximum(cons - rate / self._pow2[k1], 0.0)
         seq = (cons / 2.0) ** 2 / (2.0 * self.slope)
         s2_total = (d_first * d_first / (2.0 * self.slope)
                     + (k_max - k1) * seq)
@@ -243,9 +257,17 @@ class FlowClassBatch:
     def run(self) -> BatchResult:
         cfg = self.config
         n = self.n
-        dt_full = self.step
+        step = self.step
+        layer_rate = cfg.layer_rate
         base_floor = cfg.base_floor_bytes
         floor = cfg.floor_bytes
+        eps = formulas.EPSILON
+        # Run-local trajectory state: the batch stays as constructed.
+        rate = self.rate.copy()
+        pad = self.backoffs.shape[1]
+        cursor = np.zeros(n, dtype=np.int64)
+        next_backoff = (self.backoffs[:, 0].copy() if pad
+                        else np.full(n, np.inf, dtype=np.float64))
         na = np.ones(n, dtype=np.int64)
         buf = np.zeros(n, dtype=np.float64)
         sent = np.zeros(n, dtype=np.float64)
@@ -256,34 +278,43 @@ class FlowClassBatch:
         drops = np.zeros(n, dtype=np.int64)
         layer_time = np.zeros(n, dtype=np.float64)
         playout_at = cfg.startup_delay
-        n_steps = int(round(self.duration / dt_full))
-        pad = self.backoffs.shape[1]
+        # Whole windows plus a shorter last one; the guard keeps float
+        # dust in the quotient (1.1 / 0.1) from becoming a window.
+        n_steps = max(1, math.ceil(self.duration / step - 1e-9))
 
         for k in range(n_steps):
-            t0 = k * dt_full
-            t1 = min(self.duration, t0 + dt_full)
+            t0 = k * step
+            t1 = min(self.duration, t0 + step)
             dt = t1 - t0
-            # Scripted backoffs due inside this window: split the ramp
-            # at the instant, halve, continue. Scripts guarantee at most
-            # one per window per flow.
-            cursor = np.minimum(self._cursor, pad - 1)
-            tb = self.backoffs[np.arange(n, dtype=np.int64), cursor]
-            due = (self._cursor < pad) & (tb < t1)
-            pre_dt = np.where(due, np.clip(tb - t0, 0.0, dt), dt)
-            area = self._ramp_area(self.rate, pre_dt)
-            rate_mid = self._rate_after(self.rate, pre_dt)
-            halved = np.maximum(rate_mid / 2.0, self.min_rate)
-            rate_mid = np.where(due, halved, rate_mid)
-            post_dt = np.where(due, dt - pre_dt, 0.0)
-            area = area + self._ramp_area(rate_mid, post_dt)
-            self.rate = self._rate_after(rate_mid, post_dt)
-            self._cursor = self._cursor + due.astype(np.int64)
+            # Every flow ramps across the window; the few with a
+            # scripted backoff inside it are redone: split at the
+            # instant, halve, continue. Scripts guarantee at most one
+            # per window per flow.
+            area = self._ramp_area(rate, dt)
+            after = self._rate_after(rate, dt)
+            due = (next_backoff < t1).nonzero()[0]
+            if due.size:
+                pre_dt = (next_backoff[due] - t0).clip(0.0, dt)
+                before = rate[due]
+                halved = np.maximum(
+                    self._rate_after(before, pre_dt) / 2.0, self.min_rate)
+                post_dt = dt - pre_dt
+                area[due] = (self._ramp_area(before, pre_dt)
+                             + self._ramp_area(halved, post_dt))
+                after[due] = self._rate_after(halved, post_dt)
+                nxt = cursor[due] + 1
+                cursor[due] = nxt
+                next_backoff[due] = np.where(
+                    nxt < pad,
+                    self.backoffs[due, np.minimum(nxt, pad - 1)], np.inf)
+            rate = after
 
             sent += area
             # Consumption covers the playout-overlapping part of the
             # window; the shortfall clamp is the stall/underflow path.
-            cons_dt = np.clip(t1 - max(t0, playout_at), 0.0, dt)
-            want = na * cfg.layer_rate * cons_dt
+            cons_dt = min(max(t1 - max(t0, playout_at), 0.0), dt)
+            cons = na * layer_rate
+            want = cons * cons_dt
             buf = buf + area - want
             shortfall = np.maximum(-buf, 0.0)
             buf = np.maximum(buf, 0.0)
@@ -291,30 +322,36 @@ class FlowClassBatch:
             stalled += shortfall
 
             # §2.2 drop rule at the tick, iteratively (bounded by the
-            # layer ceiling). A dropped layer discards at most its
-            # maintenance floor (top layers drain first).
-            for _ in range(cfg.max_layers):
-                deficit = na * cfg.layer_rate - self.rate
-                drainable = np.maximum(buf - base_floor, 0.0)
+            # layer ceiling), on the flows it can concern: the threshold
+            # is never negative, so only a draining flow can fire, and
+            # after the first pass only one that just fired. A dropped
+            # layer discards at most its maintenance floor (top layers
+            # drain first).
+            idx = ((na > 1) & (cons - rate >= -eps)).nonzero()[0]
+            while idx.size:
+                drainable = np.maximum(buf[idx] - base_floor, 0.0)
                 threshold = np.sqrt(2.0 * self.slope * drainable)
-                fire = (na > 1) & (deficit >= threshold - formulas.EPSILON)
+                layers = na[idx]
+                fire = (layers > 1) & (
+                    layers * layer_rate - rate[idx] >= threshold - eps)
                 if not fire.any():
                     break
-                loss = np.where(fire, np.minimum(drainable, floor), 0.0)
-                buf -= loss
-                discarded += loss
-                drops += fire.astype(np.int64)
-                na = na - fire.astype(np.int64)
+                idx = idx[fire]
+                loss = np.minimum(drainable[fire], floor)
+                buf[idx] -= loss
+                discarded[idx] += loss
+                drops[idx] += 1
+                na[idx] -= 1
 
-            # Buffer-only add, one layer per tick (the adapter's cadence).
-            filling = (t1 <= playout_at) | (
-                self.rate + formulas.EPSILON >= na * cfg.layer_rate)
-            can = filling & (na < cfg.max_layers)
-            if can.any():
-                required = self._add_requirement(self.rate, na)
-                grant = can & (buf - base_floor >= required)
-                adds += grant.astype(np.int64)
-                na = na + grant.astype(np.int64)
+            # Buffer-only add, one layer per tick (the adapter's
+            # cadence), for filling flows under the layer ceiling.
+            filling = (t1 <= playout_at) | (rate + eps >= na * layer_rate)
+            can = (filling & (na < cfg.max_layers)).nonzero()[0]
+            if can.size:
+                required = self._add_requirement(rate[can], na[can])
+                grant = can[buf[can] - base_floor >= required]
+                adds[grant] += 1
+                na[grant] += 1
 
             layer_time += na * dt
 
