@@ -64,11 +64,13 @@ class FlowMonitor:
         self._sampler = PeriodicSampler(sim, sample_period, self._sample)
 
     def _sample(self, now: float) -> None:
+        # A flow keeps its entry once seen: a silent window is a 0.0
+        # sample, not a gap the series' mean would skip.
         for flow_id, nbytes in self._window_bytes.items():
             series = self.throughput.setdefault(
                 flow_id, TimeSeries(f"flow{flow_id}"))
             series.record(now, nbytes / self.sample_period)
-        self._window_bytes = defaultdict(int)
+            self._window_bytes[flow_id] = 0
 
     # ------------------------------------------------------------ queries
 

@@ -149,13 +149,17 @@ class Tracer:
             )
         return ts
 
-    def record(self, name: str, time: float, value: float) -> None:
-        """Append a sample, creating the series on first use."""
+    def channel(self, name: str) -> TimeSeries:
+        """The series ``name``, created on first use; a periodic
+        producer looks its channels up once and appends from then on."""
         ts = self.series.get(name)
         if ts is None:
-            ts = TimeSeries(name)
-            self.series[name] = ts
-        ts.record(time, value)
+            ts = self.series[name] = TimeSeries(name)
+        return ts
+
+    def record(self, name: str, time: float, value: float) -> None:
+        """Append a sample, creating the series on first use."""
+        self.channel(name).record(time, value)
 
     def log_event(self, time: float, kind: str, **fields) -> None:
         """Record a discrete event (layer add/drop, underflow, ...)."""

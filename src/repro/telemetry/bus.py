@@ -66,7 +66,8 @@ class TelemetryBus:
     # ------------------------------------------------------------- sinks
 
     def record(self, name: str, time: float, value: float) -> None:
-        """Append a sample to channel ``name`` (dropped when disabled)."""
+        """Append one ad-hoc sample to channel ``name`` (dropped when
+        disabled); a probe's periodic samples go through ``Probe.store``."""
         if self.enabled:
             self.tracer.record(name, time, value)
 

@@ -25,6 +25,7 @@ into gauges.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Callable, Optional, Sequence, Union
 
 LabelValue = Union[str, int, float]
@@ -38,7 +39,10 @@ DEFAULT_BUCKETS = (
 
 
 def _format_value(value: float) -> str:
-    """Deterministic sample rendering: ints stay integral."""
+    """Deterministic sample rendering: ints stay integral, non-finite
+    values are spelled as the exposition format spells them."""
+    if not math.isfinite(value):
+        return "NaN" if value != value else "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

@@ -1,15 +1,18 @@
 """Probes: the telemetry channels a bus can sample.
 
-Each probe is a small object with a desired sampling ``period`` and a
-``sample(now)`` method that pushes values into its bus. Probes are inert
-until subscribed; a disabled bus registers them without ever sampling.
+Each probe is a small object with a desired sampling ``period``, the
+names of its ``channels()`` and a ``sample(now)`` method that stores one
+value per channel: names are formatted and looked up on the first sample
+only. Probes are inert until subscribed; a disabled bus registers them
+without ever sampling.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.sim.link import Link
+from repro.sim.trace import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry.bus import TelemetryBus
@@ -23,12 +26,39 @@ class Probe:
             raise ValueError("period must be positive")
         self.period = period
         self.bus: Optional["TelemetryBus"] = None
+        self._series: Optional[list[TimeSeries]] = None
 
     def bind(self, bus: "TelemetryBus") -> None:
         self.bus = bus
 
     def sample(self, now: float) -> None:
         raise NotImplementedError
+
+    def channels(self) -> list[str]:
+        """Channel names, in the order :meth:`sample` stores values."""
+        raise NotImplementedError
+
+    def store(self, now: float, values: Sequence[float]) -> None:
+        """Append ``values``, one per channel, at time ``now``.
+
+        The first call resolves the channels to their series, so each
+        enters ``tracer.series`` with its first sample; they then move
+        in lockstep, so the first one's time check covers them all.
+        """
+        series = self._series
+        if series is None:
+            bus = self.bus
+            assert bus is not None, "probe sampled before subscribe()"
+            if not bus.enabled:
+                return
+            channel = bus.tracer.channel
+            series = self._series = [channel(n) for n in self.channels()]
+        pairs = zip(series, values)
+        first, value = next(pairs)
+        first.record(now, value)
+        for ts, value in pairs:
+            ts.times.append(now)
+            ts.values.append(value)
 
 
 class SessionProbe(Probe):
@@ -62,38 +92,38 @@ class SessionProbe(Probe):
         self._last_consumed = [0.0] * max_layers
         self._last_delivered = [0.0] * max_layers
 
+    def channels(self) -> list[str]:
+        pre = self.prefix
+        names = [f"{pre}{name}" for name in (
+            "rate", "consumption", "layers", "total_buffer", "srtt")]
+        for i in range(self.server.config.max_layers):
+            names += [f"{pre}send_rate_L{i}", f"{pre}drain_rate_L{i}",
+                      f"{pre}buffer_L{i}", f"{pre}buffer_est_L{i}"]
+        return names
+
     def sample(self, now: float) -> None:
-        bus = self.bus
-        assert bus is not None, "probe sampled before subscribe()"
         adapter = self.server.adapter
         playout = self.client.playout
         playout.advance(now)
 
-        pre = self.prefix
-        bus.record(f"{pre}rate", now, self.server.rap.rate)
-        bus.record(f"{pre}consumption", now, adapter.consumption)
-        bus.record(f"{pre}layers", now, adapter.active_layers)
-        bus.record(f"{pre}total_buffer", now, playout.total_buffered())
-        bus.record(f"{pre}srtt", now, self.server.rap.srtt)
-
+        rap = self.server.rap
+        values = [rap.rate, adapter.consumption, adapter.active_layers,
+                  playout.total_buffered(), rap.srtt]
         dt = self.period
         for i in range(self.server.config.max_layers):
             sent = adapter.sent_bytes_per_layer[i]
-            bus.record(f"{pre}send_rate_L{i}", now,
-                       (sent - self._last_sent[i]) / dt)
-            self._last_sent[i] = sent
-
             consumed = playout.buffers.consumed(i)
             delivered = playout.buffers.delivered(i)
-            drain = max(0.0, (consumed - self._last_consumed[i])
-                        - (delivered - self._last_delivered[i])) / dt
-            bus.record(f"{pre}drain_rate_L{i}", now, drain)
+            values += (
+                (sent - self._last_sent[i]) / dt,
+                max(0.0, (consumed - self._last_consumed[i])
+                    - (delivered - self._last_delivered[i])) / dt,
+                playout.level(i),
+                adapter.buffers.level(i))
+            self._last_sent[i] = sent
             self._last_consumed[i] = consumed
             self._last_delivered[i] = delivered
-
-            bus.record(f"{pre}buffer_L{i}", now, playout.level(i))
-            bus.record(f"{pre}buffer_est_L{i}", now,
-                       adapter.buffers.level(i))
+        self.store(now, values)
 
 
 class QueueOccupancyProbe(Probe):
@@ -109,13 +139,13 @@ class QueueOccupancyProbe(Probe):
         self.link = link
         self.name = name
 
+    def channels(self) -> list[str]:
+        return [f"{self.name}_{what}" for what in ("qlen", "qbytes", "drops")]
+
     def sample(self, now: float) -> None:
-        bus = self.bus
-        assert bus is not None, "probe sampled before subscribe()"
         queue = self.link.queue
-        bus.record(f"{self.name}_qlen", now, float(len(queue)))
-        bus.record(f"{self.name}_qbytes", now, float(queue.byte_length))
-        bus.record(f"{self.name}_drops", now, float(queue.drops))
+        self.store(now, (float(len(queue)), float(queue.byte_length),
+                         float(queue.drops)))
 
 
 class TransportRateProbe(Probe):
@@ -127,7 +157,8 @@ class TransportRateProbe(Probe):
         self.transport = transport
         self.channel = channel
 
+    def channels(self) -> list[str]:
+        return [self.channel]
+
     def sample(self, now: float) -> None:
-        bus = self.bus
-        assert bus is not None, "probe sampled before subscribe()"
-        bus.record(self.channel, now, self.transport.rate)
+        self.store(now, (self.transport.rate,))

@@ -33,16 +33,16 @@ span recorded through a given hook always gets the same id.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Mapping, Optional
 
 from repro.sim.rng import derive_seed
 from repro.telemetry.recorder import SignalRing, json_line, tally
 
 #: ``(start, end, name, fields)`` — what a producer hands the recorder.
-#: Returns the new span's id so producers can link follow-up spans.
 #: The producer's identity (``source``) and trace membership
 #: (``TraceContext``) are bound into the hook itself.
-SpanHook = Callable[[float, float, str, Mapping[str, object]], str]
+SpanHook = Callable[[float, float, str, Mapping[str, object]], None]
 
 #: Key under which a trace context travels in HELLO/WELCOME JSON
 #: options — absent entirely when tracing is off, so traced and
@@ -135,15 +135,15 @@ class TraceContext:
 
 
 class Span:
-    """One timed operation inside a trace."""
+    """One timed operation inside a trace (its source's ``n``-th)."""
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "source", "name",
-                 "start", "end", "fields")
+    __slots__ = ("trace_id", "n", "parent_id", "source", "name",
+                 "start", "end", "fields", "_span_id")
 
     def __init__(
         self,
         trace_id: str,
-        span_id: str,
+        n: int,
         parent_id: str,
         source: str,
         name: str,
@@ -152,13 +152,24 @@ class Span:
         fields: Mapping[str, object],
     ) -> None:
         self.trace_id = trace_id
-        self.span_id = span_id
+        self.n = n
         self.parent_id = parent_id
         self.source = source
         self.name = name
         self.start = start
         self.end = end
         self.fields = dict(fields)
+        self._span_id: Optional[str] = None
+
+    @property
+    def span_id(self) -> str:
+        """A pure function of ``(trace, source, n)``, hashed on first
+        read: a span nobody exports or queries by id never pays it."""
+        span_id = self._span_id
+        if span_id is None:
+            span_id = self._span_id = _hex_id(
+                int(self.trace_id, 16), self.source, self.n)
+        return span_id
 
     @property
     def duration(self) -> float:
@@ -190,9 +201,11 @@ class Span:
 class SpanRecorder(SignalRing[Span]):
     """The span sink: a :class:`SignalRing` of :class:`Span`.
 
-    Span ids derive from the owning trace id and a per-hook counter, so
-    the n-th span a hook records is identical across runs — bind one
-    hook per ``(source, context)`` pair to keep that property.
+    Span ids derive from the owning trace id, the source and a per-hook
+    counter, so the n-th span a hook records is identical across runs —
+    bind one hook per ``(source, context)`` pair to keep that property.
+    The hook only stores the counter; :attr:`Span.span_id` does the
+    hashing when an export, a merge or a query first reads it.
     """
 
     # ---------------------------------------------------------- recording
@@ -207,18 +220,15 @@ class SpanRecorder(SignalRing[Span]):
         """
         if not self.enabled:
             return None
-        trace_seed = int(context.trace_id, 16)
-        sequence = [0]
+        trace_id, parent_id = context.trace_id, context.span_id
+        sequence = count()
 
         def _record(start: float, end: float, name: str,
-                    fields: Mapping[str, object]) -> str:
-            span_id = _hex_id(trace_seed, source, sequence[0])
-            sequence[0] += 1
+                    fields: Mapping[str, object]) -> None:
             self._entries.append(Span(
-                context.trace_id, span_id, context.span_id,
+                trace_id, next(sequence), parent_id,
                 source, name, start, end, fields))
             self._accepted += 1
-            return span_id
 
         return _record
 

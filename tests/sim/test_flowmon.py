@@ -60,6 +60,25 @@ class TestFlowMonitor:
         series = monitor.throughput[source.flow_id]
         assert len(series) >= 8
 
+    def test_a_silent_window_is_a_zero_sample(self, sim):
+        """A flow that stops keeps being sampled, at 0.0: its series
+        used to end with its last packet, so ``mean()`` read 30 000 B/s
+        against a true 12 500 and ``value_at(5.0)`` the last busy
+        window's 21 000."""
+        net = Dumbbell(sim, DumbbellConfig(
+            n_pairs=1, bottleneck_bandwidth=50_000))
+        monitor = FlowMonitor(sim, net.bottleneck, sample_period=0.5)
+        src, dst = net.pair(0)
+        source = RapSource(sim, src, dst.name, packet_size=500, stop=2.0)
+        RapSink(sim, dst, src.name, source.flow_id)
+        sim.run(until=6.0)
+        series = monitor.throughput[source.flow_id]
+        assert series.times == [0.5 * k for k in range(1, 13)]
+        assert series.values[4] > 0 and series.values[5:] == [0.0] * 7
+        assert series.value_at(5.0) == 0.0
+        assert series.mean() == pytest.approx(
+            monitor.mean_rate(source.flow_id))
+
     def test_rap_and_tcp_share_reasonably(self, sim):
         """The fairness claim behind the whole paper: RAP is
         TCP-friendly enough that neither protocol starves."""

@@ -89,3 +89,27 @@ def test_queue_occupancy_probe_channels(sim):
     sim.run(until=0.35)
     for channel in ("hop0_qlen", "hop0_qbytes", "hop0_drops"):
         assert len(bus.series(channel).times) == 4
+
+
+def test_a_probe_refuses_a_sample_from_the_past_whole(sim):
+    link = Link(sim, bandwidth=10_000, delay=0.01,
+                queue=DropTailQueue(4), name="l")
+    bus = TelemetryBus(sim)
+    probe = QueueOccupancyProbe(link, name="hop0")
+    probe.bind(bus)
+    probe.sample(1.0)
+    with pytest.raises(ValueError, match="hop0_qlen: time went backwards"):
+        probe.sample(0.5)
+    # One check for the probe's channels, before any of them is written.
+    assert [series.times for series in bus.tracer.series.values()] \
+        == [[1.0]] * 3
+
+
+def test_a_probe_on_a_disabled_bus_creates_no_series(sim):
+    link = Link(sim, bandwidth=10_000, delay=0.01,
+                queue=DropTailQueue(4), name="l")
+    bus = TelemetryBus(sim, enabled=False)
+    probe = QueueOccupancyProbe(link, name="hop0")
+    bus.subscribe(probe)
+    probe.sample(0.0)
+    assert bus.tracer.series == {}

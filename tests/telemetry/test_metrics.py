@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
@@ -117,6 +119,30 @@ class TestPrometheus:
             "# TYPE tx_bytes counter\n"
             'tx_bytes{link="l0"} 1500\n'
         )
+
+    def test_non_finite_values_export(self):
+        """One NaN or infinite gauge (a 0/0 ratio, an unbounded
+        estimate) or histogram sum must not take ``/metrics`` down."""
+        registry = MetricsRegistry()
+        for flow, value in (("a", math.nan), ("b", math.inf),
+                            ("c", -math.inf)):
+            registry.gauge("g", flow=flow).set(value)
+        registry.histogram("h", buckets=(1.0,)).observe(math.inf)
+        assert registry.to_prometheus() == (
+            "# TYPE g gauge\n"
+            'g{flow="a"} NaN\n'
+            'g{flow="b"} +Inf\n'
+            'g{flow="c"} -Inf\n'
+            "# TYPE h histogram\n"
+            'h_bucket{le="1.0"} 0\n'
+            'h_bucket{le="+Inf"} 1\n'
+            "h_sum +Inf\n"
+            "h_count 1\n"
+        )
+        snap = registry.snapshot()
+        nan, pos, neg = (s["value"] for s in snap["g"]["samples"])
+        assert math.isnan(nan) and pos == math.inf and neg == -math.inf
+        assert snap["h"]["samples"][0]["sum"] == math.inf
 
     def test_exports_are_deterministic(self):
         def build() -> MetricsRegistry:
