@@ -14,7 +14,9 @@ closed form:
   *residual* functions of ``t`` built from :mod:`repro.core.formulas`;
   their crossing instants are located by bracketing the residual on a
   coarse grid of closed-form evaluations and bisecting
-  (:func:`first_crossing`) — no per-packet events anywhere.
+  (:func:`first_crossing`) — no per-packet events anywhere. The
+  bracket is a binary search: a caller owes it a residual that changes
+  sign upward at most once inside the window (contract in its docstring).
 
 :mod:`repro.sim.fluid` drives these helpers per flow;
 :mod:`repro.sim.fluid_batch` re-derives the same forms vectorized over
@@ -35,9 +37,8 @@ from repro.core.states import kmax_targets
 from repro.core.tolerances import TIME_TOLERANCE as TIME_TOLERANCE
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2, Seconds
 
-#: Default grid density for :func:`first_crossing`. Residuals are smooth
-#: between epochs (piecewise quadratic at worst), so a modest scan plus
-#: bisection locates every sign change that matters.
+#: Default grid density for :func:`first_crossing`: the answer is
+#: defined on this grid, whichever way its cell is found.
 SCAN_POINTS = 64
 
 
@@ -97,7 +98,7 @@ def add_requirement(rate: BytesPerSec, config: QAConfig,
     :func:`split_total`): every per-layer target of the ``K_max``
     sequence is met, and §2.1's condition 2 (one further backoff with
     the new layer) holds, exactly when the *total* clears this level.
-    Probed at every scan and bisection step of the add residual, so the
+    Probed at every bracket and bisection step of the add residual, so the
     targets come from :func:`repro.core.states.kmax_targets`, not from
     a state sequence built per probe.
     """
@@ -176,32 +177,47 @@ def first_crossing(residual: Callable[[Seconds], float],
                    tol: Seconds = TIME_TOLERANCE) -> Optional[Seconds]:
     """Earliest ``t`` in ``(lo, hi]`` where ``residual(t) >= 0``.
 
-    The residual is assumed smooth between epochs (it is built from the
-    closed forms above). A coarse scan brackets the first sign change;
-    bisection then pins it to ``tol``. Returns ``None`` when the
-    residual stays negative over the whole window. A residual already
-    non-negative at ``lo`` reports ``lo`` (the event is due now).
+    Defined on the grid ``lo + i*(hi - lo)/points`` with ``hi`` as its
+    last point: the first non-negative grid point closes a cell, which
+    is bisected to ``tol``; ``None`` when there is none. A residual
+    already non-negative at ``lo`` reports ``lo`` (the event is due now).
+
+    **Contract.** The window holds no epoch, and the residual changes
+    sign upward *at most once strictly before* ``hi`` and never downward
+    there (docs/MECHANISM.md §10 derives this for the three residuals of
+    :mod:`repro.sim.fluid`). The cell is then found by binary search
+    over the grid indices — 3 probes for an empty window. ``hi`` may sit
+    on a phase boundary in float dust of either sign, so it is probed on
+    its own and never rules out a crossing before it. A residual with
+    two upward changes is out of contract: which one is reported is
+    unspecified, not searched for.
     """
     if hi <= lo:
         return None
     if residual(lo) >= 0.0:
         return lo
     step: Seconds = (hi - lo) / points
-    prev: Seconds = lo
-    for i in range(1, points + 1):
-        t: Seconds = hi if i == points else lo + i * step
-        if residual(t) >= 0.0:
-            # Bracketed in (prev, t]: bisect.
-            a, b = prev, t
-            while b - a > tol:
-                mid: Seconds = 0.5 * (a + b)
-                if residual(mid) >= 0.0:
-                    b = mid
-                else:
-                    a = mid
-            return b
-        prev = t
-    return None
+    # Grid indices: ``below`` is known negative, ``above`` non-negative.
+    below, above = 0, points - 1
+    a, b = lo + above * step, hi
+    if residual(a) >= 0.0:
+        while above - below > 1:
+            index = (below + above) // 2
+            if residual(lo + index * step) >= 0.0:
+                above = index
+            else:
+                below = index
+        a, b = lo + below * step, lo + above * step
+    elif residual(hi) < 0.0:
+        return None
+    # Bracketed in (a, b]: bisect.
+    while b - a > tol:
+        mid: Seconds = 0.5 * (a + b)
+        if residual(mid) >= 0.0:
+            b = mid
+        else:
+            a = mid
+    return b
 
 
 def conservation_error(sent: Bytes, consumed: Bytes, discarded: Bytes,

@@ -167,6 +167,9 @@ class ServiceSession:
         self.queue_drops = 0
         self.data_sent = 0
         self.started = now
+        #: The reaper's clock (HELLO, plausible ACKs): the pacer's
+        #: ``last_ack_time`` restarts at every RTO backstop.
+        self.last_heard = now
         self.done = False
         self._drain_period = self.core.config.drain_period
         self._next_tick = now + self._drain_period
@@ -229,6 +232,7 @@ class ServiceSession:
         # The pacer protects itself from an impossible ACK either way;
         # here it only decides what the service counts and measures.
         if self.pacer.plausible(frame.acked_seq, frame.echo_ts, now):
+            self.last_heard = now
             self.service.observe_feedback_latency(now - frame.echo_ts)
         else:
             self.service.count("malformed_frames")
@@ -252,7 +256,7 @@ class ServiceSession:
                 self._next_tick += self._drain_period
             if self.pacer.send_due(now):
                 self._send_data(now)  # repro-lint: disable=RL014
-            if now - self.pacer.last_ack_time > timeout:
+            if now - self.last_heard > timeout:
                 service.expire_session(self)
                 return
             now = service.now()

@@ -95,9 +95,10 @@ def test_summary_reports_trace_derived_means():
 
 # ---------------------------------------------------------------- pins
 #
-# Recorded at commit c48acff, where every probe of the add residual
-# built a StateSequence and re-read the sawtooth anchor. The kernel and
-# the window binding promise the same floats, so ``==`` and no tolerance.
+# The first three were recorded at commit c48acff, where every probe of
+# the add residual built a StateSequence and re-read the sawtooth
+# anchor. The kernel and the window binding promise the same floats, so
+# ``==`` and no tolerance.
 
 
 def seeded_backoffs(seed, count, lo, hi):
@@ -136,6 +137,40 @@ PINNED_RUNS = {
         (12, 186272.38769678405, 28927.919646149436, 2,
          [(11.201297398871155, 1), (56.90853822279537, 1)],
          [(13.197820761606941, 1)])),
+    # Recorded at commit 345922d, where ``first_crossing`` walked all 64
+    # grid points. Decision slope 5x the scripted one: the rule residual
+    # reaches ``t_fill`` as float dust (-1.8e-12 at 44.72 s, after the
+    # drop at 40.26 s), the case that forbids trusting ``residual(hi)``.
+    "dust": (
+        dict(initial_rate=14_000.0, slope=1000.0, max_rate=40_000.0,
+             backoffs=seeded_backoffs(14, 8, 5.0, 85.0), duration=90.0,
+             layer_rate=2500.0, max_layers=8, k_max=2, startup_delay=1.0,
+             slope_override=5000.0),
+        (38, 1670657.8153383497, 66143.08847571391, 8,
+         [(0.2126704454421997, 1), (0.22731701751325772, 2),
+          (0.3203748157634231, 3), (0.5001045811292592, 4),
+          (0.7917973857650967, 5), (2.618557904266401, 6),
+          (6.38614830257746, 7), (25.20789547949773, 5),
+          (27.145063786698437, 6), (29.61331187558483, 7),
+          (46.081895201235184, 5), (47.93269178497246, 6),
+          (50.348957880383864, 7), (60.27035155657185, 6),
+          (61.9753878305473, 7)],
+         [(19.172048667855844, 7), (19.94412439685861, 6),
+          (20.865677036425375, 5), (38.668232366177506, 7),
+          (39.41741872859622, 6), (40.25612089450398, 5),
+          (53.10595647466752, 7), (53.95657378230469, 6)])),
+    # Same commit. Capped below the five-layer consumption: the fifth
+    # layer "drains forever" on the plateau until the rule drops it.
+    "plateau": (
+        dict(initial_rate=9_000.0, slope=800.0, max_rate=11_000.0,
+             backoffs=seeded_backoffs(15, 5, 5.0, 75.0), duration=80.0,
+             layer_rate=2500.0, max_layers=6, k_max=2, startup_delay=1.0),
+        (16, 771201.7030389836, 9755.6473875968, 4,
+         [(0.337521493434906, 1), (0.8030052708435989, 2),
+          (3.457589311372046, 3), (20.612691809735196, 3),
+          (42.48769167930817, 4), (68.44017063501596, 3)],
+         [(9.921197463302319, 3), (54.47129390945561, 4),
+          (58.18407432322818, 3)])),
 }
 
 
