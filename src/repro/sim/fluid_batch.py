@@ -23,19 +23,23 @@ two per-flow exact forms with vectorized bounds:
 
 Everything else — capped-ramp integrals, the §2.2 drop inequality,
 stall bookkeeping — is the same closed forms as the scalar engine,
-applied elementwise. Flows never interact, so results are independent
-of batch partitioning: running a class in two halves and concatenating
-is bit-identical to one batch (the seed-split differential test).
+applied elementwise. One class means one rule: the buffer-only add at
+the scripted ``slope``; a config asking for another ``add_rule`` or a
+``slope_override`` is rejected, not simulated as something else. Flows
+never interact, so results are independent of batch partitioning:
+running a class in two halves and concatenating is bit-identical to one
+batch (the seed-split differential test).
 
-A window does dense work only where every flow needs it: one ramp
-across the window and the consumption/stall bookkeeping. The paper ties
-each rule to a phase, and the window follows it: the ramp is split and
-halved only for flows whose next scripted backoff falls inside the
-window, the drop rule runs on flows that are draining (``na*C - R >=
--EPSILON`` and more than one layer; then on those that just fired), and
-the add requirement is computed for filling flows under the layer
-ceiling. Windows tile ``[0, duration]``; the last one is shorter when
-``duration`` is not a multiple of ``step``.
+A window does dense work only where every flow needs it — one ramp
+across the window, the consumption/stall bookkeeping — and puts before
+each rule the cheapest condition that can rule it out: the ramp is split
+and halved only for flows whose next scripted backoff falls inside the
+window; the drop rule is one comparison over every flow, then over those
+that just fired; the add requirement is computed for the flows that hold
+its first term (a term of a ``max``, so an exact lower bound) and are
+filling under the layer ceiling. ``na*C`` is state, written where a
+layer is added or dropped. Windows tile ``[0, duration]``; the last one
+is shorter when ``duration`` is not a multiple of ``step``.
 """
 
 from __future__ import annotations
@@ -151,6 +155,11 @@ class FlowClassBatch:
             raise ValueError("n_flows must be positive")
         if duration <= 0 or step <= 0:
             raise ValueError("duration and step must be positive")
+        if config.add_rule != "buffer_only":
+            raise ValueError(
+                f"add_rule={config.add_rule!r}: the batch is buffer_only")
+        if config.slope_override is not None:
+            raise ValueError("slope_override is set: the batch takes slope")
         self.config = config
         self.n = n_flows
         self.slope = float(slope)
@@ -211,8 +220,14 @@ class FlowClassBatch:
 
     def _ramp_area(self, r0: np.ndarray,
                    dt: "np.ndarray | float") -> np.ndarray:
-        """Exact ``∫ r dt`` of the capped ramp, elementwise."""
-        if self.max_rate is None:
+        """Exact ``∫ r dt`` of the capped ramp, elementwise.
+
+        If no flow reaches the cap within a shared ``dt``, ``t_cap`` is
+        ``dt`` and the plateau adds ``0.0``: the uncapped form, exactly.
+        """
+        if self.max_rate is None or (
+                np.ndim(dt) == 0
+                and (self.max_rate - r0.max()) / self.slope >= dt):
             return r0 * dt + 0.5 * self.slope * dt * dt
         t_cap = ((self.max_rate - r0) / self.slope).clip(0.0, dt)
         ramp = r0 * t_cap + 0.5 * self.slope * t_cap * t_cap
@@ -269,6 +284,8 @@ class FlowClassBatch:
         next_backoff = (self.backoffs[:, 0].copy() if pad
                         else np.full(n, np.inf, dtype=np.float64))
         na = np.ones(n, dtype=np.int64)
+        # na * C, kept: it moves only where a layer is added or dropped.
+        cons = na * layer_rate
         buf = np.zeros(n, dtype=np.float64)
         sent = np.zeros(n, dtype=np.float64)
         consumed = np.zeros(n, dtype=np.float64)
@@ -278,6 +295,8 @@ class FlowClassBatch:
         drops = np.zeros(n, dtype=np.int64)
         layer_time = np.zeros(n, dtype=np.float64)
         playout_at = cfg.startup_delay
+        two_s = 2.0 * self.slope
+        last_state = 2.0 ** cfg.k_max
         # Whole windows plus a shorter last one; the guard keeps float
         # dust in the quotient (1.1 / 0.1) from becoming a window.
         n_steps = max(1, math.ceil(self.duration / step - 1e-9))
@@ -313,45 +332,56 @@ class FlowClassBatch:
             # Consumption covers the playout-overlapping part of the
             # window; the shortfall clamp is the stall/underflow path.
             cons_dt = min(max(t1 - max(t0, playout_at), 0.0), dt)
-            cons = na * layer_rate
             want = cons * cons_dt
-            buf = buf + area - want
+            buf += area
+            buf -= want
             shortfall = np.maximum(-buf, 0.0)
-            buf = np.maximum(buf, 0.0)
+            np.maximum(buf, 0.0, out=buf)
             consumed += want - shortfall
             stalled += shortfall
 
             # §2.2 drop rule at the tick, iteratively (bounded by the
-            # layer ceiling), on the flows it can concern: the threshold
-            # is never negative, so only a draining flow can fire, and
-            # after the first pass only one that just fired. A dropped
-            # layer discards at most its maintenance floor (top layers
-            # drain first).
-            idx = ((na > 1) & (cons - rate >= -eps)).nonzero()[0]
+            # layer ceiling): one comparison over every flow (the
+            # threshold is never negative, so a flow that is not
+            # draining cannot pass it), then only the flows that just
+            # fired. A dropped layer discards at most its maintenance
+            # floor (top layers drain first).
+            have = buf - base_floor
+            drainable = np.maximum(have, 0.0)
+            idx = ((na > 1) & (cons - rate >= np.sqrt(two_s * drainable)
+                               - eps)).nonzero()[0]
+            drainable = drainable[idx]
             while idx.size:
-                drainable = np.maximum(buf[idx] - base_floor, 0.0)
-                threshold = np.sqrt(2.0 * self.slope * drainable)
-                layers = na[idx]
-                fire = (layers > 1) & (
-                    layers * layer_rate - rate[idx] >= threshold - eps)
-                if not fire.any():
-                    break
-                idx = idx[fire]
-                loss = np.minimum(drainable[fire], floor)
+                loss = np.minimum(drainable, floor)
                 buf[idx] -= loss
                 discarded[idx] += loss
                 drops[idx] += 1
-                na[idx] -= 1
+                layers = na[idx] - 1
+                na[idx] = layers
+                cons[idx] = left = layers * layer_rate
+                have[idx] = room = buf[idx] - base_floor
+                drainable = np.maximum(room, 0.0)
+                fire = (layers > 1) & (
+                    left - rate[idx] >= np.sqrt(two_s * drainable) - eps)
+                idx = idx[fire]
+                drainable = drainable[fire]
 
             # Buffer-only add, one layer per tick (the adapter's
-            # cadence), for filling flows under the layer ceiling.
-            filling = (t1 <= playout_at) | (rate + eps >= na * layer_rate)
-            can = (filling & (na < cfg.max_layers)).nonzero()[0]
+            # cadence). ``_add_requirement`` is a max whose first term
+            # is the K_max scenario-1 total: only a flow holding that
+            # much can be granted, and only those are asked about the
+            # ceiling, about filling and for the full requirement.
+            bound = np.maximum(cons - rate / last_state, 0.0)
+            maybe = (have >= bound * bound / two_s).nonzero()[0]
+            can = maybe[(na[maybe] < cfg.max_layers) & (
+                (t1 <= playout_at) | (rate[maybe] + eps >= cons[maybe]))]
             if can.size:
                 required = self._add_requirement(rate[can], na[can])
-                grant = can[buf[can] - base_floor >= required]
+                grant = can[have[can] >= required]
                 adds[grant] += 1
-                na[grant] += 1
+                layers = na[grant] + 1
+                na[grant] = layers
+                cons[grant] = layers * layer_rate
 
             layer_time += na * dt
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import QAConfig
+from repro.experiments.flock_scale import batch_config
 from repro.sim.fluid_batch import (
     BatchResult,
     FlowClassBatch,
@@ -28,6 +29,25 @@ def test_rejects_bad_shapes_and_spacing():
     with pytest.raises(ValueError):
         FlowClassBatch(CONFIG, 4, 1000.0, 20_000.0, tight, 10.0,
                        step=0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("add_rule", "buffer_and_rate"),
+    ("add_rule", "average_bandwidth"),
+    ("slope_override", 1000.0),
+])
+def test_rejects_a_config_it_would_not_honour(field, value):
+    # FluidEngine honours both fields; the batch is one rule at the
+    # scripted slope and must say so rather than run as buffer_only.
+    config = CONFIG.with_(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        FlowClassBatch(config, 4, 1000.0, 20_000.0,
+                       np.full((4, 2), np.inf), 10.0)
+
+
+def test_the_flock_config_is_one_it_honours():
+    assert FlowClassBatch.jittered(batch_config(), 4, slope=1000.0,
+                                   duration=10.0).n == 4
 
 
 def test_jittered_population_runs_and_conserves():

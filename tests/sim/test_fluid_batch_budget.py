@@ -1,9 +1,16 @@
 """How many elements a batch run hands to its closed forms, pinned.
 
-A window ramps every flow once; the back-off split, the §2.2 drop rule
-and the add requirement are evaluated only for the flows they can
-concern. Dense evaluation (every form over every flow in every window)
-is the cost these counts keep out.
+A window ramps every flow once; the back-off split is evaluated only
+for the flows with a back-off in the window, and the add requirement
+only for the flows that hold its first term — the K_max scenario-1
+total, tested densely without ``log2`` or a gather — and are filling
+under the layer ceiling. Dense evaluation (every form over every flow
+in every window) is the cost these counts keep out.
+
+One ``fluid_flock`` pass (10 000 flows, 150 s, seed 1, sub-seed 0) hands
+``_add_requirement`` 153 712 elements to grant 117 898 adds; asking
+every filling flow under the ceiling, as the window did before the
+bound, hands it 7 444 831.
 """
 
 from __future__ import annotations
@@ -52,9 +59,10 @@ def test_each_closed_form_sees_only_the_flows_it_concerns(handed):
     # One dense ramp per window, two legs per scripted back-off.
     assert sum(handed["_ramp_area"]) == FLOWS * windows + 2 * backoffs
 
-    # The add requirement: filling flows under the layer ceiling, as the
-    # dense body counts them window by window.
+    # The add requirement: at least every flow that was granted a layer,
+    # at most a twentieth of the filling flows under the ceiling (what
+    # the dense body counts window by window).
     oracle.run()
-    seen = handed["_add_requirement"]
-    assert seen == [c for c in oracle.add_candidates if c]
-    assert sum(seen) < FLOWS * windows
+    seen = sum(handed["_add_requirement"])
+    assert result.adds.sum() <= seen <= 0.05 * sum(oracle.add_candidates)
+    assert seen == 1209
