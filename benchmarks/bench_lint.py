@@ -5,33 +5,27 @@ The lint gate runs on every CI push, so its wall-clock cost is a budget,
 not a curiosity: the whole-program flow rules (RL005-RL016) parse every
 file, build the project symbol tables, the call graph, and the async
 graph, and run the dataflow engine over every function — an accidental
-quadratic there would tax every commit. This script times four
+quadratic there would tax every commit. This script times two
 configurations over ``src/``:
 
 - ``per_file``: RL001-RL004 only (the pre-dataflow cost floor);
-- ``full``: all rules including the whole-program flow analysis;
-- ``cold``: all rules through a fresh incremental cache (analysis plus
-  the cost of writing the index);
-- ``warm``: the same run again -- a full cache hit that replays stored
-  findings without parsing a single file.
+- ``full``: all rules including the whole-program flow analysis.
 
-A fifth section, ``profile``, breaks the full run down per rule and
+A third section, ``profile``, breaks the full run down per rule and
 shared phase (``project:build``, ``project:asyncgraph``) so a budget
 regression names its culprit instead of just tripping the bound.
 
-The CI job fails if the quick full-tree run exceeds a hard wall-clock
-bound, keeping "lint the tree" an interactive-speed operation, and if
-the warm/cold speedup drops below 5x -- the incremental cache is only
-worth its complexity while it stays an order of magnitude off the cold
-path.
+The script exits non-zero when the report drifts from ``SCHEMA`` or
+the full-tree run exceeds ``FULL_BUDGET_S``, keeping "lint the tree" an
+interactive-speed operation; the ``benchmark-smoke`` CI job runs it
+with ``--quick`` and keys on that exit code.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_lint.py            # full
     PYTHONPATH=src python benchmarks/bench_lint.py --quick    # CI smoke
 
-The JSON schema is checked by the ``benchmark-smoke`` CI job; bump
-``SCHEMA`` and update that job when the layout changes.
+Bump ``SCHEMA`` when the layout changes.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import tempfile
 import time
 
 from repro.lint.cli import lint_paths
@@ -47,33 +40,31 @@ from repro.lint.profile import Profiler
 from repro.lint.rules import default_rules
 from repro.lint.rules.base import FlowRule
 
-SCHEMA = 3
+SCHEMA = 4
 
-#: Keys every report must carry, nested section by section. The CI smoke
-#: job fails when a produced report stops matching this shape.
+#: Wall-clock bound on the full-tree run, in seconds.
+FULL_BUDGET_S = 10.0
+
+#: Keys every report must carry, nested section by section. ``main``
+#: fails when a produced report stops matching this shape.
 REQUIRED_KEYS = {
     "schema": None,
     "quick": None,
     "per_file": ("files", "violations", "seconds", "files_per_sec"),
     "full": ("files", "violations", "seconds", "files_per_sec"),
-    "cold": ("files", "violations", "seconds", "files_per_sec"),
-    "warm": ("files", "violations", "seconds", "files_per_sec"),
-    "speedup": None,
     "profile": None,
 }
 
 _SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
-def bench_lint(
-    paths: list[str], flow: bool, cache_dir: pathlib.Path | None = None
-) -> dict:
+def bench_lint(paths: list[str], flow: bool) -> dict:
     """Lint ``paths`` once, with or without the whole-program rules."""
     rules = default_rules()
     if not flow:
         rules = tuple(r for r in rules if not isinstance(r, FlowRule))
     start = time.perf_counter()
-    violations, files = lint_paths(paths, rules=rules, cache_dir=cache_dir)
+    violations, files = lint_paths(paths, rules=rules)
     seconds = time.perf_counter() - start
     return {
         "files": files,
@@ -93,26 +84,8 @@ def best_of(repeats: int, fn, *args) -> dict:
     return best
 
 
-def bench_cache_pair(paths: list[str]) -> tuple[dict, dict]:
-    """One cold run through a fresh cache, then the warm full hit."""
-    with tempfile.TemporaryDirectory() as scratch:
-        cache_dir = pathlib.Path(scratch)
-        cold = bench_lint(paths, True, cache_dir=cache_dir)
-        warm = bench_lint(paths, True, cache_dir=cache_dir)
-    return cold, warm
-
-
 def run_report(quick: bool, paths: list[str]) -> dict:
     repeats = 1 if quick else 3
-    cold_best: dict | None = None
-    warm_best: dict | None = None
-    for _ in range(repeats):
-        cold, warm = bench_cache_pair(paths)
-        if cold_best is None or cold["seconds"] < cold_best["seconds"]:
-            cold_best = cold
-        if warm_best is None or warm["seconds"] < warm_best["seconds"]:
-            warm_best = warm
-    assert cold_best is not None and warm_best is not None
     profiler = Profiler()
     lint_paths(paths, rules=default_rules(), profiler=profiler)
     return {
@@ -120,9 +93,6 @@ def run_report(quick: bool, paths: list[str]) -> dict:
         "quick": quick,
         "per_file": best_of(repeats, bench_lint, paths, False),
         "full": best_of(repeats, bench_lint, paths, True),
-        "cold": cold_best,
-        "warm": warm_best,
-        "speedup": cold_best["seconds"] / warm_best["seconds"],
         "profile": profiler.report_json(),
     }
 
@@ -166,16 +136,16 @@ def main(argv=None) -> int:
     print(f"all rules      : {full['files_per_sec']:>8,.0f} files/s "
           f"({full['files']} files, {full['seconds']:.3f}s, "
           f"flow overhead {full['seconds'] - per_file['seconds']:.3f}s)")
-    cold, warm = report["cold"], report["warm"]
-    print(f"cold cache     : {cold['seconds']:.3f}s  "
-          f"warm cache: {warm['seconds']:.3f}s  "
-          f"speedup {report['speedup']:.1f}x")
     slowest = sorted(report["profile"].items(),
                      key=lambda item: -item[1])[:3]
     if slowest:
         print("slowest rules  : " + "  ".join(
             f"{label} {seconds:.3f}s" for label, seconds in slowest))
     print(f"wrote {target}")
+    if full["seconds"] > FULL_BUDGET_S:
+        print(f"full-tree lint took {full['seconds']:.1f}s (budget: "
+              f"{FULL_BUDGET_S:.0f}s); the flow analysis has regressed")
+        return 1
     return 0
 
 

@@ -7,20 +7,12 @@ paths match no Python files at all -- a misconfigured CI glob must not
 masquerade as a clean run. ``--changed`` with an empty diff *is* a
 legitimate clean state and exits 0.
 
-Per-file rules (RL001-RL004) run file by file; flow rules (RL005-RL012)
+Per-file rules (RL001-RL004) run file by file; flow rules (RL005-RL016)
 run once over a whole-program :class:`~repro.lint.flow.project.Project`
 built from every file in the run. ``--changed`` narrows the *report*,
 never the analysis: the project is still built from the full path set so
 cross-module reasoning stays sound, and only findings in files touched
 since HEAD (or untracked) are emitted.
-
-Runs are cached incrementally (see :mod:`repro.lint.cache`) under
-``.repro-cache/lint`` by default: a warm run with no edits replays the
-stored findings without parsing anything, and a run with edits
-re-analyzes only the changed files' import cones. ``--no-cache``
-disables it; the cache sits *beneath* ``--changed`` and
-``--show-suppressed``, which filter the replayed results exactly as
-they filter fresh ones.
 
 Syntax errors in checked files are reported as RL000 -- a file the
 analyzer cannot parse cannot be certified, so it fails the run.
@@ -35,9 +27,8 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.lint import cache as _cache
 from repro.lint.profile import Profiler
 from repro.lint.rules import default_rules
 from repro.lint.rules.base import FileContext, FlowRule, Rule
@@ -175,288 +166,6 @@ def _raw_violations(
     return found
 
 
-def _run_with_cache(
-    paths: Sequence[str],
-    rules: Sequence[Rule],
-    store: _cache.LintCache,
-    profiler: Optional[Profiler] = None,
-) -> tuple[list[FileEntry], list[Violation]]:
-    """Cache-aware equivalent of ``_load_files`` + ``_raw_violations``.
-
-    Returns (entries, raw violations). On a full hit -- identical file
-    set, every content digest matching -- nothing is parsed or
-    tokenized: entries carry ``ctx=None`` and suppressions rebuilt from
-    cached directives, and the stored raw findings are replayed. On a
-    partial hit everything is re-parsed (flow rules need the whole
-    project), but per-file rules re-run only where the environment
-    digest missed and cone-cacheable flow rules re-run only over their
-    dirty set: the dirty import cone for plain flow rules, the wider
-    async-dirty set (forward union reverse closure -- see
-    :func:`repro.lint.cache.async_digests`) for rules that consume the
-    async graph. Raw findings are cached pre-suppression; the caller
-    applies suppressions exactly as on the uncached path.
-    """
-    from repro.lint.flow.project import Project
-
-    prof = profiler if profiler is not None else Profiler()
-
-    files = iter_python_files(paths)
-    ruleset_sha = _cache.ruleset_digest(rules)
-    index = store.load(ruleset_sha)
-    cached_files: dict[str, Any] = index.get("files", {}) if index else {}
-
-    shas = {
-        path: _cache.content_sha(path.read_bytes()) for path, _ in files
-    }
-
-    def _matches(path: pathlib.Path, display: str) -> bool:
-        record = cached_files.get(str(path))
-        return (
-            record is not None
-            and record.get("source_sha") == shas[path]
-            and record.get("display") == display
-        )
-
-    if (
-        index is not None
-        and len(cached_files) == len(files)
-        and all(_matches(path, display) for path, display in files)
-    ):
-        # Full hit: replay without parsing a single file.
-        entries: list[FileEntry] = []
-        raw: list[Violation] = []
-        for path, display in files:
-            record = cached_files[str(path)]
-            syntax_violation = None
-            if record.get("syntax") is not None:
-                line, col, message = record["syntax"]
-                syntax_violation = Violation(
-                    path=display,
-                    line=int(line),
-                    col=int(col),
-                    code=SYNTAX_ERROR_CODE,
-                    message=message,
-                )
-                raw.append(syntax_violation)
-            entries.append(
-                FileEntry(
-                    path=path,
-                    display=display,
-                    suppressions=_cache.unpack_suppressions(
-                        record.get("directives", [])
-                    ),
-                    ctx=None,
-                    syntax_violation=syntax_violation,
-                )
-            )
-            for row in record.get("per_file", []):
-                raw.append(_cache.unpack_violation(row))
-            for row in record.get("flow", []):
-                raw.append(_cache.unpack_violation(row))
-            for row in record.get("flow_async", []):
-                raw.append(_cache.unpack_violation(row))
-        for row in (index.get("global") or {}).get("violations", []):
-            raw.append(_cache.unpack_violation(row))
-        return entries, raw
-
-    # Partial (or cold): parse everything, re-analyze selectively.
-    entries = [
-        _make_entry(path, display, path.read_bytes().decode("utf-8"))
-        for path, display in files
-    ]
-    per_file_rules = [r for r in rules if not isinstance(r, FlowRule)]
-    flow_rules = [r for r in rules if isinstance(r, FlowRule)]
-
-    env_shas: dict[str, str] = {}
-    per_file_found: dict[str, list[Violation]] = {}
-    raw = []
-    for entry in entries:
-        key = str(entry.path)
-        env_shas[key] = _cache.env_sha(shas[entry.path], entry.path)
-        if entry.syntax_violation is not None:
-            raw.append(entry.syntax_violation)
-            per_file_found[key] = []
-            continue
-        assert entry.ctx is not None
-        record = cached_files.get(key)
-        if (
-            record is not None
-            and record.get("env_sha") == env_shas[key]
-            and record.get("display") == entry.display
-        ):
-            found = [
-                _cache.unpack_violation(row)
-                for row in record.get("per_file", [])
-            ]
-        else:
-            found = []
-            for rule in per_file_rules:
-                if rule.applies_to(entry.ctx):
-                    with prof.measure(rule.code):
-                        found.extend(rule.check(entry.ctx))
-        per_file_found[key] = found
-        raw.extend(found)
-
-    flow_found: dict[str, list[Violation]] = {
-        str(entry.path): [] for entry in entries
-    }
-    async_found: dict[str, list[Violation]] = {
-        str(entry.path): [] for entry in entries
-    }
-    global_found: list[Violation] = []
-    cones: dict[str, str] = {}
-    async_cones: dict[str, str] = {}
-    module_of_path: dict[str, str] = {}
-    if flow_rules:
-        with prof.measure("project:build"):
-            project = Project.build(
-                [entry.ctx for entry in entries if entry.ctx is not None]
-            )
-        module_shas: dict[str, str] = {}
-        for name, info in project.modules.items():
-            module_of_path[str(info.ctx.path)] = name
-            module_shas[name] = shas[info.ctx.path]
-        import_graph = project.import_graph()
-        cones = _cache.cone_digests(import_graph, module_shas)
-        async_cones = _cache.async_digests(import_graph, module_shas)
-        key_of_display = {entry.display: str(entry.path) for entry in entries}
-
-        def _dirty_modules(
-            digests: dict[str, str], sha_key: str
-        ) -> set[str]:
-            out: set[str] = set()
-            for name, info in project.modules.items():
-                record = cached_files.get(str(info.ctx.path))
-                if (
-                    record is None
-                    or record.get(sha_key) != digests.get(name)
-                    or record.get("display") != info.ctx.display_path
-                ):
-                    out.add(name)
-            return out
-
-        dirty = _dirty_modules(cones, "cone_sha")
-        # Async facts also flow from importers (spawners, schedulers),
-        # so the async-dirty set uses the wider bidirectional digest.
-        # It is always a superset of ``dirty``.
-        dirty_async = _dirty_modules(async_cones, "async_sha") | dirty
-        # Files the project dropped (duplicate module stems) have no
-        # cone; any flow findings in them can never be replayed, so
-        # nothing to do -- they simply stay out of the flow sections.
-        shadowed = {
-            str(entry.path)
-            for entry in entries
-            if entry.ctx is not None
-            and str(entry.path) not in module_of_path
-        }
-
-        will_run_async = any(
-            rule.uses_async_facts
-            and (not rule.cone_cacheable or dirty_async or shadowed)
-            for rule in flow_rules
-        )
-        if will_run_async:
-            # Same label discipline as the uncached path: the shared
-            # graph's cost must not land on the first async rule.
-            with prof.measure("project:asyncgraph"):
-                project.asyncgraph()
-
-        def _run_group(
-            group: list[FlowRule],
-            dirty_set: set[str],
-            found_map: dict[str, list[Violation]],
-            section: str,
-        ) -> None:
-            """Re-run ``group`` over ``dirty_set``, replay the rest.
-
-            Findings land in ``found_map`` keyed by resolved path;
-            clean modules get their cached ``section`` rows instead.
-            """
-            for rule in group:
-                if not (dirty_set or shadowed):
-                    continue
-                only = frozenset(dirty_set) if not shadowed else None
-                with prof.measure(rule.code):
-                    found = rule.check_project(project, only=only)
-                for violation in found:
-                    key = key_of_display.get(violation.path)
-                    if key is None:  # defensive: never drop a finding
-                        global_found.append(violation)
-                    elif only is None and module_of_path.get(
-                        key
-                    ) not in dirty_set and key not in shadowed:
-                        continue  # clean module: cached copy replays below
-                    else:
-                        found_map[key].append(violation)
-            for name, info in project.modules.items():
-                if name in dirty_set:
-                    continue
-                record = cached_files.get(str(info.ctx.path))
-                if record is None:  # unreachable: clean implies cached
-                    continue
-                found_map[str(info.ctx.path)] = [
-                    _cache.unpack_violation(row)
-                    for row in record.get(section, [])
-                ]
-
-        for rule in flow_rules:
-            if not rule.cone_cacheable:
-                # Findings cross import cones (RL010): always re-run,
-                # stored whole-project.
-                with prof.measure(rule.code):
-                    global_found.extend(rule.check_project(project))
-        _run_group(
-            [r for r in flow_rules
-             if r.cone_cacheable and not r.uses_async_facts],
-            dirty, flow_found, "flow",
-        )
-        _run_group(
-            [r for r in flow_rules
-             if r.cone_cacheable and r.uses_async_facts],
-            dirty_async, async_found, "flow_async",
-        )
-        for entry in entries:
-            raw.extend(flow_found[str(entry.path)])
-            raw.extend(async_found[str(entry.path)])
-        raw.extend(global_found)
-
-    files_payload: dict[str, Any] = {}
-    for entry in entries:
-        key = str(entry.path)
-        syntax = None
-        if entry.syntax_violation is not None:
-            sv = entry.syntax_violation
-            syntax = [sv.line, sv.col, sv.message]
-        files_payload[key] = {
-            "display": entry.display,
-            "source_sha": shas[entry.path],
-            "env_sha": env_shas[key],
-            "cone_sha": cones.get(module_of_path.get(key, "")),
-            "async_sha": async_cones.get(module_of_path.get(key, "")),
-            "directives": _cache.pack_directives(entry.suppressions),
-            "syntax": syntax,
-            "per_file": [
-                _cache.pack_violation(v) for v in per_file_found[key]
-            ],
-            "flow": [_cache.pack_violation(v) for v in flow_found[key]],
-            "flow_async": [
-                _cache.pack_violation(v) for v in async_found[key]
-            ],
-        }
-    store.store(
-        ruleset_sha,
-        {
-            "files": files_payload,
-            "global": {
-                "violations": [
-                    _cache.pack_violation(v) for v in global_found
-                ]
-            },
-        },
-    )
-    return entries, raw
-
-
 def _apply_suppressions(
     raw: Sequence[Violation], entries: Sequence[FileEntry]
 ) -> list[Violation]:
@@ -471,63 +180,19 @@ def _apply_suppressions(
     ]
 
 
-def lint_file(
-    path: pathlib.Path, display_path: str, rules: Sequence[Rule]
-) -> list[Violation]:
-    """Unsuppressed violations in one file (per-file rules only).
-
-    Flow rules need the whole program and are skipped here; use
-    :func:`lint_paths` to run them.
-    """
-    source = path.read_text(encoding="utf-8")
-    suppressions = Suppressions.scan(source)
-    try:
-        tree = ast.parse(source, filename=display_path)
-    except SyntaxError as exc:
-        violation = Violation(
-            path=display_path,
-            line=exc.lineno or 1,
-            col=(exc.offset or 1) - 1,
-            code=SYNTAX_ERROR_CODE,
-            message=f"file does not parse: {exc.msg}",
-        )
-        if suppressions.covers(violation.code, violation.line):
-            return []
-        return [violation]
-    ctx = FileContext(
-        path=path, display_path=display_path, source=source, tree=tree
-    )
-    found: list[Violation] = []
-    for rule in rules:
-        if isinstance(rule, FlowRule) or not rule.applies_to(ctx):
-            continue
-        for violation in rule.check(ctx):
-            if not suppressions.covers(violation.code, violation.line):
-                found.append(violation)
-    return found
-
-
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    cache_dir: Optional[pathlib.Path] = None,
     profiler: Optional[Profiler] = None,
 ) -> tuple[list[Violation], int]:
     """Lint every Python file under ``paths``.
 
     Returns (violations sorted by location, number of files checked).
-    With ``cache_dir`` the incremental cache is consulted and updated;
-    without it every file is analyzed from scratch. ``profiler``
-    accumulates per-rule wall time when given.
+    ``profiler`` accumulates per-rule wall time when given.
     """
     active = tuple(rules) if rules is not None else default_rules()
-    if cache_dir is not None:
-        entries, raw = _run_with_cache(
-            paths, active, _cache.LintCache(cache_dir), profiler
-        )
-    else:
-        entries = _load_files(paths)
-        raw = _raw_violations(entries, active, profiler)
+    entries = _load_files(paths)
+    raw = _raw_violations(entries, active, profiler)
     return sorted(_apply_suppressions(raw, entries)), len(entries)
 
 
@@ -712,20 +377,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "'profile' section in --format json reports)"
         ),
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="analyze every file from scratch, ignoring the cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=_cache.DEFAULT_CACHE_DIR,
-        help=(
-            "incremental analysis cache location "
-            f"(default: {_cache.DEFAULT_CACHE_DIR})"
-        ),
-    )
     options = parser.parse_args(argv)
 
     if options.list_rules:
@@ -744,16 +395,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     profiler = Profiler() if options.profile else None
     try:
-        if options.no_cache:
-            entries = _load_files(options.paths)
-            raw = _raw_violations(entries, rules, profiler)
-        else:
-            entries, raw = _run_with_cache(
-                options.paths,
-                rules,
-                _cache.LintCache(pathlib.Path(options.cache_dir)),
-                profiler,
-            )
+        entries = _load_files(options.paths)
+        raw = _raw_violations(entries, rules, profiler)
     except FileNotFoundError as exc:
         print(f"repro-lint: no such file or directory: {exc}", file=sys.stderr)
         return 2

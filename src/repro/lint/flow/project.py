@@ -2,9 +2,9 @@
 
 A :class:`Project` is built once per lint run from every parsed file.
 It names each file as a dotted module (walking ``__init__.py`` packages
-upward), builds the project-internal import graph, and answers the
-questions flow rules ask: "what does this name refer to?", "what is the
-type of this annotation?", "what type does this attribute hold?".
+upward) and answers the questions flow rules ask: "what does this name
+refer to?", "what is the type of this annotation?", "what type does
+this attribute hold?".
 
 Resolution is deliberately conservative: anything that cannot be pinned
 down resolves to :data:`~repro.lint.flow.symbols.ANY`, and rules only
@@ -14,7 +14,6 @@ flag facts that are definitely wrong.
 from __future__ import annotations
 
 import ast
-import pathlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
@@ -119,28 +118,7 @@ class Project:
             self._asyncgraph = AsyncGraph.build(self)
         return self._asyncgraph
 
-    # ------------------------------------------------------------ imports
-
-    def import_graph(self) -> dict[str, set[str]]:
-        """Module -> set of *project-internal* modules it imports."""
-        graph: dict[str, set[str]] = {}
-        for name, info in self.modules.items():
-            edges: set[str] = set()
-            for target in info.symbols.imports.values():
-                owner = self._owning_module(target)
-                if owner is not None and owner != name:
-                    edges.add(owner)
-            graph[name] = edges
-        return graph
-
-    def _owning_module(self, dotted: str) -> Optional[str]:
-        """The project module a dotted import target lives in, if any."""
-        if dotted in self.modules:
-            return dotted
-        head, _, _ = dotted.rpartition(".")
-        if head and head in self.modules:
-            return head
-        return None
+    # --------------------------------------------------------- resolution
 
     def resolve_class(self, qualname: str) -> Optional[ClassInfo]:
         module, _, name = qualname.rpartition(".")
@@ -459,15 +437,9 @@ def _dotted(node: ast.expr) -> Optional[str]:
 
 
 def _module_name(ctx: FileContext) -> str:
-    return module_name_for_path(ctx.path)
-
-
-def module_name_for_path(path: "pathlib.Path") -> str:
-    """Dotted module name of ``path``, walking ``__init__.py`` packages.
-
-    Purely filesystem-based (no parsing), so the incremental cache can
-    name modules on the warm path without touching their ASTs.
-    """
+    """Dotted module name of ``ctx``'s file, walking ``__init__.py``
+    packages upward."""
+    path = ctx.path
     if path.stem == "__init__":
         parts: list[str] = []
         directory = path.parent

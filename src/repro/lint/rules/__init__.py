@@ -49,7 +49,7 @@ def default_rules() -> tuple[Rule, ...]:
 
     A factory (not a module-level tuple) because rules may memoize
     per-run state -- RL002 caches each experiments directory's registry
-    -- and invocations must not see each other's caches. RL005-RL012 are
+    -- and invocations must not see each other's caches. RL005-RL016 are
     :class:`FlowRule` subclasses: they run once per invocation over the
     whole-program :class:`~repro.lint.flow.project.Project` instead of
     file by file.

@@ -84,20 +84,11 @@ class FlowRule(Rule):
     unchanged.
     """
 
-    #: Whether per-module findings depend only on the module's import
-    #: closure. True for every flow rule except RL010, whose findings in
-    #: module B can depend on a *caller* in module A -- outside B's
-    #: closure -- so its results are cached under a whole-project key
-    #: instead of per-module cones.
-    cone_cacheable: ClassVar[bool] = True
-
     #: Whether findings consume the async fact layer
-    #: (:meth:`repro.lint.flow.project.Project.asyncgraph`). Async facts
-    #: flow both ways along call edges (a spawner types its target's
-    #: context; a callee's blocking site surfaces at the caller), so the
-    #: cache keys these rules on the *bidirectional* import closure --
-    #: :func:`repro.lint.cache.async_digests` -- instead of the forward
-    #: cone alone.
+    #: (:meth:`repro.lint.flow.project.Project.asyncgraph`). When any
+    #: active rule does, the CLI builds that shared graph up front under
+    #: its own ``--profile`` label, so its cost does not land on the
+    #: first async rule.
     uses_async_facts: ClassVar[bool] = False
 
     def applies_to(self, ctx: FileContext) -> bool:
@@ -107,18 +98,8 @@ class FlowRule(Rule):
         return []
 
     @abc.abstractmethod
-    def check_project(
-        self,
-        project: "Project",
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
-        """All violations of this rule across the project.
-
-        When ``only`` is given, restrict reporting to findings whose
-        *attribution module* (the module a finding's path belongs to) is
-        in the set -- the incremental cache supplies the dirty cone and
-        merges cached findings for the clean remainder.
-        """
+    def check_project(self, project: "Project") -> list[Violation]:
+        """All violations of this rule across the project."""
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

@@ -56,16 +56,10 @@ class SeedFlowRule(FlowRule):
         "streams interleave draws and break per-flow reproducibility"
     )
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         out: list[Violation] = []
         summaries = project.summaries()
         for name in sorted(project.modules):
-            if only is not None and name not in only:
-                continue
             if name == RNG_MODULE or not _imports_rng(project, name):
                 continue
             info = project.modules[name]

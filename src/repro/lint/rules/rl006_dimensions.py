@@ -18,7 +18,7 @@ and stores into annotated attributes or typed containers.
 
 from __future__ import annotations
 
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 from repro.lint.flow.dataflow import analyze_module
 from repro.lint.flow.project import Project
@@ -46,16 +46,10 @@ class DimensionRule(FlowRule):
         "is expected corrupts buffer targets silently"
     )
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         out: list[Violation] = []
         summaries = project.summaries()
         for name in sorted(project.modules):
-            if only is not None and name not in only:
-                continue
             if not _uses_units(project, name):
                 continue
             ctx = project.modules[name].ctx

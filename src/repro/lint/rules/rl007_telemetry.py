@@ -97,16 +97,10 @@ class TelemetryCostRule(FlowRule):
         "hot path"
     )
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         out: list[Violation] = []
         summaries = project.summaries()
         for name in sorted(project.modules):
-            if only is not None and name not in only:
-                continue
             if name == _EXEMPT_PREFIX or name.startswith(_EXEMPT_PREFIX + "."):
                 continue
             info = project.modules[name]

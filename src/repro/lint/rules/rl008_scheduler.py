@@ -61,15 +61,9 @@ class SchedulerTiebreakRule(FlowRule):
         "makes golden traces hostage to the event core's tie order"
     )
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         out: list[Violation] = []
         for name in sorted(project.modules):
-            if only is not None and name not in only:
-                continue
             if name == _ENGINE_MODULE:
                 continue
             info = project.modules[name]

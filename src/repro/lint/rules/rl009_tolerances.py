@@ -115,16 +115,10 @@ class ToleranceRule(FlowRule):
         "apart from the central table"
     )
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         out: list[Violation] = []
         summaries = project.summaries()
         for name in sorted(project.modules):
-            if only is not None and name not in only:
-                continue
             info = project.modules[name]
             if name != TOLERANCES_MODULE and not name.endswith(".tolerances"):
                 out.extend(self._decentralized_constants(info))

@@ -24,9 +24,7 @@ container -- is flagged at the write site.
 
 Unlike the other flow rules, a finding here ties *two* modules
 together: the submitter and the (possibly unrelated) module containing
-the write. Findings therefore do not respect import-cone locality, and
-the incremental cache stores this rule's results under a whole-project
-key (``cone_cacheable = False``) instead of per-module cones.
+the write.
 """
 
 from __future__ import annotations
@@ -65,16 +63,7 @@ class ProcessSafetyRule(FlowRule):
         "so parallel runs silently diverge from serial ones"
     )
 
-    #: Findings depend on submitter->worker edges that cross import
-    #: cones; cached under a whole-project key (see module docstring).
-    cone_cacheable: ClassVar[bool] = False
-
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
-        del only  # findings are not cone-local; always whole-project
+    def check_project(self, project: Project) -> list[Violation]:
         out: list[Violation] = []
         entries: list[str] = []
         for name in sorted(project.modules):

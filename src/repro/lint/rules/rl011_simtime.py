@@ -158,16 +158,10 @@ class SimTimeRule(FlowRule):
         "must be nonnegative seconds and anchor arithmetic clamped"
     )
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         out: list[Violation] = []
         summaries = project.summaries()
         for name in sorted(project.modules):
-            if only is not None and name not in only:
-                continue
             if name == _ENGINE_MODULE:
                 continue
             info = project.modules[name]

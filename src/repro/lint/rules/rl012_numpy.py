@@ -68,15 +68,9 @@ class NumpyDisciplineRule(FlowRule):
         "and mismatched mask shapes select the wrong axis"
     )
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         out: list[Violation] = []
         for name in sorted(project.modules):
-            if only is not None and name not in only:
-                continue
             info = project.modules[name]
             aliases = import_aliases(info.ctx.tree)
             np_names = {

@@ -29,7 +29,7 @@ stay responsive.
 
 from __future__ import annotations
 
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 from repro.lint.flow.asyncgraph import AsyncGraph
 from repro.lint.flow.project import Project
@@ -52,18 +52,12 @@ class AsyncBlockingRule(FlowRule):
 
     uses_async_facts: ClassVar[bool] = True
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         graph = project.asyncgraph()
         out: list[Violation] = []
         for qualname in sorted(graph.functions):
             facts = graph.functions[qualname]
             if not facts.on_loop:
-                continue
-            if only is not None and facts.module not in only:
                 continue
             ctx = project.modules[facts.module].ctx
             where = "coroutine" if facts.is_coroutine else "loop callback"
@@ -95,14 +89,11 @@ class AsyncBlockingRule(FlowRule):
                     f"{where} {name}() calls {_leaf(target)}(), which "
                     f"blocks via {sub.may_block.describe()}",
                 ))
-        out.extend(self._hot_path_json(project, graph, only))
+        out.extend(self._hot_path_json(project, graph))
         return out
 
     def _hot_path_json(
-        self,
-        project: Project,
-        graph: AsyncGraph,
-        only: Optional[frozenset[str]],
+        self, project: Project, graph: AsyncGraph
     ) -> list[Violation]:
         hot: set[str] = set()
         callbacks: dict[str, str] = {}
@@ -115,8 +106,6 @@ class AsyncBlockingRule(FlowRule):
         for qualname in sorted(hot):
             facts = graph.functions.get(qualname)
             if facts is None or not facts.json_sites:
-                continue
-            if only is not None and facts.module not in only:
                 continue
             ctx = project.modules[facts.module].ctx
             origin = _leaf(callbacks[qualname])

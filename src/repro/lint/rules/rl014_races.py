@@ -31,7 +31,7 @@ object local before the first ``await``, or guard the span with an
 
 from __future__ import annotations
 
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 from repro.lint.flow.project import Project
 from repro.lint.rules.base import FlowRule
@@ -49,19 +49,13 @@ class AsyncSharedStateRule(FlowRule):
 
     uses_async_facts: ClassVar[bool] = True
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         graph = project.asyncgraph()
         key_contexts = graph.access_contexts()
         guarded = graph.guarded_keys()
         out: list[Violation] = []
         for qualname in sorted(graph.spans):
             facts = graph.functions[qualname]
-            if only is not None and facts.module not in only:
-                continue
             ctx = project.modules[facts.module].ctx
             for span in graph.spans[qualname]:
                 key = (span.owner, span.attr)

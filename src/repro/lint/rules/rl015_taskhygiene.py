@@ -27,7 +27,7 @@ From the async graph's spawn table and ownership classification:
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 from repro.lint.flow.asyncgraph import AsyncGraph
 from repro.lint.flow.project import Project
@@ -46,16 +46,10 @@ class AsyncTaskHygieneRule(FlowRule):
 
     uses_async_facts: ClassVar[bool] = True
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         graph = project.asyncgraph()
         out: list[Violation] = []
         for spawn in graph.spawns:
-            if only is not None and spawn.module not in only:
-                continue
             ctx = project.modules[spawn.module].ctx
             spawner = spawn.spawner.rsplit(".", 1)[-1]
             if spawn.ownership == "dropped":
@@ -81,20 +75,15 @@ class AsyncTaskHygieneRule(FlowRule):
                     f"method of the owning class ever cancels it; the "
                     f"task leaks past teardown",
                 ))
-        out.extend(self._unawaited_coroutines(project, graph, only))
+        out.extend(self._unawaited_coroutines(project, graph))
         return out
 
     def _unawaited_coroutines(
-        self,
-        project: Project,
-        graph: AsyncGraph,
-        only: Optional[frozenset[str]],
+        self, project: Project, graph: AsyncGraph
     ) -> list[Violation]:
         out: list[Violation] = []
         for qualname in sorted(graph.functions):
             facts = graph.functions[qualname]
-            if only is not None and facts.module not in only:
-                continue
             node = graph.graph.nodes[qualname]
             ctx = project.modules[facts.module].ctx
             for stmt in ast.walk(node.func.node):

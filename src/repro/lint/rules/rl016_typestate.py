@@ -69,16 +69,10 @@ class SessionTypestateRule(FlowRule):
         "never replay a tape no recording core filled"
     )
 
-    def check_project(
-        self,
-        project: Project,
-        only: Optional[frozenset[str]] = None,
-    ) -> list[Violation]:
+    def check_project(self, project: Project) -> list[Violation]:
         readers = _transport_readers(project)
         out: list[Violation] = []
         for node in iter_functions(project):
-            if only is not None and node.module not in only:
-                continue
             ctx = project.modules[node.module].ctx
             scan = _FunctionScan(project, node, readers)
             for violation_node, message in scan.findings():

@@ -72,6 +72,26 @@ class TestExitCodes:
         assert main([str(empty)]) == 3
         assert "no Python files" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--no-cache", "--cache-dir=x"])
+    def test_cache_flags_are_unknown(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, str(FIXTURES)])
+        assert exc.value.code == 2
+
+
+class TestSideEffects:
+    def test_writes_nothing_but_its_report(self, tmp_path, monkeypatch,
+                                           capsys):
+        work = tmp_path / "cwd"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main([str(FIXTURES)]) == 1
+        assert list(work.rglob("*")) == []
+        target = work / "report.json"
+        assert main(["--format", "json", "--out", str(target),
+                     str(FIXTURES)]) == 1
+        assert list(work.rglob("*")) == [target]
+
 
 class TestRuleSelection:
     def test_rules_filter(self, capsys):

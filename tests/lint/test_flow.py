@@ -96,19 +96,6 @@ class TestProjectStructure:
         assert "pkg.sub.mod" in project.modules
         assert "standalone" in project.modules
 
-    def test_import_graph_is_project_internal(self, tmp_path):
-        project = build_project(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/a.py": "import math\n\nfrom pkg.b import helper\n",
-                "pkg/b.py": "def helper():\n    return 1\n",
-            },
-        )
-        graph = project.import_graph()
-        assert graph["pkg.a"] == {"pkg.b"}  # math is external: no edge
-        assert graph["pkg.b"] == set()
-
     def test_resolve_function_and_class(self, tmp_path):
         project = build_project(
             tmp_path,
