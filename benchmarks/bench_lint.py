@@ -8,7 +8,7 @@ graph, and run the dataflow engine over every function — an accidental
 quadratic there would tax every commit. This script times two
 configurations over ``src/``:
 
-- ``per_file``: RL001-RL004 only (the pre-dataflow cost floor);
+- ``per_file``: RL001 and RL003 only (the pre-dataflow cost floor);
 - ``full``: all rules including the whole-program flow analysis.
 
 A third section, ``profile``, breaks the full run down per rule and

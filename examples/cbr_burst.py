@@ -10,12 +10,13 @@ Run:  python examples/cbr_burst.py
 """
 
 from repro.analysis import ascii_chart, format_kv, sparkline
-from repro.experiments.fig13_cbr_step import run
+from repro.experiments.packet_figures import cbr_phase_means, fig13_runs
+from repro.experiments.runner import execute
 
 
 def main() -> None:
-    result = run(k_max=4, seed=1)
-    t = result.session.tracer
+    (run, outcome), = execute(fig13_runs(k_max=4, seed=1)).items()
+    t = outcome.session.tracer
 
     print(ascii_chart(
         t.get("rate"), overlay=t.get("consumption"),
@@ -26,9 +27,9 @@ def main() -> None:
     print("  " + line[:third] + "|" + line[third:2 * third] + "|"
           + line[2 * third:])
     print()
-    print(format_kv(result.phase_means(),
+    print(format_kv(cbr_phase_means(run, outcome),
                     title="Mean quality by phase"))
-    stalls = result.session.playout.stall_count
+    stalls = outcome.session.playout.stall_count
     print(f"\nBase-layer stalls during the collapse: {stalls} "
           "(the reception of the base layer is never jeopardized).")
 

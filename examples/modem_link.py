@@ -13,12 +13,11 @@ three add rules and reports the time spent at three or more layers.
 Run:  python examples/modem_link.py
 """
 
-from repro.experiments.ablation_add_rules import run
+from repro.experiments.runner import render_experiment
 
 
 def main() -> None:
-    result = run(duration=90.0)
-    print(result.render())
+    print(render_experiment("ablation-add-rules", duration=90.0))
     print("Interpretation: the buffer-based rule (the paper's choice)")
     print("delivers the third layer a large fraction of the time; the")
     print("average-bandwidth rule (the rejected alternative) rarely or")

@@ -11,12 +11,12 @@ the two sides of the trade:
 Run:  python examples/smoothing_tradeoff.py
 """
 
-from repro.experiments.fig12_kmax_sweep import run
+from repro.experiments.runner import render_experiment
 
 
 def main() -> None:
-    result = run(k_values=(1, 2, 3, 4, 5, 8), duration=60.0)
-    print(result.render())
+    print(render_experiment("fig12", k_values=(1, 2, 3, 4, 5, 8),
+                            duration=60.0))
     print("K_max=1 is 'no smoothing': buffering only ever targets one")
     print("backoff, so every loss event risks a quality flap. Large")
     print("K_max barely changes quality but holds more buffering and")

@@ -25,7 +25,8 @@ Package map:
 - :mod:`repro.server`     -- server/client/session wiring.
 - :mod:`repro.baselines`  -- the strawmen the paper argues against.
 - :mod:`repro.analysis`   -- time-series reporting and ASCII plots.
-- :mod:`repro.experiments`-- one module per paper table/figure.
+- :mod:`repro.experiments`-- the paper's tables and figures as one table
+  over deduplicated runs.
 """
 
 from repro.core import QAConfig, QualityAdapter, QualityMetrics

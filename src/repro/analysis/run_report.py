@@ -257,10 +257,9 @@ def write_artifacts(out_dir: pathlib.Path, report: str, title: str,
                                        recorder=scenario.recorder,
                                        tracer=tracer,
                                        spans=merge_spans(scenario.spans)))
-    record = RunRecord(name=f"report:{title}", text=report,
-                       seconds=seconds, cache_hit=False, seed=seed,
-                       cache_key=None)
-    manifest = build_manifest([record], jobs=1, cache=None,
+    record = RunRecord(name=f"report:{title}", text=report, seeds=[seed],
+                       runs=1)
+    manifest = build_manifest([record], jobs=1, runs=1, seconds=seconds,
                               observability=scenario.observability())
     written.append(export_manifest(manifest, out_dir / "manifest.json"))
     return written

@@ -1,45 +1,49 @@
-"""Experiment harnesses: one module per paper table/figure.
+"""The paper's artifacts as one table over deduplicated runs.
 
-Every module exposes ``run(**overrides)`` returning either a result
-object with a ``render()`` method, or a value handled by a module-level
-``render(result)`` function (plain text: tables + ASCII charts) — the
-protocol :func:`repro.experiments.runner.render_result` normalizes.
+:data:`EXPERIMENTS` maps each artifact name to an :class:`Artifact`:
 
-The CLI (:mod:`repro.experiments.runner`, installed as
-``repro-experiments``) dispatches on the experiment name, schedules
-multi-experiment runs across worker processes, memoizes rendered output
-in a content-addressed cache (:mod:`repro.experiments.cache`) and
-records a per-run ``manifest.json``. DESIGN.md section 4 maps each
-module to its figure/table; EXPERIMENTS.md records the measured
-outputs; docs/MECHANISM.md documents the runner itself.
+- ``runs(**params)`` returns the run keys the artifact reads: frozen
+  dataclasses with ``execute()`` and ``seed``, equal exactly when they
+  are the same simulation (:class:`~repro.experiments.common.PaperRun`
+  is the T1/T2 one). ``--seed`` arrives as ``seed``: artifacts built on
+  one seeded run use it, seed-pooling tables and ablations accept and
+  ignore it. Other ``params`` shorten or widen the run set (tests,
+  examples).
+- ``render(results)`` turns a read-only mapping from those keys, in
+  ``runs()`` order, to their results into text. Its docstring states
+  the paper's claim the artifact checks.
+
+The :func:`artifact` decorator is the registration; importing
+:mod:`repro.experiments.runner` imports every module that defines one.
 """
 
-EXPERIMENTS = {
-    "fig01": "repro.experiments.fig01_rap_sawtooth",
-    "fig02": "repro.experiments.fig02_overview",
-    "fig03": "repro.experiments.fig03_phase_geometry",
-    "fig04": "repro.experiments.fig04_optimal_alloc",
-    "fig05": "repro.experiments.fig05_fill_drain",
-    "fig06": "repro.experiments.fig06_smoothing_phases",
-    "fig07": "repro.experiments.fig07_double_backoff",
-    "fig08": "repro.experiments.fig08_buffer_states",
-    "fig09": "repro.experiments.fig09_state_order",
-    "fig10": "repro.experiments.fig10_filling_steps",
-    "fig11": "repro.experiments.fig11_trace_kmax2",
-    "fig12": "repro.experiments.fig12_kmax_sweep",
-    "fig13": "repro.experiments.fig13_cbr_step",
-    "fig14": "repro.experiments.fig14_scenario2_geometry",
-    "table1": "repro.experiments.table1_efficiency",
-    "table2": "repro.experiments.table2_drop_causes",
-    "multiflow-fairness": "repro.experiments.multiflow_fairness",
-    "flock-scale": "repro.experiments.flock_scale",
-    "ablation-allocators": "repro.experiments.ablation_allocators",
-    "ablation-add-rules": "repro.experiments.ablation_add_rules",
-    "ablation-static": "repro.experiments.ablation_static",
-    "ablation-feedback": "repro.experiments.ablation_feedback",
-    "ablation-transport": "repro.experiments.ablation_transport",
-    "ablation-nonlinear": "repro.experiments.ablation_nonlinear",
-    "ablation-retransmit": "repro.experiments.ablation_retransmit",
-}
+from __future__ import annotations
 
-__all__ = ["EXPERIMENTS"]
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
+
+Results = Mapping[Any, Any]
+
+
+@dataclass(frozen=True)
+class Artifact:
+    runs: Callable[..., tuple]
+    render: Callable[[Results], str]
+
+
+EXPERIMENTS: dict[str, Artifact] = {}
+
+
+def artifact(name: str, runs: Callable[..., tuple] = lambda seed=None: ()):
+    """Register the decorated ``render`` as artifact ``name``; the default
+    ``runs`` suits artifacts that are arithmetic on the formulas (it
+    accepts ``--seed`` and rejects any other parameter)."""
+    def register(render: Callable[[Results], str]):
+        if name in EXPERIMENTS:
+            raise ValueError(f"artifact {name!r} registered twice")
+        EXPERIMENTS[name] = Artifact(runs, render)
+        return render
+    return register
+
+
+__all__ = ["EXPERIMENTS", "Artifact", "Results", "artifact"]

@@ -19,7 +19,8 @@ overrides, so the literal 800 Kb/s setting is one argument away.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from functools import cached_property
+from typing import Callable, Hashable, Mapping, NamedTuple, Optional
 
 from repro.core.config import QAConfig
 from repro.core.metrics import QualityMetrics
@@ -32,14 +33,17 @@ from repro.scenario import (
     TcpFlowSpec,
 )
 from repro.server.session import SessionResult, StreamingSession
-from repro.sim.rng import SeededRNG, derive_seed, make_rng
+from repro.sim.rng import SeededRNG, make_rng
 from repro.sim.topology import DumbbellConfig
-from repro.transport import CbrSource, RapSource, TcpSource
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadConfig:
-    """Everything that defines one T1/T2-style run."""
+    """Everything that defines one T1/T2-style run.
+
+    Frozen, so a config is a hashable run key: two artifacts asking for
+    equal configs share one simulation.
+    """
 
     # Quality adaptation
     k_max: int = 2
@@ -49,6 +53,7 @@ class WorkloadConfig:
     allocator: str = "optimal"
     add_rule: str = "buffer_only"
     feedback: str = "send"
+    retransmit_layers: int = 0
     # Network
     bottleneck_bandwidth: float = 400_000.0
     queue_capacity: int = 100
@@ -75,6 +80,7 @@ class WorkloadConfig:
             allocator=self.allocator,
             add_rule=self.add_rule,
             feedback=self.feedback,
+            retransmit_layers=self.retransmit_layers,
         )
 
     @classmethod
@@ -84,11 +90,6 @@ class WorkloadConfig:
         overrides.setdefault("duration", 90.0)
         return cls(**overrides)
 
-    def with_seed(self, seed: int) -> "WorkloadConfig":
-        """This config with a different seed — the explicit path pooled
-        collections use, so every run's seed shows up in one place."""
-        return replace(self, seed=seed)
-
 
 class PaperWorkload:
     """Builds and runs one T1/T2 experiment via the scenario layer.
@@ -96,10 +97,9 @@ class PaperWorkload:
     Per-flow parameters (initial SRTT estimates, start times) are
     jittered from the seed so different seeds give independent loss
     patterns while every run stays exactly reproducible. All randomness
-    flows from ``config.seed`` through :func:`repro.sim.rng.make_rng`
-    and (for components added later) :meth:`component_rng`; nothing
-    depends on process identity or ``PYTHONHASHSEED``, which is what
-    lets the parallel experiment runner farm runs out to worker
+    flows from ``config.seed`` through :func:`repro.sim.rng.make_rng`;
+    nothing depends on process identity or ``PYTHONHASHSEED``, which is
+    what lets the parallel experiment runner farm runs out to worker
     processes and still get bit-for-bit the serial output.
 
     This class is now a thin facade over :class:`repro.scenario.Scenario`:
@@ -122,19 +122,7 @@ class PaperWorkload:
         self.rng: SeededRNG = make_rng(config.seed)
 
         self.scenario = Scenario(self._scenario_config())
-        self.sim = self.scenario.sim
-        self.network = self.scenario.network
         self.session: StreamingSession = self.scenario.flows[0].session
-        self.background_rap: list[RapSource] = [
-            f.source for f in self.scenario.flows if f.kind == "rap"]
-        self.background_tcp: list[TcpSource] = [
-            f.source for f in self.scenario.flows if f.kind == "tcp"]
-        cbr_flows = [f for f in self.scenario.flows if f.kind == "cbr"]
-        self.cbr: Optional[CbrSource] = (
-            cbr_flows[0].source if cbr_flows else None)
-        # Scenario-owned observability sinks, surfaced for reports.
-        self.recorder = self.scenario.recorder
-        self.metrics = self.scenario.metrics
 
     # ------------------------------------------------------------- builders
 
@@ -184,26 +172,16 @@ class PaperWorkload:
             trace_spans=cfg.trace_spans,
         )
 
-    def component_rng(self, label: str) -> SeededRNG:
-        """An independent, label-addressed child stream of this run's seed.
-
-        Unlike drawing from ``self.rng`` (whose stream position depends
-        on construction order), a labelled child is stable no matter what
-        else is built — new components should take their randomness from
-        here so adding one never perturbs existing flows.
-        """
-        return SeededRNG(derive_seed(self.config.seed, label))
-
     # ----------------------------------------------------------------- run
 
     def run(self) -> SessionResult:
-        self.sim.run(until=self.config.duration)
+        self.scenario.sim.run(until=self.config.duration)
         return self.session.result()
 
     def network_summary(self) -> dict:
         """Bottleneck-level sanity numbers for reports."""
         cfg = self.config
-        link = self.network.bottleneck
+        link = self.scenario.network.bottleneck
         return {
             "bottleneck_utilization": (
                 link.bytes_forwarded / (cfg.bottleneck_bandwidth
@@ -213,17 +191,78 @@ class PaperWorkload:
         }
 
 
-def pooled_metrics(seeds, build) -> QualityMetrics:
-    """Run ``build(seed).run()`` per seed and pool the QA metrics.
+class PaperOutcome(NamedTuple):
+    """What one :class:`PaperRun` hands its renderers."""
 
-    Single 40-second runs contain only a handful of drop events; Tables 1
-    and 2 are reported over the pooled events of several seeds.
+    session: SessionResult
+    network: dict
+    retransmitted: float
+
+
+@dataclass(frozen=True)
+class PaperRun:
+    """One :class:`PaperWorkload` simulation as a run key.
+
+    Equal keys are the same simulation, so the runner executes each once
+    however many artifacts read it; the key pickles, so it can cross to
+    a worker process and its outcome can come back.
     """
-    pooled = QualityMetrics()
-    for seed in seeds:
-        result = build(int(seed)).run()
-        pooled.drops.extend(result.metrics.drops)
-        pooled.adds.extend(result.metrics.adds)
-        pooled.stall_count += result.playout.stall_count
-        pooled.stall_time += result.playout.stall_time
-    return pooled
+
+    config: WorkloadConfig
+    adapter_cls: Optional[type] = None
+    transport_cls: Optional[type] = None
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    def execute(self) -> PaperOutcome:
+        workload = PaperWorkload(self.config, adapter_cls=self.adapter_cls,
+                                 transport_cls=self.transport_cls)
+        session = workload.run()
+        return PaperOutcome(session, workload.network_summary(),
+                            workload.session.server.adapter
+                            .retransmitted_bytes)
+
+
+class Pooled:
+    """Several runs pooled: the one rule Tables 1-2 and the ablations
+    share.
+
+    Single 40-second runs contain only a handful of drop events, so the
+    tables pool the QA events of several seeds (:attr:`metrics`); the
+    ablations sum or average ``summary()`` fields over the same seeds.
+    """
+
+    def __init__(self, items: list[tuple[PaperRun, PaperOutcome]]) -> None:
+        self.items = items
+
+    @cached_property
+    def summaries(self) -> list[dict]:
+        return [outcome.session.summary() for _, outcome in self.items]
+
+    def total(self, field: str) -> float:
+        return sum(summary[field] for summary in self.summaries)
+
+    def mean(self, field: str) -> float:
+        return self.total(field) / len(self.items)
+
+    @cached_property
+    def metrics(self) -> QualityMetrics:
+        pooled = QualityMetrics()
+        for _, outcome in self.items:
+            result = outcome.session
+            pooled.drops.extend(result.metrics.drops)
+            pooled.adds.extend(result.metrics.adds)
+            pooled.stall_count += result.playout.stall_count
+            pooled.stall_time += result.playout.stall_time
+        return pooled
+
+
+def pool_by(results: Mapping[PaperRun, PaperOutcome],
+            label: Callable[[PaperRun], Hashable]) -> dict:
+    """``results`` grouped by ``label(run)``, in first-seen order."""
+    groups: dict = {}
+    for run, outcome in results.items():
+        groups.setdefault(label(run), []).append((run, outcome))
+    return {key: Pooled(items) for key, items in groups.items()}

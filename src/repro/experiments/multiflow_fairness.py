@@ -1,27 +1,15 @@
-"""Fairness among concurrent quality-adaptive flows (extension).
-
-The paper's T1/T2 tests watch *one* QA flow against background traffic.
-This experiment puts N quality-adaptive sessions head to head with TCP
-cross-traffic on a shared bottleneck sized at a fixed per-flow share, and
-sweeps N, asking the questions the single-flow tests cannot:
-
-- do competing QA flows converge to equal throughput shares (Jain index
-  over the QA flows), and how does that fairness scale with N?
-- do they stay TCP-friendly in aggregate (QA share of delivered bytes
-  vs the flow-count fair share)?
-- does delivered *quality* (mean active layers) stay even across flows?
-
-Built directly on :class:`repro.scenario.Scenario` — this module is the
+"""Multi-flow fairness (extension): N quality-adaptive sessions on one
+bottleneck, built directly on :class:`repro.scenario.Scenario` -- the
 reference example of composing multi-flow experiments from flow specs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.analysis import format_table
 from repro.core.config import QAConfig
+from repro.experiments import Results, artifact
 from repro.scenario import (
     QAFlowSpec,
     Scenario,
@@ -35,42 +23,6 @@ from repro.sim.topology import DumbbellConfig
 #: 6.5 KB/s layers puts each QA flow's fair share around three layers,
 #: the same relative operating point as the T1 calibration.
 PER_FLOW_BANDWIDTH = 20_000.0
-
-
-@dataclass
-class MultiflowRow:
-    """One sweep point: ``n_qa`` QA flows vs ``n_tcp`` TCP flows."""
-
-    n_qa: int
-    n_tcp: int
-    fairness_qa: float
-    fairness_all: float
-    utilization: float
-    qa_share: float
-    min_qa_rate: float
-    max_qa_rate: float
-    mean_layers: float
-
-
-@dataclass
-class MultiflowResult:
-    rows: list[MultiflowRow]
-    scenarios: dict[int, ScenarioResult]
-
-    def render(self) -> str:
-        return format_table(
-            ("QA flows", "TCP flows", "Jain(QA)", "Jain(all)",
-             "utilization", "QA byte share", "min QA B/s", "max QA B/s",
-             "mean layers"),
-            [
-                (r.n_qa, r.n_tcp,
-                 round(r.fairness_qa, 3), round(r.fairness_all, 3),
-                 round(r.utilization, 3), round(r.qa_share, 3),
-                 round(r.min_qa_rate), round(r.max_qa_rate),
-                 round(r.mean_layers, 2))
-                for r in self.rows
-            ],
-            title="Multi-flow fairness: N QA sessions vs TCP cross-traffic")
 
 
 def build_scenario(n_qa: int, n_tcp: int = 4, *,
@@ -111,44 +63,60 @@ def build_scenario(n_qa: int, n_tcp: int = 4, *,
     ))
 
 
-def _analyze(result: ScenarioResult, n_qa: int,
-             n_tcp: int) -> MultiflowRow:
-    qa = result.qa_flows()
-    qa_rates = [f.mean_rate for f in qa]
-    total = sum(f.bytes_delivered for f in result.flows)
-    qa_bytes = sum(f.bytes_delivered for f in qa)
-    layer_means = [m for m in (f.mean_layers() for f in qa)
-                   if m is not None]
-    return MultiflowRow(
-        n_qa=n_qa,
-        n_tcp=n_tcp,
-        fairness_qa=result.fairness_of("qa"),
-        fairness_all=result.fairness,
-        utilization=result.utilization,
-        qa_share=qa_bytes / total if total > 0 else 0.0,
-        min_qa_rate=min(qa_rates),
-        max_qa_rate=max(qa_rates),
-        mean_layers=(sum(layer_means) / len(layer_means)
-                     if layer_means else 0.0),
-    )
+@dataclass(frozen=True)
+class MultiflowRun:
+    """One sweep point as a run key: ``n_qa`` QA flows vs ``n_tcp`` TCP."""
+
+    n_qa: int
+    n_tcp: int = 4
+    duration: float = 30.0
+    seed: int = 1
+
+    def execute(self) -> ScenarioResult:
+        return build_scenario(self.n_qa, self.n_tcp, duration=self.duration,
+                              seed=self.seed).run()
 
 
-def run(counts: Sequence[int] = (2, 4, 8, 16), n_tcp: int = 4,
-        duration: float = 30.0, seed: int = 1) -> MultiflowResult:
+def multiflow_runs(seed: int = 1, counts=(2, 4, 8, 16), n_tcp: int = 4,
+                   duration: float = 30.0) -> tuple:
+    return tuple(MultiflowRun(n_qa, n_tcp, duration, seed)
+                 for n_qa in counts)
+
+
+@artifact("multiflow-fairness", runs=multiflow_runs)
+def multiflow_fairness(results: Results) -> str:
+    """Fairness among concurrent quality-adaptive flows (extension).
+
+    The paper's T1/T2 tests watch *one* QA flow against background traffic.
+    This experiment puts N quality-adaptive sessions head to head with TCP
+    cross-traffic on a shared bottleneck sized at a fixed per-flow share, and
+    sweeps N, asking the questions the single-flow tests cannot:
+
+    - do competing QA flows converge to equal throughput shares (Jain index
+      over the QA flows), and how does that fairness scale with N?
+    - do they stay TCP-friendly in aggregate (QA share of delivered bytes
+      vs the flow-count fair share)?
+    - does delivered *quality* (mean active layers) stay even across flows?
+    """
     rows = []
-    scenarios = {}
-    for n_qa in counts:
-        scenario = build_scenario(n_qa, n_tcp, duration=duration,
-                                  seed=seed)
-        result = scenario.run()
-        scenarios[n_qa] = result
-        rows.append(_analyze(result, n_qa, n_tcp))
-    return MultiflowResult(rows=rows, scenarios=scenarios)
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()
+    for run, result in results.items():
+        qa = result.qa_flows()
+        qa_rates = [f.mean_rate for f in qa]
+        total = sum(f.bytes_delivered for f in result.flows)
+        qa_bytes = sum(f.bytes_delivered for f in qa)
+        layer_means = [m for m in (f.mean_layers() for f in qa)
+                       if m is not None]
+        rows.append((
+            run.n_qa, run.n_tcp,
+            round(result.fairness_of("qa"), 3), round(result.fairness, 3),
+            round(result.utilization, 3),
+            round(qa_bytes / total if total > 0 else 0.0, 3),
+            round(min(qa_rates)), round(max(qa_rates)),
+            round(sum(layer_means) / len(layer_means)
+                  if layer_means else 0.0, 2)))
+    return format_table(
+        ("QA flows", "TCP flows", "Jain(QA)", "Jain(all)",
+         "utilization", "QA byte share", "min QA B/s", "max QA B/s",
+         "mean layers"),
+        rows,
+        title="Multi-flow fairness: N QA sessions vs TCP cross-traffic")

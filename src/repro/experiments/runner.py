@@ -1,29 +1,14 @@
-"""Command-line entry point and orchestration layer for the experiments.
-
-Installed as ``repro-experiments``::
+"""``repro-experiments``: the paper's artifacts from deduplicated runs.
 
     repro-experiments list
-    repro-experiments fig11
-    repro-experiments table1 --out /tmp/table1.txt
-    repro-experiments fig03 fig04 fig08          # several at once
+    repro-experiments fig11 --out /tmp/fig11.txt
+    repro-experiments table1 table2 --out /tmp/tables   # 50 runs, not 100
     repro-experiments all --out results/ -j 4
-    repro-experiments all --no-cache             # force re-runs
-    repro-experiments bench --json timings.json  # timing manifest only
 
-Three mechanisms sit behind the CLI (documented in docs/MECHANISM.md):
-
-- **Parallel scheduling.** Multi-experiment runs dispatch cache misses to
-  a ``ProcessPoolExecutor``; experiments are pure functions of their
-  config and a fixed seed, so worker processes reproduce in-process
-  results bit for bit.
-- **Result caching.** Rendered text is memoized under ``.repro-cache/``,
-  keyed by experiment name + config digest + the source digest of the
-  modules the experiment imports (:mod:`repro.experiments.cache`).
-  ``--no-cache`` bypasses it, ``--cache-dir`` relocates it.
-- **Run manifests.** Every invocation records per-experiment wall time,
-  cache hit/miss, seed and output digest; ``manifest.json`` lands next to
-  the cache (or ``--out`` directory), and ``bench`` emits it on stdout
-  for the benchmark trajectory.
+The runner executes each distinct run key of the requested artifacts
+once (in worker processes when ``-j`` > 1) and hands each renderer its
+own keys' results. Runs are pure functions of their keys, so pooled and
+serial execution render byte-identical text (docs/MECHANISM.md §9).
 """
 
 from __future__ import annotations
@@ -31,225 +16,107 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import hashlib
-import importlib
-import inspect
-import json
+import itertools
+import multiprocessing
+import operator
 import os
 import pathlib
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Optional, Sequence
 
-from repro.experiments import EXPERIMENTS
-from repro.experiments.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.analysis.export import export_manifest
+from repro.experiments import EXPERIMENTS, Results
+# The artifact modules register their table entries on import.
+from repro.experiments import (  # noqa: F401
+    ablations,
+    analytic,
+    flock_scale,
+    fluid_figures,
+    multiflow_fairness,
+    packet_figures,
+    tables,
+)
 
-MANIFEST_SCHEMA = 1
-
-
-# --------------------------------------------------------------- rendering
-
-def render_result(module, result) -> str:
-    """Normalize every experiment to one render protocol.
-
-    In order of preference: the result object's ``render()`` method, the
-    experiment module's ``render(result)`` function (table2 style), or
-    the result itself when it already is the rendered string. Anything
-    else (a plain dict, say) is a broken experiment module and raises
-    ``TypeError`` with a message naming the module, instead of the
-    ``AttributeError`` the old special-casing produced.
-    """
-    render = getattr(result, "render", None)
-    if callable(render):
-        return render()
-    render = getattr(module, "render", None)
-    if callable(render):
-        return render(result)
-    if isinstance(result, str):
-        return result
-    raise TypeError(
-        f"{module.__name__}.run() returned {type(result).__name__!r}, "
-        "which has no .render() method, no module-level render(result) "
-        "exists, and it is not already a string")
+MANIFEST_SCHEMA = 2
 
 
-def render_experiment(name: str, **overrides) -> str:
-    """Run experiment ``name`` (uncached) and return its rendered text."""
-    text, _ = _execute(name, overrides)
-    return text
+def execute(runs: Iterable, jobs: int = 1) -> Results:
+    """Execute each distinct run once, in ``jobs`` worker processes when
+    that is more than one; results keyed by run, in first-seen order."""
+    distinct = list(dict.fromkeys(runs))
+    if jobs > 1 and len(distinct) > 1:
+        # Spawned workers start from a fresh import (and hash seed), so
+        # a run can depend on nothing but its key.
+        with concurrent.futures.ProcessPoolExecutor(
+                min(jobs, len(distinct)),
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            return MappingProxyType(dict(zip(distinct, pool.map(
+                operator.methodcaller("execute"), distinct))))
+    return MappingProxyType({run: run.execute() for run in distinct})
 
 
-def _execute(name: str, overrides: dict) -> tuple[str, float]:
-    """Worker body: import, run, render; returns (text, seconds).
-
-    Module-level so it pickles for ``ProcessPoolExecutor`` workers.
-    """
-    start = time.perf_counter()
-    module = importlib.import_module(EXPERIMENTS[name])
-    result = module.run(**overrides)
-    text = render_result(module, result)
-    return text, time.perf_counter() - start
+def render_experiment(name: str, **params) -> str:
+    """Render artifact ``name`` from fresh serial runs; ``params``
+    (``seed``, or a shortened or widened run set) go to its ``runs()``."""
+    artifact = EXPERIMENTS[name]
+    return artifact.render(execute(artifact.runs(**params)))
 
 
-# ----------------------------------------------------------- seed plumbing
+def plan(names: Sequence[str], seed: Optional[int] = None) -> dict:
+    """Artifact name -> the run keys it reads, with ``seed`` passed on
+    only when given (each artifact's own default otherwise)."""
+    given = {} if seed is None else {"seed": seed}
+    return {name: tuple(EXPERIMENTS[name].runs(**given)) for name in names}
 
-def seed_overrides(module, seed: Optional[int]) -> dict:
-    """The override dict that applies ``--seed`` to ``module.run``.
-
-    Experiments that take an explicit ``seed`` (or forward ``**overrides``
-    into :class:`~repro.experiments.common.WorkloadConfig`) get
-    ``{"seed": seed}``. Experiments pooling over a ``seeds`` sequence and
-    purely analytic experiments take no seed; they get ``{}``.
-    """
-    if seed is None:
-        return {}
-    params = inspect.signature(module.run).parameters
-    if "seeds" in params:
-        return {}
-    if "seed" in params or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD
-            for p in params.values()):
-        return {"seed": seed}
-    return {}
-
-
-def effective_seed(module, overrides: dict):
-    """The seed recorded in the manifest for one experiment run.
-
-    An explicit override wins; otherwise the ``seed``/``seeds`` default
-    declared by ``module.run``'s signature; ``None`` for experiments
-    without a seed parameter (analytic figures, or ``**overrides``-style
-    modules using the workload default).
-    """
-    if "seed" in overrides:
-        return overrides["seed"]
-    params = inspect.signature(module.run).parameters
-    for key in ("seed", "seeds"):
-        param = params.get(key)
-        if param is not None and param.default is not inspect.Parameter.empty:
-            default = param.default
-            return list(default) if isinstance(default, (tuple, list)) \
-                else default
-    return None
-
-
-# --------------------------------------------------------------- scheduler
 
 @dataclass
 class RunRecord:
-    """Outcome of one experiment within a runner invocation."""
+    """One rendered artifact within a runner invocation."""
 
     name: str
     text: str
-    seconds: float
-    cache_hit: bool
-    seed: object
-    cache_key: Optional[str]
+    seeds: list
+    runs: int
 
     @property
     def output_sha256(self) -> str:
         return hashlib.sha256(self.text.encode()).hexdigest()
 
 
-def run_experiments(names: Sequence[str], *,
-                    seed: Optional[int] = None,
-                    jobs: int = 1,
-                    cache: Optional[ResultCache] = None,
-                    refresh: bool = False,
-                    echo=None) -> list[RunRecord]:
-    """Run ``names``, resolving cache hits and parallelizing the misses.
-
-    Results come back in ``names`` order regardless of completion order.
-    ``jobs > 1`` sends cache misses through a ``ProcessPoolExecutor``;
-    ``jobs = 1`` runs them inline (identical output either way — that is
-    what the determinism tests assert). ``refresh`` forces every
-    experiment to re-run while still storing fresh cache entries (bench
-    mode). ``echo``, when given, receives one progress line per finished
-    experiment.
-    """
-    modules = {name: importlib.import_module(EXPERIMENTS[name])
-               for name in names}
-    applied = {name: seed_overrides(modules[name], seed) for name in names}
-    keys: dict[str, Optional[str]] = {}
-    records: dict[str, RunRecord] = {}
-
-    def note(record: RunRecord) -> None:
-        records[record.name] = record
-        if echo is not None:
-            status = "hit " if record.cache_hit else "miss"
-            echo(f"{record.name:22s} {record.seconds:8.2f}s  cache {status}")
-
-    misses: list[str] = []
-    for name in names:
-        key = None
-        if cache is not None:
-            key = cache.key(name, EXPERIMENTS[name], applied[name])
-            start = time.perf_counter()
-            text = None if refresh else cache.get(key)
-            if text is not None:
-                note(RunRecord(
-                    name=name, text=text,
-                    seconds=time.perf_counter() - start,
-                    cache_hit=True,
-                    seed=effective_seed(modules[name], applied[name]),
-                    cache_key=key))
-                continue
-        keys[name] = key
-        misses.append(name)
-
-    def record_miss(name: str, text: str, seconds: float) -> None:
-        if cache is not None:
-            cache.put(keys[name], text)
-        note(RunRecord(
-            name=name, text=text, seconds=seconds, cache_hit=False,
-            seed=effective_seed(modules[name], applied[name]),
-            cache_key=keys[name]))
-
-    if jobs > 1 and len(misses) > 1:
-        workers = min(jobs, len(misses))
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            futures = {
-                pool.submit(_execute, name, applied[name]): name
-                for name in misses
-            }
-            for future in concurrent.futures.as_completed(futures):
-                text, seconds = future.result()
-                record_miss(futures[future], text, seconds)
-    else:
-        for name in misses:
-            text, seconds = _execute(name, applied[name])
-            record_miss(name, text, seconds)
-
-    return [records[name] for name in names]
+def run_experiments(names: Sequence[str], *, seed: Optional[int] = None,
+                    jobs: int = 1) -> tuple[list[RunRecord], int]:
+    """Render ``names`` from the union of their runs; returns the records
+    in ``names`` order and the number of distinct runs executed."""
+    planned = plan(names, seed)
+    results = execute(itertools.chain.from_iterable(planned.values()), jobs)
+    records = [
+        RunRecord(name, EXPERIMENTS[name].render(MappingProxyType(
+                      {run: results[run] for run in runs})),
+                  seeds=sorted({run.seed for run in runs} - {None}),
+                  runs=len(set(runs)))
+        for name, runs in planned.items()
+    ]
+    return records, len(results)
 
 
-def build_manifest(records: Sequence[RunRecord], *,
-                   jobs: int, cache: Optional[ResultCache],
+def build_manifest(records: Sequence[RunRecord], *, jobs: int, runs: int,
+                   seconds: float,
                    observability: Optional[dict] = None) -> dict:
-    """The run manifest: schema documented in docs/MECHANISM.md.
-
-    ``observability`` (when given and non-empty) attaches a recorder
-    digest / metrics snapshot block, produced by
-    :meth:`repro.scenario.Scenario.observability` — runs without
-    instrumentation keep the historical manifest shape exactly.
-    """
+    """The run manifest (schema in docs/MECHANISM.md §9): ``runs``
+    distinct runs in ``seconds`` of wall time, plus an optional
+    :meth:`repro.scenario.Scenario.observability` block."""
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "python": f"{sys.version_info[0]}.{sys.version_info[1]}",
         "jobs": jobs,
-        "cache_dir": None if cache is None else str(cache.root),
-        "total_seconds": round(sum(r.seconds for r in records), 6),
-        "cache_hits": sum(r.cache_hit for r in records),
-        "cache_misses": sum(not r.cache_hit for r in records),
+        "runs": runs,
+        "total_seconds": round(seconds, 6),
         "experiments": [
-            {
-                "name": r.name,
-                "seconds": round(r.seconds, 6),
-                "cache_hit": r.cache_hit,
-                "seed": r.seed,
-                "output_sha256": r.output_sha256,
-                "cache_key": r.cache_key,
-            }
+            {"name": r.name, "runs": r.runs, "seeds": r.seeds,
+             "output_sha256": r.output_sha256}
             for r in records
         ],
     }
@@ -258,8 +125,6 @@ def build_manifest(records: Sequence[RunRecord], *,
     return manifest
 
 
-# --------------------------------------------------------------------- CLI
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -267,57 +132,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiments", nargs="+", metavar="experiment",
-        help="experiment names (see 'list'), 'list', 'all', or 'bench'")
+        help="experiment names (see 'list'), 'list' or 'all'")
     parser.add_argument(
         "--out", default=None,
         help="write output to this file (or directory for several)")
     parser.add_argument(
         "-j", "--jobs", type=int, default=None,
-        help="worker processes for cache misses (default: CPU count)")
+        help="worker processes for the runs (default: CPU count)")
     parser.add_argument(
         "--seed", type=int, default=None,
-        help="override the seed of every experiment that takes one")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the result cache entirely")
-    parser.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR,
-        help=f"result cache location (default: {DEFAULT_CACHE_DIR}/)")
+        help="override the seed of every experiment built on one seeded "
+             "run (seed-pooling tables and ablations keep theirs)")
     parser.add_argument(
         "--manifest", default=None,
-        help="also write the run manifest JSON to this path")
-    parser.add_argument(
-        "--json", default=None,
-        help="('bench' only) write the timing manifest to this file "
-             "instead of stdout")
+        help="write the run manifest JSON here (default: manifest.json "
+             "in the --out directory of a multi-experiment run)")
     return parser
-
-
-def _write_manifest(manifest: dict, args, out_dir) -> None:
-    # Imported lazily: analysis pulls in numpy, which worker processes
-    # that only run analytic experiments do not need.
-    from repro.analysis.export import export_manifest
-    targets = []
-    if args.manifest:
-        targets.append(pathlib.Path(args.manifest))
-    elif out_dir is not None:
-        targets.append(out_dir / "manifest.json")
-    elif not args.no_cache:
-        targets.append(pathlib.Path(args.cache_dir) / "manifest.json")
-    for target in targets:
-        export_manifest(manifest, target)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    names = list(args.experiments)
-    bench = names and names[0] == "bench"
-    if bench:
-        names = names[1:] or ["all"]
+    names = list(dict.fromkeys(args.experiments))
 
     if names == ["list"]:
-        for name, module in sorted(EXPERIMENTS.items()):
-            print(f"{name:22s} {module}")
+        for name in sorted(EXPERIMENTS):
+            title = EXPERIMENTS[name].render.__doc__.strip().splitlines()[0]
+            print(f"{name:22s} {title}")
         return 0
 
     if "all" in names:
@@ -330,36 +170,22 @@ def main(argv=None) -> int:
         return 2
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    # bench measures real cost, so it never *reads* the cache — but it
-    # still stores fresh entries, warming subsequent runs.
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if bench or len(names) > 1:
-        def echo(line: str) -> None:
-            print(line, file=sys.stderr)
-    else:
-        echo = None
+    start = time.perf_counter()
+    records, runs = run_experiments(names, seed=args.seed, jobs=jobs)
+    seconds = time.perf_counter() - start
+    print(f"{len(records)} experiment(s) from {runs} distinct run(s) in "
+          f"{seconds:.1f}s", file=sys.stderr)
+    manifest = build_manifest(records, jobs=jobs, runs=runs, seconds=seconds)
 
-    records = run_experiments(names, seed=args.seed, jobs=jobs,
-                              cache=cache, refresh=bench, echo=echo)
-    manifest = build_manifest(records, jobs=jobs, cache=cache)
-
-    out_dir: Optional[pathlib.Path] = None
-    if bench:
-        payload = json.dumps(manifest, indent=2, sort_keys=True)
-        if args.json:
-            target = pathlib.Path(args.json)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(payload + "\n")
-            print(f"wrote {target}")
-        else:
-            print(payload)
-    elif args.out and len(names) > 1:
+    manifest_path = args.manifest
+    if args.out and len(names) > 1:
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for record in records:
             target = out_dir / f"{record.name}.txt"
             target.write_text(record.text)
             print(f"wrote {target}")
+        manifest_path = manifest_path or out_dir / "manifest.json"
     elif args.out:
         pathlib.Path(args.out).write_text(records[0].text)
         print(f"wrote {args.out}")
@@ -367,7 +193,8 @@ def main(argv=None) -> int:
         for record in records:
             print(record.text)
 
-    _write_manifest(manifest, args, out_dir)
+    if manifest_path:
+        export_manifest(manifest, pathlib.Path(manifest_path))
     return 0
 
 

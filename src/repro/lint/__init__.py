@@ -1,13 +1,11 @@
 """repro-lint: AST-based determinism and invariant checker.
 
-The golden-trace harness and the content-addressed result cache
-(PR 1) are only sound if properties hold *at rest* that nothing in the
-test suite can observe directly: the simulation must be bit-for-bit
-deterministic, experiment modules must obey the runner protocol, the
-core QA arithmetic must not mix units, and experiment imports must be
-visible to the cache's static source-closure walk. ``repro.lint`` is a
-standalone static analyzer (stdlib ``ast`` only, no new dependencies)
-that rejects whole classes of such mistakes before any simulation runs.
+The golden-trace harness is only sound if properties hold *at rest*
+that nothing in the test suite can observe directly: the simulation
+must be bit-for-bit deterministic and the core QA arithmetic must not
+mix units. ``repro.lint`` is a standalone static analyzer (stdlib
+``ast`` only, no new dependencies) that rejects whole classes of such
+mistakes before any simulation runs.
 
 Rules (each documented in docs/LINTING.md):
 
@@ -15,16 +13,9 @@ Rules (each documented in docs/LINTING.md):
   ``sim/``, ``core/``, ``transport/``, ``media/``; seeded
   :mod:`repro.sim.rng` streams only, and no ``PYTHONHASHSEED``-sensitive
   set iteration.
-- **RL002 experiment protocol** -- every ``fig*``/``table*``/
-  ``ablation*`` module is registered in ``EXPERIMENTS``, exposes a
-  runner-compatible ``run`` entry point that threads ``seed``, and
-  satisfies the render protocol.
 - **RL003 units discipline** -- no arithmetic mixing values built via
   :mod:`repro.core.units` helpers with raw numeric literals in the core
   QA math.
-- **RL004 cache-key hygiene** -- no dynamic imports in experiment
-  modules; they are invisible to the cache-key source-closure walk in
-  :mod:`repro.experiments.cache`.
 
 Violations are reported as ``path:line:col: CODE message`` (or JSON via
 ``--format json``) and can be suppressed per line with

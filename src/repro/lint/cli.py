@@ -7,7 +7,7 @@ paths match no Python files at all -- a misconfigured CI glob must not
 masquerade as a clean run. ``--changed`` with an empty diff *is* a
 legitimate clean state and exits 0.
 
-Per-file rules (RL001-RL004) run file by file; flow rules (RL005-RL016)
+Per-file rules (RL001, RL003) run file by file; flow rules (RL005-RL016)
 run once over a whole-program :class:`~repro.lint.flow.project.Project`
 built from every file in the run. ``--changed`` narrows the *report*,
 never the analysis: the project is still built from the full path set so

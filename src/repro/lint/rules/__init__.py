@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from repro.lint.rules.base import FileContext, FlowRule, Rule
 from repro.lint.rules.rl001_determinism import DeterminismRule
-from repro.lint.rules.rl002_protocol import ExperimentProtocolRule
 from repro.lint.rules.rl003_units import UnitsDisciplineRule
-from repro.lint.rules.rl004_cache import CacheKeyHygieneRule
 from repro.lint.rules.rl005_seedflow import SeedFlowRule
 from repro.lint.rules.rl006_dimensions import DimensionRule
 from repro.lint.rules.rl007_telemetry import TelemetryCostRule
@@ -24,10 +22,8 @@ __all__ = [
     "AsyncBlockingRule",
     "AsyncSharedStateRule",
     "AsyncTaskHygieneRule",
-    "CacheKeyHygieneRule",
     "DeterminismRule",
     "DimensionRule",
-    "ExperimentProtocolRule",
     "FileContext",
     "FlowRule",
     "NumpyDisciplineRule",
@@ -47,18 +43,15 @@ __all__ = [
 def default_rules() -> tuple[Rule, ...]:
     """Fresh instances of every rule, in code order.
 
-    A factory (not a module-level tuple) because rules may memoize
-    per-run state -- RL002 caches each experiments directory's registry
-    -- and invocations must not see each other's caches. RL005-RL016 are
+    A factory (not a module-level tuple) so that per-run state a rule
+    may keep never leaks between invocations. RL005-RL016 are
     :class:`FlowRule` subclasses: they run once per invocation over the
     whole-program :class:`~repro.lint.flow.project.Project` instead of
     file by file.
     """
     return (
         DeterminismRule(),
-        ExperimentProtocolRule(),
         UnitsDisciplineRule(),
-        CacheKeyHygieneRule(),
         SeedFlowRule(),
         DimensionRule(),
         TelemetryCostRule(),

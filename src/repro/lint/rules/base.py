@@ -20,7 +20,7 @@ class FileContext:
 
     ``display_path`` is the path as the user spelled it (relative paths
     stay relative so output is stable across machines); ``path`` is the
-    resolved location used for sibling lookups (RL002's registry).
+    resolved location, from which flow rules name the module.
     """
 
     path: pathlib.Path
@@ -55,10 +55,9 @@ class FileContext:
 class Rule(abc.ABC):
     """One named check with a stable code.
 
-    Rules are stateless between runs except for per-run memoization
-    (RL002 caches each experiments directory's registry); the CLI builds
-    a fresh rule set per invocation via :func:`repro.lint.rules.
-    default_rules`.
+    Rules are stateless between runs except for per-run memoization;
+    the CLI builds a fresh rule set per invocation via
+    :func:`repro.lint.rules.default_rules`.
     """
 
     code: ClassVar[str]

@@ -5,111 +5,108 @@ import math
 import pytest
 
 from repro.core import formulas
-from repro.experiments import (
-    fig03_phase_geometry,
-    fig04_optimal_alloc,
-    fig07_double_backoff,
-    fig08_buffer_states,
-    fig09_state_order,
-    fig10_filling_steps,
-    fig14_scenario2_geometry,
-)
+from repro.core.states import StateSequence
+from repro.experiments import analytic, runner
+from repro.experiments.analytic import C, R, S
+
+render = runner.render_experiment
 
 
 class TestFig03:
     def test_areas_match_formulas(self):
-        r = fig03_phase_geometry.run()
-        assert r.draining_deficit_area == pytest.approx(
-            formulas.one_backoff_requirement(
-                r.rate, r.consumption, r.slope))
+        cycle = analytic.cycle_geometry()
+        assert cycle["draining_deficit_bytes (triangle cde)"] == \
+            pytest.approx(formulas.one_backoff_requirement(
+                cycle["R_pre_backoff_Bps"], cycle["consumption_na_C_Bps"],
+                cycle["slope_S_Bps2"]))
 
     def test_durations_positive(self):
-        r = fig03_phase_geometry.run()
-        assert r.filling_duration > 0
-        assert r.draining_duration > 0
+        cycle = analytic.cycle_geometry()
+        assert cycle["filling_phase_s"] > 0
+        assert cycle["draining_phase_s"] > 0
 
     def test_renders(self):
-        assert "triangle" in fig03_phase_geometry.run().render()
+        assert "triangle" in render("fig03")
 
 
 class TestFig04:
     def test_shares_sum_to_triangle(self):
-        r = fig04_optimal_alloc.run()
-        assert math.fsum(r.shares) == pytest.approx(r.total)
+        shares, _, total, _ = analytic.optimal_allocation()
+        assert math.fsum(shares) == pytest.approx(total)
 
     def test_base_layer_largest(self):
-        r = fig04_optimal_alloc.run()
-        nonzero = [s for s in r.shares if s > 0]
+        shares, _, _, _ = analytic.optimal_allocation()
+        nonzero = [s for s in shares if s > 0]
         assert nonzero == sorted(nonzero, reverse=True)
 
     def test_nb_counts_nonzero_shares(self):
-        r = fig04_optimal_alloc.run()
-        assert r.buffering_layers == sum(1 for s in r.shares if s > 0)
+        shares, _, _, nb = analytic.optimal_allocation()
+        assert nb == sum(1 for s in shares if s > 0)
 
     def test_renders(self):
-        assert "L0" in fig04_optimal_alloc.run().render()
+        assert "L0" in render("fig04")
 
 
 class TestFig07:
     def test_extremes_match_closed_forms(self):
-        r = fig07_double_backoff.run()
-        s1 = formulas.scenario_total(r.rate, r.consumption, r.slope, 2,
-                                     formulas.SCENARIO_ONE)
-        s2 = formulas.scenario_total(r.rate, r.consumption, r.slope, 2,
-                                     formulas.SCENARIO_TWO)
-        assert r.rows[0][1] == pytest.approx(s1, rel=0.02)
-        assert r.rows[-1][1] == pytest.approx(s2, rel=0.02)
+        rows = analytic.double_backoff_rows()
+        s1 = formulas.scenario_total(R, 3 * C, S, 2, formulas.SCENARIO_ONE)
+        s2 = formulas.scenario_total(R, 3 * C, S, 2, formulas.SCENARIO_TWO)
+        assert rows[0][1] == pytest.approx(s1, rel=0.02)
+        assert rows[-1][1] == pytest.approx(s2, rel=0.02)
 
     def test_intermediate_scenarios_bracketed(self):
-        r = fig07_double_backoff.run()
-        totals = [total for _, total in r.rows]
+        totals = [total for _, total in analytic.double_backoff_rows()]
         lo, hi = min(totals[0], totals[-1]), max(totals[0], totals[-1])
         for total in totals[1:-1]:
             assert lo - 1 <= total <= hi + 1
 
     def test_renders(self):
-        assert "scenario" in fig07_double_backoff.run().render()
+        assert "scenario" in render("fig07")
 
 
 class TestFig08:
     def test_row_count(self):
-        r = fig08_buffer_states.run(k_max=5)
-        assert len(r.rows()) == 10  # 5 k values x 2 scenarios
+        rows = analytic.buffer_state_rows(k_max=5)
+        assert len(rows) == 10  # 5 k values x 2 scenarios
 
     def test_scenario1_uses_more_layers_at_high_k(self):
-        r = fig08_buffer_states.run(k_max=5)
-        rows = {(row[0], row[1]): row[3:] for row in r.rows()}
+        rows = {(row[0], row[1]): row[3:]
+                for row in analytic.buffer_state_rows(k_max=5)}
         s1_layers = sum(1 for v in rows[("S1", 5)] if v > 0)
         s2_layers = sum(1 for v in rows[("S2", 5)] if v > 0)
         assert s1_layers >= s2_layers
 
     def test_renders(self):
-        assert "S1" in fig08_buffer_states.run().render()
+        assert "S1" in render("fig08")
+
+
+def figure_sequence():
+    return StateSequence(R, C, 4, S, 5)
 
 
 class TestFig09:
     def test_totals_ascending(self):
-        r = fig09_state_order.run()
-        totals = [row[1] for row in r.rows()]
+        rows = analytic.state_order_rows(figure_sequence())
+        totals = [row[1] for row in rows]
         assert totals == sorted(totals)
 
     def test_some_raw_dips_exist(self):
         """The motivation for Figure 10: the raw ordering would require
         draining some layer at some step."""
-        r = fig09_state_order.run()
-        assert any(row[-1] for row in r.rows())
+        rows = analytic.state_order_rows(figure_sequence())
+        assert any(row[-1] for row in rows)
 
 
 class TestFig10:
     def test_effective_totals_ascending(self):
-        r = fig10_filling_steps.run()
-        totals = [row[2] for row in r.rows()]
+        rows = analytic.filling_step_rows(figure_sequence())
+        totals = [row[2] for row in rows]
         assert totals == sorted(totals)
 
     def test_per_layer_monotone(self):
-        r = fig10_filling_steps.run()
         previous = None
-        for row in r.rows():
+        for row in analytic.filling_step_rows(figure_sequence()):
             shares = row[3:-1]
             if previous is not None:
                 for a, b in zip(previous, shares):
@@ -119,17 +116,14 @@ class TestFig10:
 
 class TestFig14:
     def test_decomposition_matches_closed_form(self):
-        r = fig14_scenario2_geometry.run()
-        text = r.render()
-        assert "closed_form_total" in text
+        assert "closed_form_total" in render("fig14")
 
     def test_component_sum(self):
-        r = fig14_scenario2_geometry.run(k=4)
-        k1 = formulas.k1_backoffs(r.rate, r.consumption)
+        consumption = 3 * C
+        k1 = formulas.k1_backoffs(R, consumption)
         first = formulas.triangle_area(
-            formulas.deficit_after_backoffs(r.rate, r.consumption, k1),
-            r.slope)
-        seq = formulas.triangle_area(r.consumption / 2, r.slope)
-        total = formulas.scenario_total(r.rate, r.consumption, r.slope,
-                                        4, formulas.SCENARIO_TWO)
+            formulas.deficit_after_backoffs(R, consumption, k1), S)
+        seq = formulas.triangle_area(consumption / 2, S)
+        total = formulas.scenario_total(R, consumption, S, 4,
+                                        formulas.SCENARIO_TWO)
         assert first + (4 - k1) * seq == pytest.approx(total)

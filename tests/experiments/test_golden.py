@@ -2,19 +2,20 @@
 
 Two layers of protection:
 
-1. Every ``figNN``/``tableN`` experiment is re-rendered and compared
-   byte-for-byte against its snapshot in ``tests/golden/``. Cheap
-   experiments run in every test session; the multi-minute ones carry
-   ``@pytest.mark.slow`` (enable with ``--run-slow``).
+1. Every artifact is re-rendered and compared byte-for-byte against its
+   snapshot in ``tests/golden/``. Cheap artifacts run in every test
+   session; the ones that need packet simulations carry
+   ``@pytest.mark.slow`` (enable with ``--run-slow``). They share one
+   session's runs, so Tables 1 and 2 execute their 50 runs once.
 2. The committed ``results/*.txt`` artifacts must equal the golden
    snapshots file-for-file — this costs nothing and covers *all*
-   experiments, including the ablations, in every session.
+   experiments in every session.
 
 After an intentional output change, regenerate with::
 
-    PYTHONPATH=src python -m pytest tests/experiments/test_golden.py \
+    PYTHONPATH=src python -m pytest tests/experiments/test_golden.py \\
         --update-golden
-    repro-experiments all --out results/ --no-cache
+    repro-experiments all --out results/
 """
 
 from __future__ import annotations
@@ -23,17 +24,19 @@ import pathlib
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, runner
+from repro.experiments.runner import EXPERIMENTS
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "golden"
 RESULTS_DIR = GOLDEN_DIR.parents[1] / "results"
 
-#: Paper artifacts cheap enough to re-render on every test run.
+#: Artifacts cheap enough to re-render on every test run.
 FAST = ("fig01", "fig02", "fig03", "fig04", "fig05", "fig07", "fig08",
-        "fig09", "fig10", "fig14")
-#: Paper artifacts that take seconds to minutes (table1/2 ~2.5 min each).
+        "fig09", "fig10", "fig14", "ablation-nonlinear", "flock-scale")
+#: Artifacts that take seconds to a minute of packet simulation.
 SLOW = ("fig06", "fig11", "fig12", "fig13", "table1", "table2",
-        "multiflow-fairness")
+        "multiflow-fairness", "ablation-allocators", "ablation-add-rules",
+        "ablation-static", "ablation-feedback", "ablation-transport",
+        "ablation-retransmit")
 
 PAPER_ARTIFACTS = [
     *(pytest.param(name, id=name) for name in FAST),
@@ -43,15 +46,12 @@ PAPER_ARTIFACTS = [
 
 
 def test_every_paper_artifact_is_parametrized():
-    covered = set(FAST) | set(SLOW)
-    expected = {name for name in EXPERIMENTS
-                if name.startswith(("fig", "table", "multiflow"))}
-    assert covered == expected
+    assert set(FAST) | set(SLOW) == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", PAPER_ARTIFACTS)
-def test_rendered_output_matches_golden(name, request):
-    text = runner.render_experiment(name)
+def test_rendered_output_matches_golden(name, request, artifact_results):
+    text = EXPERIMENTS[name].render(artifact_results(name))
     golden = GOLDEN_DIR / f"{name}.txt"
     if request.config.getoption("--update-golden"):
         golden.write_text(text)

@@ -1,21 +1,21 @@
-"""Tests for the experiment registry, CLI runner and workload builder."""
-
-import importlib
+"""Tests for the artifact table, CLI runner and workload builder."""
 
 from repro.experiments import EXPERIMENTS, runner
 from repro.experiments.common import (
+    PaperOutcome,
+    PaperRun,
     PaperWorkload,
+    Pooled,
     WorkloadConfig,
-    pooled_metrics,
 )
 
 
 class TestRegistry:
     def test_every_entry_importable_with_run(self):
-        for name, module_path in EXPERIMENTS.items():
-            module = importlib.import_module(module_path)
-            assert hasattr(module, "run"), name
-            assert hasattr(module, "main"), name
+        for name, artifact in EXPERIMENTS.items():
+            assert callable(artifact.runs), name
+            assert callable(artifact.render), name
+            assert artifact.render.__doc__, name  # states the paper claim
 
     def test_expected_experiments_present(self):
         for name in ("fig01", "fig11", "fig12", "fig13", "table1",
@@ -54,6 +54,18 @@ class TestWorkloadConfig:
         assert cfg.duration == 90.0
         assert cfg.k_max == 4
 
+    def test_retransmit_layers_reach_the_adapter(self):
+        cfg = WorkloadConfig(retransmit_layers=1, duration=1.0)
+        assert cfg.qa_config().retransmit_layers == 1
+        adapter = PaperWorkload(cfg).session.server.adapter
+        assert adapter.config.retransmit_layers == 1
+
+    def test_equal_configs_are_one_run_key(self):
+        assert PaperRun(WorkloadConfig(k_max=3)) == \
+            PaperRun(WorkloadConfig(k_max=3))
+        assert len({PaperRun(WorkloadConfig(seed=s)) for s in (1, 1, 2)}) \
+            == 2
+
 
 class TestPaperWorkload:
     def test_overrides_via_kwargs(self):
@@ -66,14 +78,14 @@ class TestPaperWorkload:
         assert w.config.duration == 5.0
 
     def test_flow_counts(self):
-        w = PaperWorkload(duration=1.0)
-        assert len(w.background_rap) == 9
-        assert len(w.background_tcp) == 10
-        assert w.cbr is None
+        kinds = [f.kind for f in PaperWorkload(duration=1.0).scenario.flows]
+        assert kinds.count("rap") == 9
+        assert kinds.count("tcp") == 10
+        assert "cbr" not in kinds
 
     def test_cbr_present_for_t2(self):
         w = PaperWorkload(WorkloadConfig.t2(duration=1.0))
-        assert w.cbr is not None
+        assert "cbr" in [f.kind for f in w.scenario.flows]
 
     def test_same_seed_reproduces(self):
         a = PaperWorkload(seed=7, duration=8.0).run()
@@ -92,8 +104,10 @@ class TestPaperWorkload:
         summary = w.network_summary()
         assert 0 < summary["bottleneck_utilization"] <= 1.05
 
-    def test_pooled_metrics(self):
-        pooled = pooled_metrics(
-            (1, 2),
-            lambda seed: PaperWorkload(seed=seed, duration=8.0))
+    def test_pooled_metrics(self, execute):
+        runs = [PaperRun(WorkloadConfig(seed=seed, duration=8.0))
+                for seed in (1, 2)]
+        results = execute(runs)
+        assert all(isinstance(o, PaperOutcome) for o in results.values())
+        pooled = Pooled(list(results.items())).metrics
         assert pooled.adds or pooled.drops or True  # pools run fine

@@ -1,258 +1,187 @@
-"""Tests for the orchestration layer: scheduler, cache, manifest, CLI.
+"""Tests for the runner: deduplicated runs, determinism, seeds, manifest.
 
 The load-bearing guarantees:
 
+- each distinct run executes once, however many artifacts read it
+  (Tables 1 and 2 share their 50 runs);
 - parallel (process-pool) and serial execution produce byte-identical
   rendered output and output digests (determinism under parallelism);
-- the content-addressed cache hits on unchanged (config, source) and
-  misses when either changes;
-- the run manifest records wall time, hit/miss, seed and output digest;
-- ``render_result`` normalizes every experiment return convention and
-  fails loudly (TypeError, naming the module) on an unrenderable one.
+- ``--seed`` reaches the artifacts built on one seeded run and leaves
+  the seed-pooling ones alone;
+- the run manifest records the distinct-run count, seeds and output
+  digests, and a plain invocation writes nothing.
 """
 
 from __future__ import annotations
 
 import json
-import types
+import pathlib
+from dataclasses import dataclass
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, cache as cache_mod, runner
-from repro.experiments.cache import ResultCache
-from repro.experiments.runner import (
-    build_manifest,
-    effective_seed,
-    render_result,
-    run_experiments,
-    seed_overrides,
-)
+from repro.experiments import EXPERIMENTS, Artifact, runner
+from repro.experiments.common import PaperRun
+from repro.experiments.runner import build_manifest, run_experiments
 
-CHEAP = ["fig01", "fig03", "fig04"]
+CHEAP = ["fig01", "fig02", "fig05"]
+RESULTS_DIR = pathlib.Path(__file__).resolve().parents[2] / "results"
+
+
+def distinct_runs(names):
+    return set().union(*runner.plan(names).values())
+
+
+class TestDedup:
+    def test_tables_share_their_runs(self):
+        assert sum(len(runs) for runs in runner.plan(
+            ["table1", "table2"]).values()) == 100
+        assert len(distinct_runs(["table1", "table2"])) == 50
+
+    def test_all_runs_each_distinct_run_once(self):
+        names = sorted(EXPERIMENTS)
+        asked = [run for runs in runner.plan(names).values() for run in runs
+                 if isinstance(run, PaperRun)]
+        assert len(asked) == 144
+        # The 78 distinct T1/T2 runs: Table 1's 50, plus the runs whose
+        # allocator, add rule, adapter, feedback, transport or
+        # retransmission differ from the paper's configuration.
+        assert len(set(asked)) == 78
+        assert len(distinct_runs(names)) == 89  # + fig01, 3 fluid,
+        #                                          4 multiflow, 3 flock
+
+    def test_execute_runs_each_key_once(self):
+        calls = []
+
+        @dataclass(frozen=True)
+        class Counted:
+            name: str
+
+            def execute(self):
+                calls.append(self.name)
+                return self.name.upper()
+
+        results = runner.execute([Counted("a"), Counted("b"), Counted("a")])
+        assert calls == ["a", "b"]
+        assert list(results.values()) == ["A", "B"]
+
+    def test_retransmit_rows_are_distinct_runs(self):
+        runs = EXPERIMENTS["ablation-retransmit"].runs()
+        assert len(set(runs)) == len(runs) == 6
+        by_row = {}
+        for run in runs:
+            by_row.setdefault(run.config.retransmit_layers, set()).add(run)
+        assert sorted(by_row) == [0, 1]
+        assert not by_row[0] & by_row[1]
+
+    def test_retransmit_renders_the_committed_artifact(self, execute):
+        artifact = EXPERIMENTS["ablation-retransmit"]
+        text = artifact.render(execute(artifact.runs()))
+        assert text == (RESULTS_DIR / "ablation-retransmit.txt").read_text()
 
 
 class TestDeterminism:
     def test_serial_and_parallel_runs_are_bit_identical(self):
-        serial = run_experiments(CHEAP, jobs=1, cache=None)
-        pooled = run_experiments(CHEAP, jobs=2, cache=None)
+        serial, runs = run_experiments(CHEAP, jobs=1)
+        pooled, pooled_runs = run_experiments(CHEAP, jobs=2)
+        # More than one distinct run, or execute() never starts the pool.
+        assert runs == pooled_runs == 3
         assert [r.name for r in serial] == [r.name for r in pooled]
         for a, b in zip(serial, pooled):
             assert a.text == b.text, a.name
             assert a.output_sha256 == b.output_sha256, a.name
 
+    def test_pooled_paper_runs_render_identically(self):
+        """T1 outcomes (session, tracer, network stats) survive the trip
+        back from a worker: pooled and serial render the same text."""
+        artifact = EXPERIMENTS["fig12"]
+        runs = artifact.runs(k_values=(2, 3), duration=10.0)
+        assert len(set(runs)) == 2
+        serial = artifact.render(runner.execute(runs, 1))
+        pooled = artifact.render(runner.execute(runs, 2))
+        assert serial == pooled
+
     def test_repeated_serial_runs_are_bit_identical(self):
-        a = run_experiments(["fig01"], cache=None)[0]
-        b = run_experiments(["fig01"], cache=None)[0]
+        a = run_experiments(["fig01"])[0][0]
+        b = run_experiments(["fig01"])[0][0]
         assert a.text == b.text
         assert a.output_sha256 == b.output_sha256
 
 
-class TestResultCache:
-    def test_second_run_hits_with_identical_output(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cold = run_experiments(CHEAP, cache=cache)
-        warm = run_experiments(CHEAP, cache=cache)
-        assert all(not r.cache_hit for r in cold)
-        assert all(r.cache_hit for r in warm)
-        for a, b in zip(cold, warm):
-            assert a.text == b.text
-            assert a.output_sha256 == b.output_sha256
-        assert cache.hits == len(CHEAP)
-        assert cache.misses == len(CHEAP)
-
-    def test_warm_hit_is_much_faster_than_cold_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cold = run_experiments(["fig01"], cache=cache)[0]
-        warm = run_experiments(["fig01"], cache=cache)[0]
-        assert warm.seconds < cold.seconds
-
-    def test_refresh_reruns_but_stores(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        run_experiments(["fig03"], cache=cache)
-        again = run_experiments(["fig03"], cache=cache, refresh=True)[0]
-        assert not again.cache_hit
-        assert cache.get(again.cache_key) == again.text
-
-    def test_key_depends_on_config(self):
-        cache = ResultCache("unused")
-        a = cache.key("fig11", EXPERIMENTS["fig11"], {})
-        b = cache.key("fig11", EXPERIMENTS["fig11"], {"seed": 2})
-        assert a != b
-
-    def test_key_depends_on_source(self, tmp_path, monkeypatch):
-        stub = tmp_path / "stub_cache_mod.py"
-        stub.write_text("def run():\n    return 'v1'\n")
-        monkeypatch.syspath_prepend(str(tmp_path))
-        cache = ResultCache(tmp_path / "cache")
-        first = cache.key("stub", "stub_cache_mod", {})
-        stub.write_text("def run():\n    return 'v2'\n")
-        cache_mod.clear_memos()
-        try:
-            assert cache.key("stub", "stub_cache_mod", {}) != first
-        finally:
-            cache_mod.clear_memos()
-
-    def test_closure_tracks_transitive_repro_imports(self):
-        closure = cache_mod.module_closure(EXPERIMENTS["fig11"])
-        assert EXPERIMENTS["fig11"] in closure
-        assert "repro.experiments.common" in closure
-        assert "repro.sim.engine" in closure  # via common -> sim
-        # A figure that only uses the analytic core must not depend on
-        # the transport or server stack: editing RAP keeps fig04 cached.
-        analytic = cache_mod.module_closure(EXPERIMENTS["fig04"])
-        assert "repro.transport.rap" not in analytic
-        assert "repro.server.session" not in analytic
-
-    def test_clear_removes_entries(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put("k1", "text")
-        assert cache.clear() == 1
-        assert cache.get("k1") is None
-
-
 class TestSeedPlumbing:
     def test_explicit_seed_param_receives_override(self):
-        module = __import__("repro.experiments.ablation_add_rules",
-                            fromlist=["run"])
-        assert seed_overrides(module, 9) == {"seed": 9}
+        runs = runner.plan(["ablation-add-rules"], seed=9)
+        assert {run.seed for run in runs["ablation-add-rules"]} == {9}
 
     def test_var_keyword_run_receives_override(self):
-        module = __import__("repro.experiments.fig11_trace_kmax2",
-                            fromlist=["run"])
-        assert seed_overrides(module, 9) == {"seed": 9}
+        (run,) = runner.plan(["fig11"], seed=9)["fig11"]
+        assert run.seed == 9
+        assert run.config.k_max == 2
 
     def test_pooled_seeds_run_is_left_alone(self):
-        module = __import__("repro.experiments.table1_efficiency",
-                            fromlist=["run"])
-        assert seed_overrides(module, 9) == {}
-        assert effective_seed(module, {}) == [1, 2, 3, 4, 5]
+        runs = runner.plan(["table1"], seed=9)["table1"]
+        assert runs == runner.plan(["table1"])["table1"]
+        assert sorted({run.seed for run in runs}) == [1, 2, 3, 4, 5]
 
     def test_analytic_run_is_left_alone(self):
-        module = __import__("repro.experiments.fig04_optimal_alloc",
-                            fromlist=["run"])
-        assert seed_overrides(module, 9) == {}
-        assert effective_seed(module, {}) is None
+        assert runner.plan(["fig04"], seed=9) == {"fig04": ()}
+        (record,), _ = run_experiments(["fig04"], seed=9)
+        assert record.seeds == []
 
-    def test_seed_override_changes_stochastic_output(self, tmp_path):
-        base = run_experiments(["fig11"], cache=None)[0]
-        other = run_experiments(["fig11"], seed=3, cache=None)[0]
-        assert base.seed is None and other.seed == 3
+    def test_seed_override_changes_stochastic_output(self):
+        (base,), _ = run_experiments(["fig11"])
+        (other,), _ = run_experiments(["fig11"], seed=3)
+        assert base.seeds == [1] and other.seeds == [3]
         assert base.text != other.text
 
 
 class TestRenderProtocol:
-    def _module(self, name="stub_module", **attrs):
-        module = types.ModuleType(name)
-        for key, value in attrs.items():
-            setattr(module, key, value)
-        return module
-
-    def test_result_render_method_wins(self):
-        class Result:
-            def render(self):
-                return "via method"
-        module = self._module(render=lambda result: "via module")
-        assert render_result(module, Result()) == "via method"
-
-    def test_module_level_render_fallback(self):
-        module = self._module(render=lambda result: f"table: {result}")
-        assert render_result(module, {"x": 1}) == "table: {'x': 1}"
-
-    def test_plain_string_passthrough(self):
-        assert render_result(self._module(), "already text") == \
-            "already text"
-
-    def test_unrenderable_result_raises_typeerror(self):
-        module = self._module(name="repro.experiments.broken")
-        with pytest.raises(TypeError, match="broken.*dict"):
-            render_result(module, {"not": "renderable"})
-
     def test_render_experiment_full_path(self, monkeypatch):
-        monkeypatch.setitem(
-            EXPERIMENTS, "stub",
-            "tests.experiments.render_stub")
+        monkeypatch.setitem(EXPERIMENTS, "stub", Artifact(
+            runs=lambda seed=None: (),
+            render=lambda results: f"module render: {len(results) + 7}"))
         assert runner.render_experiment("stub") == "module render: 7"
+
+    def test_formula_artifacts_reject_unknown_params(self):
+        assert "S1" in runner.render_experiment("fig08", seed=3)
+        with pytest.raises(TypeError):
+            runner.render_experiment("fig08", k_max=3)
 
 
 class TestManifest:
-    def test_fields(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        records = run_experiments(["fig03", "fig04"], cache=cache)
-        manifest = build_manifest(records, jobs=2, cache=cache)
-        assert manifest["schema"] == runner.MANIFEST_SCHEMA
+    def test_fields(self):
+        records, runs = run_experiments(["fig03", "fig04", "fig05"])
+        manifest = build_manifest(records, jobs=2, runs=runs, seconds=1.5)
+        assert manifest["schema"] == runner.MANIFEST_SCHEMA == 2
         assert manifest["jobs"] == 2
-        assert manifest["cache_dir"] == str(cache.root)
-        assert manifest["cache_misses"] == 2
+        assert manifest["runs"] == 1
+        assert manifest["total_seconds"] == 1.5
         entries = manifest["experiments"]
-        assert [e["name"] for e in entries] == ["fig03", "fig04"]
+        assert [e["name"] for e in entries] == ["fig03", "fig04", "fig05"]
+        assert [e["runs"] for e in entries] == [0, 0, 1]
         for entry in entries:
-            assert entry["seconds"] >= 0
-            assert entry["cache_hit"] is False
             assert len(entry["output_sha256"]) == 64
-            assert entry["cache_key"]
-
-    def test_hits_recorded_on_second_run(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        run_experiments(["fig03"], cache=cache)
-        records = run_experiments(["fig03"], cache=cache)
-        manifest = build_manifest(records, jobs=1, cache=cache)
-        assert manifest["cache_hits"] == 1
-        assert manifest["cache_misses"] == 0
+            assert entry["seeds"] == []
+        assert not {"cache_dir", "cache_hits", "cache_misses"} & set(manifest)
 
 
 class TestCli:
     def test_multi_name_out_dir_writes_files_and_manifest(
             self, tmp_path, capsys):
         out = tmp_path / "out"
-        assert runner.main([
-            "fig03", "fig04", "--out", str(out),
-            "--cache-dir", str(tmp_path / "cache")]) == 0
+        assert runner.main(["fig03", "fig04", "--out", str(out)]) == 0
         assert (out / "fig03.txt").is_file()
         assert (out / "fig04.txt").is_file()
         manifest = json.loads((out / "manifest.json").read_text())
         assert {e["name"] for e in manifest["experiments"]} == \
             {"fig03", "fig04"}
 
-    def test_second_cli_run_is_all_hits(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        argv = ["fig03", "fig04", "--cache-dir", str(cache_dir)]
-        assert runner.main(argv) == 0
-        first = capsys.readouterr().out
-        assert runner.main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        manifest = json.loads((cache_dir / "manifest.json").read_text())
-        assert manifest["cache_hits"] == 2
-
-    def test_no_cache_writes_nothing(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert runner.main(["fig04", "--no-cache",
-                            "--cache-dir", str(cache_dir)]) == 0
-        assert not cache_dir.exists()
-
-    def test_bench_emits_manifest_json(self, tmp_path, capsys):
-        target = tmp_path / "timings.json"
-        assert runner.main([
-            "bench", "fig03", "fig04", "--json", str(target),
-            "--cache-dir", str(tmp_path / "cache")]) == 0
-        manifest = json.loads(target.read_text())
-        assert manifest["cache_misses"] == 2
-        assert all(not e["cache_hit"] for e in manifest["experiments"])
-
-    def test_bench_never_reads_but_still_warms(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        argv_bench = ["bench", "fig03", "--json",
-                      str(tmp_path / "t.json"),
-                      "--cache-dir", str(cache_dir)]
-        assert runner.main(argv_bench) == 0
-        assert runner.main(["fig03", "--cache-dir",
-                            str(cache_dir)]) == 0
-        capsys.readouterr()
-        manifest = json.loads((cache_dir / "manifest.json").read_text())
-        assert manifest["cache_hits"] == 1
+    def test_no_cache_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert runner.main(["fig04", "fig03"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_explicit_manifest_path(self, tmp_path, capsys):
         target = tmp_path / "m.json"
-        assert runner.main(["fig04", "--no-cache",
-                            "--manifest", str(target)]) == 0
-        assert json.loads(target.read_text())["cache_misses"] == 1
+        assert runner.main(["fig04", "--manifest", str(target)]) == 0
+        assert json.loads(target.read_text())["runs"] == 0

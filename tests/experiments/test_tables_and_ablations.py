@@ -7,135 +7,144 @@ comparison the paper (or our ablation design) makes.
 
 import pytest
 
-from repro.experiments import (
-    ablation_add_rules,
-    ablation_allocators,
-    ablation_feedback,
-    ablation_static,
-    table1_efficiency,
-    table2_drop_causes,
-)
+from repro.experiments import EXPERIMENTS
+from repro.experiments.ablations import fraction_at_or_above, static_scheme
+from repro.experiments.common import pool_by
+from repro.experiments.tables import table_cells
 
 
 @pytest.fixture(scope="module")
-def tables():
+def tables(artifact_results):
     """One shared small collection for both tables."""
-    return table1_efficiency.collect(
-        k_values=(2, 4), seeds=(1, 2), duration=30.0)
+    return artifact_results("table1", k_values=(2, 4), seeds=(1, 2),
+                            duration=30.0)
 
 
 class TestTables:
     def test_cells_present(self, tables):
-        assert ("T1", 2) in tables.metrics
-        assert ("T2", 4) in tables.metrics
+        cells = table_cells(tables)
+        assert ("T1", 2) in cells
+        assert ("T2", 4) in cells
 
     def test_efficiency_is_high(self, tables):
-        for key, metrics in tables.metrics.items():
-            eff = metrics.buffering_efficiency()
+        for key, cell in table_cells(tables).items():
+            eff = cell.metrics.buffering_efficiency()
             if eff is not None:
                 assert eff > 0.75, key
 
     def test_poor_distribution_is_low(self, tables):
-        for key, metrics in tables.metrics.items():
-            poor = metrics.poor_distribution_percent()
+        for key, cell in table_cells(tables).items():
+            poor = cell.metrics.poor_distribution_percent()
             if poor is not None:
                 assert poor <= 25.0, key
 
     def test_smoothing_reduces_drops(self, tables):
-        t1_k2 = len(tables.metrics[("T1", 2)].drops)
-        t1_k4 = len(tables.metrics[("T1", 4)].drops)
+        cells = table_cells(tables)
+        t1_k2 = len(cells[("T1", 2)].metrics.drops)
+        t1_k4 = len(cells[("T1", 4)].metrics.drops)
         assert t1_k4 <= t1_k2
 
     def test_t2_has_more_drops_than_t1(self, tables):
         # The CBR burst forces extra adaptation.
-        assert (len(tables.metrics[("T2", 2)].drops)
-                >= len(tables.metrics[("T1", 2)].drops))
+        cells = table_cells(tables)
+        assert (len(cells[("T2", 2)].metrics.drops)
+                >= len(cells[("T1", 2)].metrics.drops))
 
     def test_render_both_tables(self, tables):
-        assert "Table 1" in tables.render()
-        assert "Table 2" in table2_drop_causes.render(tables)
+        assert "Table 1" in EXPERIMENTS["table1"].render(tables)
+        assert "Table 2" in EXPERIMENTS["table2"].render(tables)
 
 
 class TestAllocatorAblation:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablation_allocators.run(seeds=(1,), duration=30.0)
+    def result(self, artifact_results):
+        return artifact_results("ablation-allocators", seeds=(1,),
+                                duration=30.0)
 
     def test_all_three_run(self, result):
-        assert set(result.metrics) == {"optimal", "equal_share",
-                                       "base_first"}
+        assert set(pool_by(result, lambda run: run.config.allocator)) == {
+            "optimal", "equal_share", "base_first"}
 
     def test_optimal_is_most_efficient(self, result):
-        eff = {name: m.buffering_efficiency()
-               for name, m in result.metrics.items()}
+        eff = {name: p.metrics.buffering_efficiency() for name, p in
+               pool_by(result, lambda run: run.config.allocator).items()}
         if eff["optimal"] is not None and eff["equal_share"] is not None:
             assert eff["optimal"] >= eff["equal_share"] - 0.1
 
     def test_renders(self, result):
-        assert "allocator" in result.render()
+        assert "allocator" in EXPERIMENTS["ablation-allocators"].render(
+            result)
 
 
 class TestAddRuleAblation:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablation_add_rules.run(duration=60.0)
+    def result(self, artifact_results):
+        return artifact_results("ablation-add-rules", duration=60.0)
 
     def test_all_rules_run(self, result):
-        assert {r.rule for r in result.rows} == {
+        assert {run.config.add_rule for run in result} == {
             "buffer_only", "buffer_and_rate", "average_bandwidth"}
 
     def test_buffer_rule_delivers_the_extra_layer_more(self, result):
         """The paper's 2.9-layer argument: the buffer-based rule spends
         (much) more time at >= 3 layers than the average-bandwidth
         rule."""
-        by_rule = {r.rule: r for r in result.rows}
-        assert (by_rule["buffer_only"].time_at_3_plus
-                >= by_rule["average_bandwidth"].time_at_3_plus)
+        time_at_3_plus = {
+            run.config.add_rule: fraction_at_or_above(
+                outcome.session.tracer.get("layers").window(10.0, 60.0),
+                3.0)
+            for run, outcome in result.items()}
+        assert (time_at_3_plus["buffer_only"]
+                >= time_at_3_plus["average_bandwidth"])
 
     def test_renders(self, result):
-        assert "add rule" in result.render()
+        assert "add rule" in EXPERIMENTS["ablation-add-rules"].render(result)
 
 
 class TestStaticAblation:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablation_static.run(seeds=(1,), duration=30.0)
+    def result(self, artifact_results):
+        return pool_by(
+            artifact_results("ablation-static", seeds=(1,), duration=30.0),
+            static_scheme)
 
     def test_rows(self, result):
-        schemes = [r.scheme for r in result.rows]
-        assert "adaptive" in schemes
-        assert any("fixed" in s for s in schemes)
+        assert "adaptive" in result
+        assert any("fixed" in s for s in result)
 
     def test_adaptive_does_not_stall(self, result):
-        adaptive = next(r for r in result.rows if r.scheme == "adaptive")
-        assert adaptive.stalls == 0
+        assert result["adaptive"].total("stalls_receiver") == 0
 
     def test_high_fixed_quality_suffers(self, result):
-        fixed4 = next(r for r in result.rows
-                      if r.scheme == "fixed 4 layers")
-        adaptive = next(r for r in result.rows if r.scheme == "adaptive")
-        assert (fixed4.stalls > adaptive.stalls
-                or fixed4.gap_bytes > adaptive.gap_bytes)
+        fixed4, adaptive = result["fixed 4 layers"], result["adaptive"]
+        assert (fixed4.total("stalls_receiver")
+                > adaptive.total("stalls_receiver")
+                or fixed4.mean("gap_bytes") > adaptive.mean("gap_bytes"))
 
-    def test_renders(self, result):
-        assert "adaptive" in result.render()
+    def test_renders(self, artifact_results):
+        results = artifact_results("ablation-static", seeds=(1,),
+                                   duration=30.0)
+        assert "adaptive" in EXPERIMENTS["ablation-static"].render(results)
 
 
 class TestFeedbackAblation:
     @pytest.fixture(scope="class")
-    def result(self):
-        return ablation_feedback.run(seeds=(1,), duration=30.0)
+    def result(self, artifact_results):
+        return artifact_results("ablation-feedback", seeds=(1,),
+                                duration=30.0)
 
     def test_all_modes_run(self, result):
-        assert {r.mode for r in result.rows} == {"send", "ack", "oracle"}
+        assert {run.config.feedback for run in result} == {
+            "send", "ack", "oracle"}
 
     def test_send_mode_protects_playback_best(self, result):
         """'send' (loss-aware) must not stall more than 'oracle'
         (loss-blind) -- ignoring losses overestimates the receiver's
         buffers and breaks stall protection."""
-        by_mode = {r.mode: r for r in result.rows}
-        assert by_mode["send"].stalls <= by_mode["oracle"].stalls
-        assert by_mode["send"].stall_time < 1.0
+        by_mode = pool_by(result, lambda run: run.config.feedback)
+        assert (by_mode["send"].total("stalls_receiver")
+                <= by_mode["oracle"].total("stalls_receiver"))
+        assert by_mode["send"].total("stall_time_receiver") < 1.0
 
     def test_renders(self, result):
-        assert "feedback" in result.render()
+        assert "feedback" in EXPERIMENTS["ablation-feedback"].render(result)

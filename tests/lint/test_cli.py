@@ -95,17 +95,17 @@ class TestSideEffects:
 
 class TestRuleSelection:
     def test_rules_filter(self, capsys):
-        assert main(["--rules", "RL004", str(FIXTURES)]) == 1
+        assert main(["--rules", "RL003", str(FIXTURES)]) == 1
         out = capsys.readouterr().out
-        assert "RL004" in out
+        assert "RL003" in out
         assert "RL001" not in out
-        assert "RL002" not in out
+        assert "RL005" not in out
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL000", "RL001", "RL002", "RL003", "RL004",
-                     "RL005", "RL006", "RL007", "RL008"):
+        for code in ("RL000", "RL001", "RL003", "RL005", "RL006",
+                     "RL007", "RL008"):
             assert code in out
 
 
@@ -116,7 +116,7 @@ class TestJsonReport:
         assert report["schema"] == REPORT_SCHEMA
         assert report["total"] == len(report["violations"])
         assert report["total"] > 0
-        for code in ("RL001", "RL002", "RL003", "RL004"):
+        for code in ("RL001", "RL003", "RL005", "RL006"):
             assert report["counts"][code] > 0, code
         assert sum(report["counts"].values()) == report["total"]
         first = report["violations"][0]
@@ -186,13 +186,13 @@ class TestShowSuppressed:
         path.parent.mkdir()
         path.write_text(
             "import random  # repro-lint: disable=RL001\n"
-            "VALUE = 1  # repro-lint: disable=RL004\n"
+            "VALUE = 1  # repro-lint: disable=RL003\n"
         )
         assert main(["--show-suppressed", str(path)]) == 1
         captured = capsys.readouterr()
         lines = captured.out.strip().splitlines()
         assert any("disable=RL001 used" in line for line in lines)
-        assert any("disable=RL004 STALE" in line for line in lines)
+        assert any("disable=RL003 STALE" in line for line in lines)
         assert "1 stale" in captured.err
 
     def test_all_used_passes(self, tmp_path, capsys):

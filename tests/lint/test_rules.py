@@ -67,31 +67,6 @@ class TestRL001Determinism:
         assert violations == []
 
 
-class TestRL002ExperimentProtocol:
-    def test_compliant_module_passes(self):
-        assert lint_fixture("experiments", "fig_good.py") == []
-
-    def test_unregistered_module_flagged(self):
-        violations = lint_fixture("experiments", "fig_unregistered.py")
-        assert [v.code for v in violations] == ["RL002"]
-        assert "not registered in EXPERIMENTS" in violations[0].message
-
-    def test_protocol_breaches_flagged(self):
-        violations = lint_fixture("experiments", "fig_badproto.py")
-        messages = [v.message for v in violations]
-        assert [v.code for v in violations] == ["RL002"] * 3
-        assert any("without defaults" in m for m in messages)
-        assert any("seed" in m for m in messages)
-        assert any("render" in m for m in messages)
-
-    def test_infrastructure_stems_exempt(self):
-        # common/runner/cache in an experiments dir are not experiments.
-        violations, _ = lint_paths(
-            [str(FIXTURES / "experiments" / "__init__.py")]
-        )
-        assert violations == []
-
-
 class TestRL003UnitsDiscipline:
     def test_flags_mixed_arithmetic(self):
         violations = lint_fixture("core", "formulas.py")
@@ -104,18 +79,6 @@ class TestRL003UnitsDiscipline:
 
     def test_clean_units_code_passes(self):
         assert lint_fixture("core", "clean_units.py") == []
-
-
-class TestRL004CacheKeyHygiene:
-    def test_flags_dynamic_imports(self):
-        violations = lint_fixture("experiments", "fig_dynamic.py")
-        assert codes_and_lines(violations) == [
-            ("RL004", 3),  # import importlib
-            ("RL004", 8),  # __import__(...)
-        ]
-
-    def test_static_imports_pass(self):
-        assert lint_fixture("experiments", "fig_good.py") == []
 
 
 class TestSuppressions:

@@ -8,18 +8,18 @@ class TestScan:
         sup = Suppressions.scan("x = 1  # repro-lint: disable=RL001\n")
         assert sup.covers("RL001", 1)
         assert not sup.covers("RL001", 2)
-        assert not sup.covers("RL002", 1)
+        assert not sup.covers("RL005", 1)
 
     def test_multiple_codes(self):
         sup = Suppressions.scan("x = 1  # repro-lint: disable=RL001,RL003\n")
         assert sup.covers("RL001", 1)
         assert sup.covers("RL003", 1)
-        assert not sup.covers("RL002", 1)
+        assert not sup.covers("RL005", 1)
 
     def test_file_directive_covers_every_line(self):
-        sup = Suppressions.scan("# repro-lint: disable-file=RL004\nx = 1\n")
-        assert sup.covers("RL004", 1)
-        assert sup.covers("RL004", 999)
+        sup = Suppressions.scan("# repro-lint: disable-file=RL009\nx = 1\n")
+        assert sup.covers("RL009", 1)
+        assert sup.covers("RL009", 999)
         assert not sup.covers("RL001", 1)
 
     def test_case_and_spacing_tolerance(self):

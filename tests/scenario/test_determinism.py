@@ -53,11 +53,11 @@ def test_seed_changes_the_outcome():
 
 def test_serial_and_pooled_render_hash_identically():
     """The artifact's sha256 must not depend on where it is computed."""
-    overrides = {"counts": (N_QA,), "duration": DURATION}
-    serial_text, _ = runner._execute("multiflow-fairness", overrides)
+    params = {"counts": (N_QA,), "duration": DURATION}
+    serial_text = runner.render_experiment("multiflow-fairness", **params)
     with concurrent.futures.ProcessPoolExecutor(1) as pool:
-        pooled_text, _ = pool.submit(
-            runner._execute, "multiflow-fairness", overrides).result()
+        pooled_text = pool.submit(runner.render_experiment,
+                                  "multiflow-fairness", **params).result()
     serial_sha = hashlib.sha256(serial_text.encode()).hexdigest()
     pooled_sha = hashlib.sha256(pooled_text.encode()).hexdigest()
     assert serial_sha == pooled_sha

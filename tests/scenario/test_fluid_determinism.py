@@ -62,11 +62,11 @@ def test_fluid_and_packet_fingerprints_stay_close_but_distinct():
 
 def test_serial_and_pooled_flock_scale_hash_identically():
     """The artifact's sha256 must not depend on where it is computed."""
-    overrides = {"counts": (50, 200), "duration": 15.0}
-    serial_text, _ = runner._execute("flock-scale", overrides)
+    params = {"counts": (50, 200), "duration": 15.0}
+    serial_text = runner.render_experiment("flock-scale", **params)
     with concurrent.futures.ProcessPoolExecutor(1) as pool:
-        pooled_text, _ = pool.submit(
-            runner._execute, "flock-scale", overrides).result()
+        pooled_text = pool.submit(runner.render_experiment,
+                                  "flock-scale", **params).result()
     serial_sha = hashlib.sha256(serial_text.encode()).hexdigest()
     pooled_sha = hashlib.sha256(pooled_text.encode()).hexdigest()
     assert serial_sha == pooled_sha
