@@ -2,9 +2,9 @@
 """repro-lint throughput benchmark: emits ``BENCH_lint.json``.
 
 The lint gate runs on every CI push, so its wall-clock cost is a budget,
-not a curiosity: the whole-program flow rules (RL005-RL016) parse every
-file, build the project symbol tables, the call graph, and the async
-graph, and run the dataflow engine over every function — an accidental
+not a curiosity: the whole-program flow rules (RL005-RL012) parse every
+file, build the project symbol tables and the call graph, and run the
+dataflow engine over every function — an accidental
 quadratic there would tax every commit. This script times two
 configurations over ``src/``:
 
@@ -12,7 +12,7 @@ configurations over ``src/``:
 - ``full``: all rules including the whole-program flow analysis.
 
 A third section, ``profile``, breaks the full run down per rule and
-shared phase (``project:build``, ``project:asyncgraph``) so a budget
+shared phase (``project:build``) so a budget
 regression names its culprit instead of just tripping the bound.
 
 The script exits non-zero when the report drifts from ``SCHEMA`` or

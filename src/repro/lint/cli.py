@@ -7,7 +7,7 @@ paths match no Python files at all -- a misconfigured CI glob must not
 masquerade as a clean run. ``--changed`` with an empty diff *is* a
 legitimate clean state and exits 0.
 
-Per-file rules (RL001, RL003) run file by file; flow rules (RL005-RL016)
+Per-file rules (RL001, RL003) run file by file; flow rules (RL005-RL012)
 run once over a whole-program :class:`~repro.lint.flow.project.Project`
 built from every file in the run. ``--changed`` narrows the *report*,
 never the analysis: the project is still built from the full path set so
@@ -155,11 +155,6 @@ def _raw_violations(
             project = Project.build(
                 [entry.ctx for entry in entries if entry.ctx is not None]
             )
-        if any(rule.uses_async_facts for rule in flow):
-            # Force the shared async graph under its own label so its
-            # construction cost does not land on the first async rule.
-            with prof.measure("project:asyncgraph"):
-                project.asyncgraph()
         for rule in flow:
             with prof.measure(rule.code):
                 found.extend(rule.check_project(project))
@@ -323,7 +318,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro-lint",
         description=(
             "AST and dataflow invariant checker for the repro codebase "
-            "(rules RL001-RL016; see docs/LINTING.md)."
+            "(rules RL001-RL012; see docs/LINTING.md)."
         ),
     )
     parser.add_argument(

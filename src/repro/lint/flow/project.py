@@ -36,7 +36,6 @@ from repro.lint.flow.units import (
 from repro.lint.rules.base import FileContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.flow.asyncgraph import AsyncGraph
     from repro.lint.flow.callgraph import CallGraph
     from repro.lint.flow.summaries import SummaryTable
 
@@ -78,7 +77,6 @@ class Project:
         self._attr_cache: dict[tuple[str, str], TypeRef] = {}
         self._call_graph: Optional["CallGraph"] = None
         self._summaries: Optional["SummaryTable"] = None
-        self._asyncgraph: Optional["AsyncGraph"] = None
 
     @classmethod
     def build(cls, contexts: list[FileContext]) -> "Project":
@@ -109,14 +107,6 @@ class Project:
 
             self._summaries = SummaryTable.build(self)
         return self._summaries
-
-    def asyncgraph(self) -> "AsyncGraph":
-        """Asyncio facts (coroutines, spawns, contexts), built once."""
-        if self._asyncgraph is None:
-            from repro.lint.flow.asyncgraph import AsyncGraph
-
-            self._asyncgraph = AsyncGraph.build(self)
-        return self._asyncgraph
 
     # --------------------------------------------------------- resolution
 

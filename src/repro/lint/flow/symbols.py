@@ -46,8 +46,7 @@ class TypeRef:
 
 ANY = TypeRef("any")
 
-#: Sync and async definitions share every field the analyses read; the
-#: tables record both and mark coroutines with ``is_async``.
+#: Sync and async definitions share every field the analyses read.
 AnyFunctionDef = ast.FunctionDef | ast.AsyncFunctionDef
 
 
@@ -66,7 +65,6 @@ class FunctionInfo:
     is_property: bool = False
     is_staticmethod: bool = False
     is_classmethod: bool = False
-    is_async: bool = False
 
 
 @dataclass
@@ -132,7 +130,6 @@ def _function_info(node: AnyFunctionDef) -> FunctionInfo:
         is_property=("property" in decorators or "cached_property" in decorators),
         is_staticmethod="staticmethod" in decorators,
         is_classmethod="classmethod" in decorators,
-        is_async=isinstance(node, ast.AsyncFunctionDef),
     )
 
 

@@ -1,18 +1,14 @@
 """Per-rule wall-time accounting for ``repro-lint --profile``.
 
-The linter's cost model changed when the async-graph stage landed:
-whole-program rules no longer pay only for the call graph, and a slow
-rule hides inside an aggregate "lint took N seconds" number. The
-profiler attributes wall-clock time to named phases (``parse``,
-``project:build``, ``project:asyncgraph``) and to each rule code, so
-a bench regression points at the rule that caused it.
+A slow rule hides inside an aggregate "lint took N seconds" number.
+The profiler attributes wall-clock time to named phases
+(``project:build``) and to each rule code, so a bench regression points
+at the rule that caused it.
 
 Timings accumulate across files: a per-file rule's entry is its total
 over the whole run, and a flow rule's entry is its single
-``check_project`` call. Lazily built shared analyses are measured
-under their own phase labels so rule entries stay comparable -- the
-async graph, for instance, is forced *before* RL013 runs, otherwise
-its construction cost would land on whichever async rule ran first.
+``check_project`` call. A lazily built shared analysis (the call graph,
+the summaries) lands on the first rule that asks for it.
 """
 
 from __future__ import annotations

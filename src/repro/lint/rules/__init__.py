@@ -13,15 +13,8 @@ from repro.lint.rules.rl009_tolerances import ToleranceRule
 from repro.lint.rules.rl010_process import ProcessSafetyRule
 from repro.lint.rules.rl011_simtime import SimTimeRule
 from repro.lint.rules.rl012_numpy import NumpyDisciplineRule
-from repro.lint.rules.rl013_blocking import AsyncBlockingRule
-from repro.lint.rules.rl014_races import AsyncSharedStateRule
-from repro.lint.rules.rl015_taskhygiene import AsyncTaskHygieneRule
-from repro.lint.rules.rl016_typestate import SessionTypestateRule
 
 __all__ = [
-    "AsyncBlockingRule",
-    "AsyncSharedStateRule",
-    "AsyncTaskHygieneRule",
     "DeterminismRule",
     "DimensionRule",
     "FileContext",
@@ -31,7 +24,6 @@ __all__ = [
     "Rule",
     "SchedulerTiebreakRule",
     "SeedFlowRule",
-    "SessionTypestateRule",
     "SimTimeRule",
     "TelemetryCostRule",
     "ToleranceRule",
@@ -44,7 +36,7 @@ def default_rules() -> tuple[Rule, ...]:
     """Fresh instances of every rule, in code order.
 
     A factory (not a module-level tuple) so that per-run state a rule
-    may keep never leaks between invocations. RL005-RL016 are
+    may keep never leaks between invocations. RL005-RL012 are
     :class:`FlowRule` subclasses: they run once per invocation over the
     whole-program :class:`~repro.lint.flow.project.Project` instead of
     file by file.
@@ -60,8 +52,4 @@ def default_rules() -> tuple[Rule, ...]:
         ProcessSafetyRule(),
         SimTimeRule(),
         NumpyDisciplineRule(),
-        AsyncBlockingRule(),
-        AsyncSharedStateRule(),
-        AsyncTaskHygieneRule(),
-        SessionTypestateRule(),
     )

@@ -83,13 +83,6 @@ class FlowRule(Rule):
     unchanged.
     """
 
-    #: Whether findings consume the async fact layer
-    #: (:meth:`repro.lint.flow.project.Project.asyncgraph`). When any
-    #: active rule does, the CLI builds that shared graph up front under
-    #: its own ``--profile`` label, so its cost does not land on the
-    #: first async rule.
-    uses_async_facts: ClassVar[bool] = False
-
     def applies_to(self, ctx: FileContext) -> bool:
         return False
 

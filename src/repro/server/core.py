@@ -320,6 +320,8 @@ class SessionCore:
         recording without a hook (or vice versa) misaligns the taped
         clock stream and the replay fails loudly on divergence.
         """
+        if not tape.calls:
+            raise ValueError("empty session tape: no recording core filled it")
         clock = _TapeCursor(tape.clock, "clock")
         core = cls(
             config,

@@ -30,7 +30,8 @@ Pieces:
 - :mod:`repro.service.server` -- :class:`StreamingService`, the asyncio
   datagram server: one :class:`~repro.server.core.SessionCore` +
   :class:`~repro.service.pacing.RapPacer` + bounded send queue per
-  session, graceful FIN teardown, FlightRecorder/MetricsRegistry sinks.
+  session, every session a stepper on one timer heap, graceful FIN
+  teardown, FlightRecorder/MetricsRegistry sinks.
 - :mod:`repro.service.client` -- the async load-generator fleet:
   hundreds of concurrent sessions, each ACKing through the impairment
   shim and playing received data through the simulator's own
@@ -40,8 +41,7 @@ Pieces:
   :class:`~repro.scenario.result.ScenarioResult` shape simulated
   scenarios produce, rendered through the existing report path.
 - :mod:`repro.service.sanitizer` -- a runtime loop-stall monitor
-  (callback-lag histogram plus leaked-task census), the dynamic
-  complement of the RL013/RL015 static rules.
+  (callback-lag histogram and stall counter).
 - :mod:`repro.service.cli` -- the ``repro-serve`` / ``repro-load``
   console entry points.
 

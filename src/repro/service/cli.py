@@ -152,7 +152,7 @@ async def _serve(args: argparse.Namespace,
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_serve_parser().parse_args(argv)
     # File writes happen here, after the loop has shut down: sync I/O
-    # in the coroutine would block the event loop (RL013).
+    # in the coroutine would block the event loop.
     started: list[StreamingService] = []
     try:
         status = asyncio.run(_serve(args, started))
@@ -208,7 +208,7 @@ def _build_load_parser() -> argparse.ArgumentParser:
                              "(CI gate for unimpaired links)")
     parser.add_argument("--sanitize", action="store_true",
                         help="run the event-loop stall sanitizer "
-                             "(lag histogram + leaked-task census)")
+                             "(callback-lag histogram)")
     parser.add_argument("--max-lag-p99", type=float, default=None,
                         metavar="SECONDS",
                         help="with --sanitize: exit non-zero if the "
@@ -268,8 +268,7 @@ async def _load(
             await introspect.close()
         if service is not None:
             await service.close()
-        # Stop after close so leaked session tasks are visible to the
-        # census but the heartbeat itself never counts as a leak.
+        # Stop the heartbeat before the task census below.
         if sanitizer is not None:
             await sanitizer.stop()
 
@@ -290,7 +289,6 @@ async def _load(
         summary["lag_p99"] = san_report["lag_p99"]
         summary["lag_max"] = san_report["lag_max"]
         summary["sanitizer_stalls"] = san_report["stalls"]
-        summary["sanitizer_leaked_tasks"] = san_report["leaked_tasks"]
     report = render_fleet_report(results, args.duration,
                                  scenario=scenario)
     if not args.quiet:
@@ -309,20 +307,13 @@ async def _load(
         print(f"repro-load: {summary['leaked_tasks']} tasks leaked "
               f"after shutdown", file=sys.stderr)
         status = 1
-    if san_report is not None:
-        if (args.max_lag_p99 is not None
-                and san_report["lag_p99"] > args.max_lag_p99):
-            print(f"repro-load: loop lag p99 "
-                  f"{san_report['lag_p99'] * 1e3:.2f} ms exceeds "
-                  f"--max-lag-p99 {args.max_lag_p99 * 1e3:.2f} ms",
-                  file=sys.stderr)
-            status = 1
-        if san_report["leaked_tasks"]:
-            names = ", ".join(san_report["leaked_task_names"])
-            print(f"repro-load: sanitizer census found "
-                  f"{san_report['leaked_tasks']} leaked task(s): {names}",
-                  file=sys.stderr)
-            status = 1
+    if (san_report is not None and args.max_lag_p99 is not None
+            and san_report["lag_p99"] > args.max_lag_p99):
+        print(f"repro-load: loop lag p99 "
+              f"{san_report['lag_p99'] * 1e3:.2f} ms exceeds "
+              f"--max-lag-p99 {args.max_lag_p99 * 1e3:.2f} ms",
+              file=sys.stderr)
+        status = 1
     return status, report, summary, service, fleet
 
 
@@ -333,7 +324,7 @@ def load_main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         return 1
     # File writes happen here, after the loop has shut down: sync I/O
-    # in the coroutine would block the event loop (RL013).
+    # in the coroutine would block the event loop.
     if args.out:
         pathlib.Path(args.out).write_text(report)
     if args.json:

@@ -328,8 +328,7 @@ class LoadClient(asyncio.DatagramProtocol):
             assert isinstance(fin_ack, protocol.FinAckFrame)
             result.server_summary = fin_ack.summary
         finally:
-            # Last-writer-wins flag handoff; both writers set True.
-            self._closed = True  # repro-lint: disable=RL014
+            self._closed = True
             if self.transport is not None:
                 self.transport.close()
             result.bytes_received = self.bytes_received

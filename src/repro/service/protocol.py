@@ -126,16 +126,16 @@ Frame = Union[
 
 def _json_body(payload: dict) -> bytes:
     # Control frames only (HELLO/WELCOME/FIN): DATA and ACK use struct.
-    # The hot-path reachability heuristic cannot see frame-type dispatch.
-    return json.dumps(  # repro-lint: disable=RL013
+    return json.dumps(
         payload, sort_keys=True, separators=_JSON_SEPARATORS).encode()
 
 
 def _parse_json(body: bytes, what: str) -> dict:
     try:
         # Control frames only; DATA/ACK decode goes through struct.
-        out = json.loads(body.decode())  # repro-lint: disable=RL013
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        out = json.loads(body.decode())
+    except (ValueError, RecursionError) as exc:
+        # Bad UTF-8/JSON, a >4300-digit int (ValueError); deep nesting.
         raise ProtocolError(f"bad {what} body: {exc}") from exc
     if not isinstance(out, dict):
         raise ProtocolError(f"bad {what} body: expected object")

@@ -1,27 +1,18 @@
-"""Event-loop stall sanitizer: the runtime complement of RL013/RL015.
+"""Event-loop stall sanitizer: callback lag, measured while serving.
 
-The static rules prove the *absence* of known blocking patterns; this
-module measures the loop itself while the service runs, so a blocking
-call the analyzer cannot see (a C extension, a pathological allocation,
-an accidental quadratic in a callback) still shows up in CI.
-
-Two measurements:
-
-- **Callback lag.** A heartbeat coroutine asks to sleep for
-  ``interval`` seconds and records how much *later* than the deadline
-  it actually woke.  On an idle loop that overshoot is microseconds;
-  anything above ``stall_threshold`` means some callback held the loop
-  longer than a pacing quantum and every session's send timing slipped
-  with it.  Samples feed a histogram (p50/p99/max in :meth:`report`).
-- **Task census.**  The set of live tasks is recorded at
-  :meth:`start`; whatever is still alive at :meth:`stop` beyond that
-  baseline (and is not the heartbeat itself) is a leak -- the runtime
-  shadow of RL015's dropped-spawn finding.
+A heartbeat coroutine asks to sleep for ``interval`` seconds and
+records how much *later* than the deadline it actually woke. On an idle
+loop that overshoot is microseconds; anything above
+``stall_threshold`` means some callback held the loop longer than a
+pacing quantum and every session's send timing slipped with it. So a
+blocking call (sync I/O, a C extension, a pathological allocation, an
+accidental quadratic in a callback) shows up in CI. Samples feed a
+histogram (p50/p99/max in :meth:`report`).
 
 The sanitizer deliberately measures from *inside* the loop under test:
 a separate thread would need locking and would time the OS scheduler,
 not the loop.  Overhead is one timer callback per ``interval`` (20 Hz
-by default), far below the per-session send timers it rides alongside.
+by default), far below the send timers it rides alongside.
 """
 
 from __future__ import annotations
@@ -56,7 +47,7 @@ class SanitizerConfig:
 
 
 class LoopSanitizer:
-    """Samples event-loop callback lag and censuses leaked tasks.
+    """Samples event-loop callback lag.
 
     Usage::
 
@@ -67,8 +58,8 @@ class LoopSanitizer:
         summary = sanitizer.report()
 
     With a :class:`~repro.telemetry.metrics.MetricsRegistry` the lag
-    histogram, stall counter and leak gauge are exported alongside the
-    service's own metrics.
+    histogram and stall counter are exported alongside the service's
+    own metrics.
     """
 
     def __init__(self, config: Optional[SanitizerConfig] = None,
@@ -76,9 +67,7 @@ class LoopSanitizer:
         self.config = config or SanitizerConfig()
         self.lag_samples: list[float] = []
         self.stalls = 0
-        self.leaked_task_names: list[str] = []
         self._task: Optional[asyncio.Task] = None
-        self._baseline: set[asyncio.Task] = set()
         self._lag_hist = (
             metrics.histogram_hook(
                 "service_loop_lag_seconds",
@@ -90,24 +79,18 @@ class LoopSanitizer:
                 "service_loop_stalls_total",
                 "lag samples above the stall threshold")
             if metrics is not None else None)
-        self._leak_gauge = (
-            metrics.gauge_hook(
-                "service_leaked_tasks",
-                "tasks alive at stop() beyond the start() baseline")
-            if metrics is not None else None)
 
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        """Record the task baseline and begin heartbeating."""
+        """Begin heartbeating."""
         if self._task is not None:
             return
-        self._baseline = set(asyncio.all_tasks())
         self._task = asyncio.get_running_loop().create_task(
             self._heartbeat(), name="loop-sanitizer")
 
     async def stop(self) -> None:
-        """Cancel the heartbeat and census tasks that outlived start()."""
+        """Cancel the heartbeat."""
         task = self._task
         if task is None:
             return
@@ -117,15 +100,6 @@ class LoopSanitizer:
             await task
         except asyncio.CancelledError:
             pass
-        current = asyncio.current_task()
-        leaked = [
-            t for t in asyncio.all_tasks()
-            if t is not task and t is not current
-            and t not in self._baseline and not t.done()
-        ]
-        self.leaked_task_names = sorted(t.get_name() for t in leaked)
-        if self._leak_gauge is not None:
-            self._leak_gauge(float(len(leaked)))
 
     async def _heartbeat(self) -> None:
         loop = asyncio.get_running_loop()
@@ -146,13 +120,11 @@ class LoopSanitizer:
     # -------------------------------------------------------------- report
 
     def report(self) -> dict:
-        """Lag percentiles, stall count and leak census as plain data."""
+        """Lag percentiles and stall count as plain data."""
         return {
             "lag_samples": len(self.lag_samples),
             "lag_p50": percentile(self.lag_samples, 50.0),
             "lag_p99": percentile(self.lag_samples, 99.0),
             "lag_max": max(self.lag_samples, default=0.0),
             "stalls": self.stalls,
-            "leaked_tasks": len(self.leaked_task_names),
-            "leaked_task_names": self.leaked_task_names,
         }

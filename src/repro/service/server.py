@@ -5,7 +5,9 @@ many sessions: each HELLO spawns a :class:`ServiceSession` owning one
 :class:`~repro.server.core.SessionCore` (the paper's quality adapter
 plus feedback wiring — the same object the simulator drives) and one
 :class:`~repro.service.pacing.RapPacer` (the sans-IO AIMD controller).
-A per-session asyncio task runs the send loop; the shared
+Sessions are steppers: :meth:`ServiceSession.step` runs what is due and
+returns its next deadline, and one scheduler task steps every session
+due on a ``(deadline, seq, session)`` heap. The shared
 ``datagram_received`` dispatches ACK/FIN feedback to the owning session
 by session id, and only when it comes from that session's own address.
 
@@ -27,6 +29,8 @@ pacer's ``max_rate`` cap keeps the send loop from spinning.
 from __future__ import annotations
 
 import asyncio
+import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -133,7 +137,7 @@ def session_summary(core: SessionCore, pacer: RapPacer) -> dict:
 
 
 class ServiceSession:
-    """One client's stream: SessionCore + RapPacer + send task."""
+    """One client's stream: SessionCore + RapPacer, stepped by the service."""
 
     def __init__(self, service: "StreamingService", session_id: int,
                  addr: tuple, options: Optional[dict] = None) -> None:
@@ -173,7 +177,6 @@ class ServiceSession:
         self.done = False
         self._drain_period = self.core.config.drain_period
         self._next_tick = now + self._drain_period
-        self.task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------ sending
 
@@ -239,33 +242,24 @@ class ServiceSession:
         self._apply(self.pacer.on_ack(frame.acked_seq, frame.echo_ts,
                                       now))
 
-    # ---------------------------------------------------------- main loop
+    # ---------------------------------------------------------- stepping
 
-    async def run(self) -> None:
-        service = self.service
-        timeout = service.config.session_timeout
-        while not self.done:
-            now = service.now()
-            # Pacer state is re-read from `self` at the top of every
-            # iteration and each step below is a single statement on
-            # the one loop thread, so the RL014 spans here are
-            # statement-atomic by construction.
-            self._apply(self.pacer.advance(now))  # repro-lint: disable=RL014
-            while now >= self._next_tick:
-                self.core.tick()  # repro-lint: disable=RL014
-                self._next_tick += self._drain_period
-            if self.pacer.send_due(now):
-                self._send_data(now)  # repro-lint: disable=RL014
-            if now - self.last_heard > timeout:
-                service.expire_session(self)
-                return
-            now = service.now()
-            deadline = min(self.pacer.next_deadline(now),
-                           self._next_tick)
-            await asyncio.sleep(max(0.0, deadline - now))
+    def step(self, now: float) -> Optional[float]:
+        """Run what is due at ``now``; return the next deadline, or None
+        once the idle reaper has expired the session."""
+        self._apply(self.pacer.advance(now))
+        while now >= self._next_tick:
+            self.core.tick()
+            self._next_tick += self._drain_period
+        if self.pacer.send_due(now):
+            self._send_data(now)
+        if now - self.last_heard > self.service.config.session_timeout:
+            self.service.expire_session(self)
+            return None
+        return min(self.pacer.next_deadline(now), self._next_tick)
 
     def finish(self) -> None:
-        """Stop the send loop; the task exits at its next wakeup."""
+        """Stop stepping; the scheduler drops the heap entry when due."""
         self.done = True
 
     def record_session_span(self, now: float, reason: str) -> None:
@@ -301,10 +295,15 @@ class StreamingService(asyncio.DatagramProtocol):
         self.spans = SpanRecorder() if cfg.trace_spans else None
         self.sessions: dict[int, ServiceSession] = {}
         self._by_addr: dict[tuple, int] = {}
-        #: Every live session task, including FIN'd sessions whose task
-        #: has not observed its ``done`` flag yet — close() must cancel
-        #: these too or they leak past shutdown.
-        self._tasks: set[asyncio.Task] = set()
+        #: ``(deadline, seq, session)``, earliest first; FIN'd and
+        #: expired sessions are dropped when their entry comes due.
+        self._heap: list[tuple[float, int, ServiceSession]] = []
+        self._seq = itertools.count()
+        self._scheduler: Optional[asyncio.Task] = None
+        #: What the idle scheduler awaits: set by the one loop timer,
+        #: armed for the earliest deadline, or by a HELLO.
+        self._woken: Optional[asyncio.Future] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._next_session_id = 1
         self.send_paused = False
         self.transport: Optional[asyncio.DatagramTransport] = None
@@ -346,6 +345,8 @@ class StreamingService(asyncio.DatagramProtocol):
         await loop.create_datagram_endpoint(
             lambda: service,
             local_addr=(service.config.host, service.config.port))
+        service._scheduler = loop.create_task(
+            service._schedule(), name="repro-serve-scheduler")
         return service
 
     @property
@@ -364,25 +365,68 @@ class StreamingService(asyncio.DatagramProtocol):
         return self.transport is not None and not self._closed
 
     async def close(self) -> None:
-        """Graceful shutdown: cancel session tasks, close the socket."""
+        """Graceful shutdown: stop the scheduler, close the socket."""
         if self._closed:
             return
         self._closed = True
-        tasks = list(self._tasks)
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        if self._timer is not None:
+            self._timer.cancel()
+        self._heap.clear()
         self.sessions.clear()
         self._by_addr.clear()
+        if self._scheduler is not None:
+            self._scheduler.cancel()
+            try:
+                await self._scheduler
+            except asyncio.CancelledError:
+                pass
         if self.transport is not None:
             self.transport.close()
         # Let the transport's connection_lost callback run so the
         # socket is fully released before we return.
         await asyncio.sleep(0)
+
+    # ------------------------------------------------------------ scheduler
+
+    async def _schedule(self) -> None:
+        """Sleep until the earliest deadline, step what is due, repeat.
+
+        A session whose next deadline is already due runs at the next
+        wake, one loop iteration later, so datagrams still interleave
+        and no session starves the rest.
+        """
+        loop, heap = asyncio.get_running_loop(), self._heap
+        while True:
+            if heap and heap[0][0] <= self.now():
+                await asyncio.sleep(0)
+            else:
+                self._woken = woken = loop.create_future()
+                if heap:
+                    self._timer = loop.call_at(self._t0 + heap[0][0],
+                                               woken.set_result, None)
+                await woken
+            self._wake()
+
+    def _wake(self) -> None:
+        """Step each due session once; one whose step raises expires."""
+        heap = self._heap
+        now = self.now()
+        due = []
+        while heap and heap[0][0] <= now:
+            due.append(heapq.heappop(heap)[2])
+        for session in due:
+            if session.done:
+                continue
+            try:
+                deadline = session.step(now)
+            except Exception as exc:
+                asyncio.get_running_loop().call_exception_handler({
+                    "message": f"{session.label} step failed",
+                    "exception": exc})
+                self.expire_session(session)
+                continue
+            if deadline is not None:
+                heapq.heappush(heap, (deadline, next(self._seq), session))
 
     # ----------------------------------------------------------- bookkeeping
 
@@ -500,11 +544,14 @@ class StreamingService(asyncio.DatagramProtocol):
         self._gauge_active_sessions()
         self.sendto(protocol.encode_welcome(
             session_id, self._welcome_body(session)), addr)
-        assert self._loop is not None
-        session.task = self._loop.create_task(
-            session.run(), name=f"repro-serve-{session.label}")
-        self._tasks.add(session.task)
-        session.task.add_done_callback(self._tasks.discard)
+        heapq.heappush(self._heap,
+                       (session.started, next(self._seq), session))
+        woken = self._woken
+        if woken is not None and not woken.done():
+            # The new session is due now, before any armed deadline.
+            if self._timer is not None:
+                self._timer.cancel()
+            woken.set_result(None)
 
     def _remove(self, session: ServiceSession) -> None:
         self.sessions.pop(session.session_id, None)
@@ -523,8 +570,6 @@ class StreamingService(asyncio.DatagramProtocol):
         if addr != session.addr:
             self.count("malformed_frames")  # spoofed teardown
             return
-        # Summarize while the session is live: finish() freezes the
-        # pacer, so a later rate/slope read would observe zeros (RL016).
         summary = session_summary(session.core, session.pacer)
         session.record_session_span(self.now(), "fin")
         session.finish()
@@ -532,10 +577,6 @@ class StreamingService(asyncio.DatagramProtocol):
         self.sendto(protocol.encode_fin_ack(
             session.session_id, summary), addr)
         self._remove(session)
-        # datagram_received never runs inside the session task, so a
-        # direct cancel is safe and frees the task immediately.
-        if session.task is not None:
-            session.task.cancel()
 
     def expire_session(self, session: ServiceSession) -> None:
         """The idle reaper fired: drop a session that stopped ACKing."""

@@ -130,6 +130,11 @@ class TestTapeReplay:
         with pytest.raises(IndexError, match="replay diverged"):
             SessionCore.replay(tape, config)
 
+    def test_replaying_an_unrecorded_tape_raises(self, config):
+        # An empty tape would replay zero events and "pass".
+        with pytest.raises(ValueError, match="empty session tape"):
+            SessionCore.replay(SessionTape(), config)
+
     def test_replay_transport_pops_in_order(self):
         tape = SessionTape(rates=[1.0, 2.0], slopes=[3.0])
         fake = TapeReplayTransport(tape)

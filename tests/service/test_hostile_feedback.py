@@ -23,6 +23,8 @@ from repro.service import protocol
 from repro.service.client import LoadFleet
 from repro.service.server import ServiceConfig, StreamingService
 
+from tests.service.census import close_and_census
+
 _SUITE = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "suite"
 _spec = importlib.util.spec_from_file_location(
     "virtual_loop", _SUITE / "virtual_loop.py")
@@ -55,7 +57,7 @@ def streaming(loop):
     (session,) = service.sessions.values()
     assert len(session.pacer.outstanding) >= 3
     yield service, session
-    loop.run_until_complete(service.close())
+    loop.run_until_complete(close_and_census(service))
 
 
 def pacer_state(pacer):
@@ -145,7 +147,7 @@ def _honest_summary(attacked):
         if attacker is not None:
             attacker.cancel()
             await asyncio.gather(attacker, return_exceptions=True)
-        await service.close()
+        await close_and_census(service)
         return service, result
 
     try:

@@ -9,6 +9,8 @@ from repro.service.introspect import IntrospectionServer
 from repro.service.sanitizer import LoopSanitizer
 from repro.service.server import ServiceConfig, StreamingService
 
+from tests.service.census import close_and_census
+
 QA = QAConfig(layer_rate=4000.0, max_layers=3, packet_size=200,
               startup_delay=0.5, max_buffer_seconds=4.0)
 
@@ -68,7 +70,7 @@ class TestEndpoints:
                 await task
             finally:
                 await intro.close()
-                await service.close()
+                await close_and_census(service)
             return status, headers, body
 
         status, headers, body = asyncio.run(run())
@@ -86,7 +88,7 @@ class TestEndpoints:
                 return await fetch(intro.port, "/metrics")
             finally:
                 await intro.close()
-                await service.close()
+                await close_and_census(service)
 
         status, _, body = asyncio.run(run())
         assert status == 404
@@ -108,7 +110,7 @@ class TestEndpoints:
                 await task
             finally:
                 await intro.close()
-                await service.close()
+                await close_and_census(service)
             return status, headers, body
 
         status, headers, body = asyncio.run(run())
@@ -141,8 +143,8 @@ class TestEndpoints:
                 return await fetch(intro.port, "/healthz")
             finally:
                 await intro.close()
-                await service.close()
                 await sanitizer.stop()
+                await close_and_census(service)
 
         status, _, body = asyncio.run(run())
         assert status == 200
@@ -164,7 +166,7 @@ class TestEndpoints:
                 return await fetch(intro.port, "/healthz")
             finally:
                 await intro.close()
-                await service.close()
+                await close_and_census(service)
 
         status, _, body = asyncio.run(run())
         assert status == 503
@@ -178,7 +180,7 @@ class TestEndpoints:
                 return await fetch(intro.port, "/debug/pprof")
             finally:
                 await intro.close()
-                await service.close()
+                await close_and_census(service)
 
         status, _, body = asyncio.run(run())
         assert status == 404
@@ -194,7 +196,7 @@ class TestEndpoints:
                                    method="POST")
             finally:
                 await intro.close()
-                await service.close()
+                await close_and_census(service)
 
         status, _, _ = asyncio.run(run())
         assert status == 405
@@ -208,7 +210,7 @@ class TestEndpoints:
                     await fetch(intro.port, "/healthz")
             finally:
                 await intro.close()
-                await service.close()
+                await close_and_census(service)
             return intro.requests_served
 
         assert asyncio.run(run()) == 3

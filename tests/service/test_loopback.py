@@ -1,8 +1,7 @@
 """End-to-end loopback integration: server + fleet on real sockets.
 
 No pytest-asyncio in the toolchain; each test drives its own event
-loop through ``asyncio.run`` — which doubles as a shutdown check,
-since ``asyncio.run`` complains about tasks still pending at exit.
+loop through ``asyncio.run`` and ends with the task census.
 """
 
 import asyncio
@@ -15,6 +14,8 @@ from repro.service.client import LoadFleet, metrics_from_summary
 from repro.service.impairment import ImpairmentConfig
 from repro.service.results import fleet_result, render_fleet_report
 from repro.service.server import ServiceConfig, StreamingService
+
+from tests.service.census import close_and_census
 
 #: A small, fast profile: 3 layers at 4 KB/s, 200-byte packets.
 QA = QAConfig(layer_rate=4000.0, max_layers=3, packet_size=200,
@@ -32,10 +33,8 @@ async def _serve_fleet(config, **fleet_kw):
         fleet = LoadFleet("127.0.0.1", service.port, **fleet_kw)
         results = await fleet.run()
     finally:
-        await service.close()
-    leaked = [t for t in asyncio.all_tasks()
-              if t is not asyncio.current_task()]
-    return service, results, leaked
+        await close_and_census(service)
+    return service, results
 
 
 class _Probe(asyncio.DatagramProtocol):
@@ -68,11 +67,10 @@ class TestEndToEnd:
             return await _serve_fleet(
                 service_config(), sessions=4, duration=2.0, spread=0.3)
 
-        service, results, leaked = asyncio.run(run())
+        service, results = asyncio.run(run())
         assert [r.error for r in results] == [None] * 4
         assert all(r.bytes_received > 0 for r in results)
         assert sum(r.playout.stall_count for r in results) == 0
-        assert leaked == []
         assert service.counters["sessions_started"] == 4
         assert service.counters["sessions_completed"] == 4
         assert service.sessions == {}
@@ -82,7 +80,7 @@ class TestEndToEnd:
             return await _serve_fleet(
                 service_config(), sessions=1, duration=2.0, spread=0.0)
 
-        _, results, _ = asyncio.run(run())
+        _, results = asyncio.run(run())
         summary = results[0].server_summary
         metrics = metrics_from_summary(summary)
         assert len(metrics.adds) == len(summary["adds"])
@@ -97,7 +95,7 @@ class TestEndToEnd:
             return await _serve_fleet(
                 service_config(), sessions=3, duration=2.0, spread=0.2)
 
-        _, results, _ = asyncio.run(run())
+        _, results = asyncio.run(run())
         scenario = fleet_result(results, duration=2.0)
         assert len(scenario.qa_flows()) == 3
         assert 0.9 < scenario.fairness <= 1.0
@@ -112,7 +110,7 @@ class TestEndToEnd:
                 service_config(), sessions=2, duration=2.5, spread=0.2,
                 impairment=ImpairmentConfig(loss_rate=0.05), seed=11)
 
-        service, results, _ = asyncio.run(run())
+        service, results = asyncio.run(run())
         assert all(r.ok for r in results)
         assert sum(r.dropped_random for r in results) > 0
 
@@ -127,7 +125,7 @@ class TestProtocolEdges:
                                   sessions=2, duration=1.0, spread=0.0)
                 return service, await fleet.run()
             finally:
-                await service.close()
+                await close_and_census(service)
 
         service, results = asyncio.run(run())
         errors = sorted(str(r.error) for r in results)
@@ -145,7 +143,7 @@ class TestProtocolEdges:
                 await asyncio.sleep(0.2)
             finally:
                 probe.transport.close()
-                await service.close()
+                await close_and_census(service)
             return service, probe
 
         service, probe = asyncio.run(run())
@@ -164,7 +162,7 @@ class TestProtocolEdges:
                 await asyncio.sleep(0.2)
             finally:
                 probe.transport.close()
-                await service.close()
+                await close_and_census(service)
             return service, probe
 
         service, probe = asyncio.run(run())
@@ -181,7 +179,7 @@ class TestProtocolEdges:
                 await asyncio.sleep(1.2)  # never ACK anything
             finally:
                 probe.transport.close()
-                await service.close()
+                await close_and_census(service)
             return service
 
         service = asyncio.run(run())
@@ -197,7 +195,7 @@ class TestProtocolEdges:
                 await asyncio.sleep(0.2)
             finally:
                 probe.transport.close()
-                await service.close()
+                await close_and_census(service)
             return probe
 
         probe = asyncio.run(run())
@@ -214,7 +212,7 @@ class TestProtocolEdges:
                 await asyncio.sleep(0.2)
             finally:
                 probe.transport.close()
-                await service.close()
+                await close_and_census(service)
             return probe
 
         probe = asyncio.run(run())
@@ -232,7 +230,7 @@ class TestObservability:
             return await _serve_fleet(
                 config, sessions=2, duration=2.0, spread=0.2)
 
-        service, results, _ = asyncio.run(run())
+        service, results = asyncio.run(run())
         assert all(r.ok for r in results)
         assert service.decisions_recorded > 0
         kinds = {rec.kind for rec in service.recorder}
@@ -247,7 +245,7 @@ class TestObservability:
             return await _serve_fleet(
                 service_config(), sessions=1, duration=1.0, spread=0.0)
 
-        service, _, _ = asyncio.run(run())
+        service, _ = asyncio.run(run())
         assert service.metrics is None
         assert service.recorder is None
         assert service.decisions_recorded == 0

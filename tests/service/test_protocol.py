@@ -3,6 +3,7 @@
 import pytest
 
 from repro.service import protocol
+from repro.service.server import ServiceConfig, StreamingService
 
 
 class TestRoundtrips:
@@ -77,3 +78,31 @@ class TestMalformed:
         wire = (protocol.encode_reject("x")[:4] + b"{}")
         with pytest.raises(protocol.ProtocolError):
             protocol.decode(wire)
+
+
+#: JSON bodies ``json.loads`` rejects with something other than a
+#: ``JSONDecodeError``: too deep to parse, and an integer past Python's
+#: 4 300-digit conversion limit.
+HOSTILE_BODIES = [b"[" * 30_000, b'{"n": ' + b"9" * 5_000 + b"}"]
+HOSTILE_HELLOS = [protocol.encode_hello(1, {})[:8] + body
+                  for body in HOSTILE_BODIES]
+
+
+class TestHostileBodies:
+    @pytest.mark.parametrize("body", HOSTILE_BODIES, ids=["deep", "digits"])
+    @pytest.mark.parametrize("head", [
+        protocol.encode_hello(1, {})[:8],
+        protocol.encode_fin_ack(1, {})[:8],
+        protocol.encode_reject("x")[:4],
+    ], ids=["hello", "fin_ack", "reject"])
+    def test_raises_protocol_error(self, head, body):
+        with pytest.raises(protocol.ProtocolError):
+            protocol.decode(head + body)
+
+    @pytest.mark.parametrize("datagram", HOSTILE_HELLOS,
+                             ids=["deep", "digits"])
+    def test_service_counts_it_and_opens_no_session(self, datagram):
+        service = StreamingService(ServiceConfig())
+        service.datagram_received(datagram, ("10.0.0.9", 5009))
+        assert service.counters["malformed_frames"] == 1
+        assert service.sessions == {}

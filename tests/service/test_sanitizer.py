@@ -1,10 +1,10 @@
-"""Loop-stall sanitizer: lag sampling, stall counting, task census.
+"""Loop-stall sanitizer: lag sampling and stall counting.
 
 No pytest-asyncio in the toolchain; each test drives its own event
 loop through ``asyncio.run`` (see test_loopback.py). Stall tests use
 a deliberate ``time.sleep`` inside the loop -- the exact pathology
-RL013 bans from src -- to prove the runtime side catches what the
-static side cannot see.
+``test_no_blocking.py`` keeps out of the service -- to prove the
+runtime side catches it.
 """
 
 import asyncio
@@ -29,7 +29,6 @@ class TestLagSampling:
         report = asyncio.run(run())
         assert report["lag_samples"] >= 3
         assert report["stalls"] == 0
-        assert report["leaked_tasks"] == 0
         assert report["lag_p99"] < FAST.stall_threshold
 
     def test_blocking_callback_registers_a_stall(self):
@@ -55,68 +54,9 @@ class TestLagSampling:
             assert sanitizer._task is first
             await sanitizer.stop()
             await sanitizer.stop()  # second stop is a no-op
-            return sanitizer.report()
+            return first
 
-        report = asyncio.run(run())
-        assert report["leaked_tasks"] == 0
-
-
-class TestTaskCensus:
-    def test_orphan_task_is_reported_leaked(self):
-        async def run():
-            sanitizer = LoopSanitizer(config=FAST)
-            await sanitizer.start()
-            orphan = asyncio.get_running_loop().create_task(
-                asyncio.sleep(30.0), name="orphan-worker"
-            )
-            await asyncio.sleep(0.02)
-            await sanitizer.stop()
-            report = sanitizer.report()
-            orphan.cancel()  # clean up so asyncio.run can exit quietly
-            try:
-                await orphan
-            except asyncio.CancelledError:
-                pass
-            return report
-
-        report = asyncio.run(run())
-        assert report["leaked_tasks"] == 1
-        assert report["leaked_task_names"] == ["orphan-worker"]
-
-    def test_baseline_tasks_are_not_leaks(self):
-        async def run():
-            preexisting = asyncio.get_running_loop().create_task(
-                asyncio.sleep(30.0), name="preexisting"
-            )
-            sanitizer = LoopSanitizer(config=FAST)
-            await sanitizer.start()  # baseline snapshots the task above
-            await asyncio.sleep(0.02)
-            await sanitizer.stop()
-            report = sanitizer.report()
-            preexisting.cancel()
-            try:
-                await preexisting
-            except asyncio.CancelledError:
-                pass
-            return report
-
-        report = asyncio.run(run())
-        assert report["leaked_tasks"] == 0
-
-    def test_completed_tasks_are_not_leaks(self):
-        async def run():
-            sanitizer = LoopSanitizer(config=FAST)
-            await sanitizer.start()
-            done = asyncio.get_running_loop().create_task(
-                asyncio.sleep(0), name="short-lived"
-            )
-            await done
-            await asyncio.sleep(0.02)
-            await sanitizer.stop()
-            return sanitizer.report()
-
-        report = asyncio.run(run())
-        assert report["leaked_tasks"] == 0
+        assert asyncio.run(run()).cancelled()
 
 
 class TestMetricsExport:
@@ -136,7 +76,6 @@ class TestMetricsExport:
         text = registry.to_prometheus()
         assert "service_loop_lag_seconds" in text
         assert "service_loop_stalls_total" in text
-        assert "service_leaked_tasks 0" in text
         assert report["stalls"] >= 1
 
     def test_disabled_registry_records_nothing(self):

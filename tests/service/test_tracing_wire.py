@@ -14,6 +14,8 @@ from repro.service.client import LoadFleet
 from repro.service.server import ServiceConfig, StreamingService
 from repro.telemetry.tracing import TraceContext, merge_spans
 
+from tests.service.census import close_and_census
+
 QA = QAConfig(layer_rate=4000.0, max_layers=3, packet_size=200,
               startup_delay=0.5, max_buffer_seconds=4.0)
 
@@ -70,7 +72,7 @@ class TestWireContext:
                 await asyncio.sleep(0.2)
                 return ctx, probe.of(protocol.WelcomeFrame), service
             finally:
-                await service.close()
+                await close_and_census(service)
 
         ctx, welcomes, service = asyncio.run(run())
         assert welcomes
@@ -89,7 +91,7 @@ class TestWireContext:
                 await asyncio.sleep(0.2)
                 return probe.of(protocol.WelcomeFrame), service
             finally:
-                await service.close()
+                await close_and_census(service)
 
         welcomes, service = asyncio.run(run())
         assert welcomes
@@ -109,7 +111,7 @@ class TestWireContext:
                 await asyncio.sleep(0.2)
                 return probe.of(protocol.WelcomeFrame)
             finally:
-                await service.close()
+                await close_and_census(service)
 
         welcomes = asyncio.run(run())
         assert welcomes  # session established; bad context read as absent
@@ -127,7 +129,7 @@ class TestWireContext:
                 await asyncio.sleep(0.2)
                 return probe.of(protocol.WelcomeFrame), service
             finally:
-                await service.close()
+                await close_and_census(service)
 
         welcomes, service = asyncio.run(run())
         assert welcomes
@@ -144,7 +146,7 @@ class TestWireContext:
                 await asyncio.sleep(0.2)
                 return probe.of(protocol.WelcomeFrame)
             finally:
-                await service.close()
+                await close_and_census(service)
 
         welcomes = asyncio.run(run())
         assert welcomes
@@ -162,7 +164,7 @@ class TestEndToEndTraces:
                     duration=1.0, spread=0.2, trace_spans=True)
                 results = await fleet.run()
             finally:
-                await service.close()
+                await close_and_census(service)
             return results, fleet.spans, service.spans
 
         results, client_spans, server_spans = asyncio.run(run())
@@ -199,7 +201,7 @@ class TestEndToEndTraces:
                     duration=1.0, spread=0.0, trace_spans=True)
                 results = await fleet.run()
             finally:
-                await service.close()
+                await close_and_census(service)
             return results, fleet.spans
 
         results, spans = asyncio.run(run())
@@ -219,7 +221,7 @@ class TestEndToEndTraces:
                     duration=0.6, spread=0.1)
                 results = await fleet.run()
             finally:
-                await service.close()
+                await close_and_census(service)
             return results, fleet.spans, service.spans
 
         results, client_spans, server_spans = asyncio.run(run())
