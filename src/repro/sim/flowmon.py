@@ -10,7 +10,7 @@ actually share the bottleneck.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Iterable, Optional, Sequence
 
 from repro.sim.engine import Simulator
@@ -34,36 +34,45 @@ def jain_index(rates: Sequence[float]) -> float:
 class FlowMonitor:
     """Counts per-flow bytes crossing a link and samples throughputs.
 
-    Wraps the link's receiver hook, so it sees exactly the packets that
-    made it across (post-drop).
+    Watches the link, so it sees exactly the packets that made it across
+    (post-drop), counted once the clock reaches their arrival instants;
+    attached mid-run, it misses the packets already on the wire.
     """
 
     def __init__(self, sim: Simulator, link: Link,
                  sample_period: float = 1.0) -> None:
         self.sim = sim
         self.link = link
-        self.bytes_by_flow: dict[int, int] = defaultdict(int)
-        self.packets_by_flow: dict[int, int] = defaultdict(int)
+        self._bytes_by_flow: dict[int, int] = defaultdict(int)
         self.throughput: dict[int, TimeSeries] = {}
         self._window_bytes: dict[int, int] = defaultdict(int)
         self.sample_period = sample_period
         self._start_time = sim.now
-
-        inner = link.receiver
-        if inner is None:
+        #: ``(arrival, flow_id, size)`` of data packets not counted yet.
+        self._arrivals: deque[tuple[float, int, int]] = deque()
+        if link.receiver is None:
             raise ValueError("link must be connected before monitoring")
-
-        def tap(packet: Packet) -> None:
-            if packet.is_data():
-                self.bytes_by_flow[packet.flow_id] += packet.size
-                self.packets_by_flow[packet.flow_id] += 1
-                self._window_bytes[packet.flow_id] += packet.size
-            inner(packet)
-
-        link.connect(tap)
+        link.watchers.append(self._watch)
         self._sampler = PeriodicSampler(sim, sample_period, self._sample)
 
+    def _watch(self, packet: Packet, at: float) -> None:
+        if packet.is_data():
+            self._arrivals.append((at, packet.flow_id, packet.size))
+
+    @property
+    def bytes_by_flow(self) -> dict[int, int]:
+        return self._count_arrived()
+
+    def _count_arrived(self) -> dict[int, int]:
+        arrivals, now = self._arrivals, self.sim.now
+        while arrivals and arrivals[0][0] <= now:
+            _, flow_id, size = arrivals.popleft()
+            self._bytes_by_flow[flow_id] += size
+            self._window_bytes[flow_id] += size
+        return self._bytes_by_flow
+
     def _sample(self, now: float) -> None:
+        self._count_arrived()
         # A flow keeps its entry once seen: a silent window is a 0.0
         # sample, not a gap the series' mean would skip.
         for flow_id, nbytes in self._window_bytes.items():

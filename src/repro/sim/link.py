@@ -7,21 +7,23 @@ transmitter is busy wait in the queue, arrivals to a full queue are dropped.
 This is the standard store-and-forward model ns-2 uses, and is the sole
 source of packet loss in the paper's simulations.
 
-Event model: the transmitter is a timestamp, ``_free_at``, not a chain
-of events. A packet offered to an idle link (``now >= _free_at``, nothing
-queued) costs one event, its delivery at ``_free_at + delay``. A packet
-offered to a busy link waits in the queue for the link's single
-``_drain`` event, which fires at ``_free_at``, starts the head packet and
-re-arms itself while packets remain: two events per backlogged packet.
-Completion has no event of its own, so the forwarded counters fold the
-in-service packet in lazily (:meth:`Link._settle`).
+Event model: a FIFO link is a recurrence. A packet offered at ``now``
+starts at ``max(now, _free_at)`` and leaves the wire at ``_free_at =
+start + size/bw``, so its delivery ``delay`` later is its one event.
+Waiting packets stay in the queue beside their start instants and are
+released lazily, before offers and reads; the wire frees first. A link
+that feeds a router hands it, at transmit time, the packets bound for an
+``in_order`` link (one offered each packet no earlier than the one
+before, or ``SimulationError``), with the arrival instant as the clock
+(:meth:`Router.receive_ahead`): they cost the router no event.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue
 
@@ -57,44 +59,60 @@ class Link:
         self.sim = sim
         self.bandwidth = bandwidth
         self.delay = delay
-        self.queue = queue if queue is not None else DropTailQueue(10_000)
         self.name = name
         self.receiver: Optional[Receiver] = None
-        #: When the packet in service (if any) leaves the transmitter.
-        self._free_at = 0.0
-        #: True while a ``_drain`` event is pending at ``_free_at``;
-        #: equivalent to "the queue is non-empty".
-        self._draining = False
-        #: Size of the packet in service until it is counted as forwarded.
-        self._unsettled: Optional[int] = None
-        self._bytes_forwarded = 0
-        self._packets_forwarded = 0
-        # Metrics hooks (None unless attach_metrics ran): the hot path
+        self.in_order = False
+        #: End of the last packet accepted; arrival of the last one taken
+        #: ahead of time; arrival of the last one refused ahead of time.
+        self._free_at, self._clock, self._behind = 0.0, 0.0, float("-inf")
+        #: Accepted, not started: ``(start, end, size, queued)``; not
+        #: ``queued``: taken ahead of time, arriving at ``start``.
+        self._pending: deque[tuple[float, float, int, bool]] = deque()
+        #: Packets accepted via the queue, past it (idle wire) and ahead of
+        #: time; their bytes; size and end of the last packet started.
+        self._queued = self._passed = self._ahead = self._sent_bytes = 0
+        self._last_size, self._busy_until = 0, 0.0
+        #: Called ``(packet, arrival instant)`` for every packet accepted.
+        self.watchers: list[Callable[[Packet, float], None]] = []
+        self._receive_ahead: Optional[Callable[[Packet, float], bool]] = None
+        # Metrics hook (None unless attach_metrics ran): the hot path
         # pays one attribute load + None check when metrics are off.
-        self._forward_hook: Optional[Callable[[float], None]] = None
         self._qdrop_hook: Optional[Callable[[float], None]] = None
+        self.queue = queue if queue is not None else DropTailQueue(10_000)
+
+    @property
+    def queue(self) -> DropTailQueue:
+        return self._queue
+
+    @queue.setter
+    def queue(self, queue: DropTailQueue) -> None:
+        self._queue = queue
+        queue._passed_by = lambda: self._passed + self.arrived_ahead
+        # An idle link passes by an (empty) drop-tail queue without a byte limit.
+        self._bypass = type(queue) is DropTailQueue and not queue.capacity_bytes
 
     def connect(self, receiver: Receiver) -> None:
         """Attach the downstream receiver (a node's ``receive`` method)."""
         self.receiver = receiver
+        self._receive_ahead = getattr(
+            getattr(receiver, "__self__", None), "receive_ahead", None)
 
     def attach_metrics(self, registry: "MetricsRegistry") -> None:
         """Wire this link into a metrics registry.
 
-        Per-packet counters (forwarded bytes/packets, queue drops) bind
-        as hooks that are ``None`` when the registry is disabled (RL007
-        discipline); the queue-depth gauge is collector-fed, read only
-        at export time.
+        Queue drops bind as a hook that is ``None`` when the registry is
+        disabled (RL007 discipline); forwarded bytes and the gauges are
+        fed by a collector, read only at export time.
         """
-        self._forward_hook = registry.counter_hook(
-            "link_tx_bytes_total", "Bytes serialized onto the wire",
-            link=self.name)
         self._qdrop_hook = registry.counter_hook(
             "link_queue_drops_total", "Packets dropped at the full queue",
             link=self.name)
         registry.register_collector(self._collect_metrics)
 
     def _collect_metrics(self, registry: "MetricsRegistry") -> None:
+        sent = registry.counter("link_tx_bytes_total",
+                                "Bytes serialized onto the wire", link=self.name)
+        sent.inc(self.bytes_forwarded - sent.value)
         registry.gauge(
             "link_queue_depth", "Packets waiting in the output queue",
             link=self.name).set(float(len(self.queue)))
@@ -105,89 +123,87 @@ class Link:
     @property
     def busy(self) -> bool:
         """True while a packet is being serialized onto the wire."""
-        return self._draining or self.sim.now < self._free_at
+        return self._catch_up() < self._busy_until
 
     @property
     def bytes_forwarded(self) -> int:
         """Bytes whose serialization has completed."""
-        if self.sim.now >= self._free_at:
-            self._settle()
-        return self._bytes_forwarded
+        busy = self.busy  # releases first
+        waiting = sum(entry[2] for entry in self._pending)
+        return self._sent_bytes - waiting - self._last_size * busy
 
     @property
     def packets_forwarded(self) -> int:
         """Packets whose serialization has completed."""
-        if self.sim.now >= self._free_at:
-            self._settle()
-        return self._packets_forwarded
+        busy = self.busy  # releases first
+        return self._queued + self._passed + self._ahead - len(self._pending) - busy
 
-    def utilization_bytes(self) -> int:
-        """Total bytes forwarded so far (for utilization accounting)."""
-        return self.bytes_forwarded
+    @property
+    def arrived_ahead(self) -> int:
+        """Packets offered ahead of time whose arrival instant has come."""
+        self._catch_up()
+        return self._ahead - sum(not entry[3] for entry in self._pending)
 
-    def _settle(self) -> None:
-        """Count the packet that was in service as forwarded.
+    def _catch_up(self) -> float:
+        """Start the pending packets whose start has come; returns the clock."""
+        now = self.sim.now
+        pending = self._pending
+        while pending and pending[0][0] <= now:
+            _, self._busy_until, self._last_size, queued = pending.popleft()
+            if queued:
+                self._queue.dequeue()
+        return now
 
-        Only valid once ``now >= _free_at``: called when the next
-        transmission starts and when a reader looks after that instant.
-        """
-        size = self._unsettled
-        if size is not None:
-            self._unsettled = None
-            self._bytes_forwarded += size
-            self._packets_forwarded += 1
-            hook = self._forward_hook
-            if hook is not None:
-                hook(float(size))
-
-    def send(self, packet: Packet) -> bool:
-        """Offer ``packet`` to the link.
-
-        Returns False if the queue dropped it. Transmission begins
-        immediately when the transmitter is idle.
-        """
+    def send(self, packet: Packet, at: Optional[float] = None) -> bool:
+        """Offer ``packet``; False if the queue drops it, or if it is offered
+        ahead of time for its arrival at ``at`` and the link will not be
+        idle then (its counters move when the clock reaches ``at``)."""
         if self.receiver is None:
             raise RuntimeError(f"{self.name}: receiver not connected")
-        queue = self.queue
-        if not queue.enqueue(packet):
-            hook = self._qdrop_hook
-            if hook is not None:
-                hook(1.0)
-            return False
-        if self._draining:
-            return True
-        sim = self.sim
-        now = sim.now
-        if now >= self._free_at:
-            queue.dequeue()
-            self._transmit(packet, now)
+        now = self.sim.now
+        clock = now if at is None else at
+        if clock < self._clock:
+            raise SimulationError(f"{self.name}: in-order link offered a "
+                                  f"packet for t={clock} after t={self._clock}")
+        pending = self._pending
+        if pending and pending[0][0] <= now:
+            self._catch_up()
+        size = packet.size
+        start = self._free_at
+        if at is not None:
+            if start > at or self._behind >= now or not self._bypass:
+                self._behind = at
+                return False
+            self._clock = start = at
+            self._ahead += 1
+        elif start <= now and self._bypass:
+            self._passed += 1
         else:
-            self._draining = True
-            sim.schedule_at(self._free_at, self._drain, priority=0)
+            queue = self._queue
+            if not queue.enqueue(packet):
+                hook = self._qdrop_hook
+                if hook is not None:
+                    hook(1.0)
+                return False
+            self._queued += 1
+            if start <= now:
+                queue.dequeue()
+        self._sent_bytes += size
+        # Two additions, in this order: the delivery instant is the float
+        # a tx-complete event followed by a propagation event gave.
+        if start > now:
+            end = self._free_at = start + size / self.bandwidth
+            pending.append((start, end, size, at is None))
+        else:
+            self._last_size = size
+            end = self._free_at = self._busy_until = now + size / self.bandwidth
+        arrive = end + self.delay
+        for watcher in self.watchers:
+            watcher(packet, arrive)
+        receive_ahead = self._receive_ahead
+        if receive_ahead is None or not receive_ahead(packet, arrive):
+            self.sim.schedule_at(arrive, self._deliver, 0, (packet,))
         return True
-
-    def _drain(self) -> None:
-        """Start the head-of-queue packet the instant the wire frees up."""
-        queue = self.queue
-        packet = queue.dequeue()
-        if packet is not None:
-            free_at = self._transmit(packet, self._free_at)
-            if len(queue) > 0:
-                self.sim.schedule_at(free_at, self._drain, priority=0)
-                return
-        self._draining = False
-
-    def _transmit(self, packet: Packet, now: float) -> float:
-        """Serialize ``packet`` from ``now``; returns when the wire frees."""
-        self._settle()
-        self._unsettled = packet.size
-        # Two additions, in this order: delivery instants are the floats
-        # a tx-complete event followed by a propagation event would give.
-        free_at = self._free_at = now + packet.size / self.bandwidth
-        self.sim.schedule_at(
-            free_at + self.delay, self._deliver, priority=0, args=(packet,)
-        )
-        return free_at
 
     def _deliver(self, packet: Packet) -> None:
         assert self.receiver is not None

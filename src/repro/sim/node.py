@@ -28,7 +28,6 @@ class Node:
         self.name = name
         self.routes: dict[str, Link] = {}
         self.default_route: Optional[Link] = None
-        self.packets_received = 0
 
     def add_route(self, dst: str, link: Link) -> None:
         """Route packets destined to node ``dst`` out of ``link``."""
@@ -39,12 +38,9 @@ class Node:
 
     def forward(self, packet: Packet) -> bool:
         """Send ``packet`` toward its destination; False if unroutable/dropped."""
-        link = self.routes.get(packet.dst)
+        link = self.routes.get(packet.dst, self.default_route)
         if link is None:
-            link = self.default_route
-            if link is None:
-                raise RuntimeError(
-                    f"{self.name}: no route for dst={packet.dst!r}")
+            raise RuntimeError(f"{self.name}: no route for dst={packet.dst!r}")
         return link.send(packet)
 
     def receive(self, packet: Packet) -> None:
@@ -55,11 +51,25 @@ class Node:
 
 
 class Router(Node):
-    """A pure forwarder."""
+    """A pure forwarder; it counts a packet it takes ahead, at its arrival."""
+
+    def __init__(self, sim: Simulator, name: str) -> None:
+        super().__init__(sim, name)
+        self._received = 0
+
+    @property
+    def packets_received(self) -> int:
+        links = {*self.routes.values(), self.default_route} - {None}
+        return self._received + sum(link.arrived_ahead for link in links)
 
     def receive(self, packet: Packet) -> None:
-        self.packets_received += 1
+        self._received += 1
         self.forward(packet)
+
+    def receive_ahead(self, packet: Packet, at: float) -> bool:
+        """Take ``packet`` now if its next link is in order and accepts it."""
+        link = self.routes.get(packet.dst, self.default_route)
+        return link is not None and link.in_order and link.send(packet, at)
 
 
 class Host(Node):
@@ -85,7 +95,6 @@ class Host(Node):
         self._handlers.pop(flow_id, None)
 
     def receive(self, packet: Packet) -> None:
-        self.packets_received += 1
         if packet.dst and packet.dst != self.name:
             # Transit traffic through a host is a wiring bug in a dumbbell.
             self.forward(packet)

@@ -37,34 +37,37 @@ class DropTailQueue:
         self._queue: deque[Packet] = deque()
         self._bytes = 0
         self.drops = 0
-        self.enqueues = 0
-        self.dequeues = 0
+        self._enqueues = 0
+        self._dequeues = 0
+        #: The link's: release what started, count packets passed by the queue.
+        self._passed_by: Callable[[], int] = lambda: 0
 
     def __len__(self) -> int:
+        self._passed_by()
         return len(self._queue)
 
     @property
     def byte_length(self) -> int:
         """Bytes currently queued."""
+        self._passed_by()
         return self._bytes
 
-    def _would_overflow(self, packet: Packet) -> bool:
-        if self.capacity_packets and len(self._queue) + 1 > self.capacity_packets:
-            return True
-        if self.capacity_bytes and self._bytes + packet.size > self.capacity_bytes:
-            return True
-        return False
+    # A packet the link passed by the queue was enqueued and dequeued at once.
+    enqueues = property(lambda self: self._enqueues + self._passed_by())
+    dequeues = property(lambda self: self._dequeues + self._passed_by())
 
     def enqueue(self, packet: Packet) -> bool:
         """Add ``packet``; returns False (and records a drop) on overflow."""
-        if self._would_overflow(packet):
+        if ((self.capacity_packets and len(self._queue) >= self.capacity_packets)
+                or (self.capacity_bytes
+                    and self._bytes + packet.size > self.capacity_bytes)):
             self.drops += 1
             if self.on_drop is not None:
                 self.on_drop(packet)
             return False
         self._queue.append(packet)
         self._bytes += packet.size
-        self.enqueues += 1
+        self._enqueues += 1
         return True
 
     def dequeue(self) -> Optional[Packet]:
@@ -73,7 +76,7 @@ class DropTailQueue:
             return None
         packet = self._queue.popleft()
         self._bytes -= packet.size
-        self.dequeues += 1
+        self._dequeues += 1
         return packet
 
     def clear(self) -> None:

@@ -107,6 +107,7 @@ class Dumbbell:
         down = Link(self.sim, cfg.access_bandwidth, cfg.access_delay,
                     DropTailQueue(10_000), name=f"R1->dst{index}")
         down.connect(dst.receive)
+        down.in_order = True  # fed only by the bottleneck, through R1
         self.right.add_route(dst.name, down)
 
         back_up = Link(self.sim, cfg.access_bandwidth, cfg.access_delay,
@@ -117,6 +118,7 @@ class Dumbbell:
         back_down = Link(self.sim, cfg.access_bandwidth, cfg.access_delay,
                          DropTailQueue(10_000), name=f"R0->src{index}")
         back_down.connect(src.receive)
+        back_down.in_order = True  # fed only by the reverse bottleneck, via R0
         self.left.add_route(src.name, back_down)
 
         self.sources.append(src)

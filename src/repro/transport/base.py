@@ -65,7 +65,7 @@ class TransportAgent:
             src=self.host.name,
             dst=self.peer_name,
             created_at=self.sim.now,
-            meta=dict(meta),
+            meta=meta,
         )
 
     def _transmit(self, packet: Packet) -> bool:

@@ -175,9 +175,11 @@ def test_a_tape_cut_here_replays_here(taped):
 PINNED_CONFIG = QAConfig(layer_rate=4000.0, max_layers=5, packet_size=500,
                          k_max=2)
 
-#: Recorded at the commit before the reads were hoisted (PR 16).
+#: Recorded at the commit before the reads were hoisted, except the event
+#: count: 11603 then, 8127 since the links stopped paying for drains and
+#: for the router hop in front of the sinks.
 PINNED = {
-    "events": 11603,
+    "events": 8127,
     "flows": [
         {"adds": [(0.7, 1), (0.7999999999999999, 2),
                   (0.8999999999999999, 3), (0.9999999999999999, 4),

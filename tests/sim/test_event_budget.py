@@ -2,8 +2,10 @@
 
 The packet simulator's run time is events times a near-constant cost per
 event, so events per packet is the number a link or engine change must
-not quietly raise. A link with nothing waiting costs one event per
-packet (the delivery); a backlogged link two (its drain, the delivery).
+not quietly raise. A link costs one event per packet, its delivery,
+whether the packet waited for the wire or not; a dumbbell's bottlenecks
+cost none, as they hand their packets to the in-order router-to-host
+links at transmit time (``Router.receive_ahead``).
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class _Echo:
                                   dst=self.peer))
 
 
-def test_one_packet_and_its_ack_cost_one_event_per_hop(sim):
+def test_a_packet_and_its_ack_cost_four_events(sim):
     net = Dumbbell(sim, DumbbellConfig())
     src, dst = net.pair(0)
     sender, echo = _Echo(src, dst.name), _Echo(dst, src.name)
@@ -73,13 +75,27 @@ def test_one_packet_and_its_ack_cost_one_event_per_hop(sim):
     src.send(Packet(flow_id=1, seq=0, size=1000, dst=dst.name))
     sim.run()
     assert [p.ptype for p in sender.received] == [PacketType.ACK]
-    assert sim.events_processed == 6
-    assert events == {link.name: 1 for link in hop_links(net, 0)}
+    assert sim.events_processed == 4
+    fused = (net.bottleneck, net.reverse_bottleneck)
+    assert events == {link.name: 1 for link in hop_links(net, 0)
+                      if link not in fused}
 
 
-def test_only_a_backlogged_link_pays_two_events_per_packet(sim):
+def test_a_backlogged_link_costs_one_event_per_packet(sim):
+    link = Link(sim, bandwidth=10_000, delay=0.05, name="alone")
+    link.connect(lambda packet: None)
+    events = count_link_events(sim)
+    for seq in range(20):
+        link.send(Packet(flow_id=1, seq=seq, size=1000))
+    sim.run()
+    assert link.packets_forwarded == 20
+    assert events == {"alone": 20}
+
+
+def test_a_backlogged_bottleneck_costs_one_event_per_packet(sim):
     """Two CBR flows, each at the full bottleneck rate: the bottleneck is
-    backlogged from the second packet on, every access hop stays idle."""
+    backlogged from the second packet on, every access hop stays idle,
+    and each packet's one event is its delivery at the sink."""
     config = DumbbellConfig(n_pairs=2)
     net = Dumbbell(sim, config)
     for index in range(2):
@@ -92,12 +108,13 @@ def test_only_a_backlogged_link_pays_two_events_per_packet(sim):
     bottleneck = net.bottleneck
     assert bottleneck.queue.drops > 0
     assert bottleneck.packets_forwarded > 100
-    # The very first packet found the wire idle: no drain for that one.
-    assert events.pop(bottleneck.name) == 2 * bottleneck.packets_forwarded - 1
+    assert bottleneck.name not in events
     access = [link for index in range(2) for link in hop_links(net, index)
               if link is not bottleneck and link.packets_forwarded]
     assert len(access) == 4
     assert events == {link.name: link.packets_forwarded for link in access}
+    assert bottleneck.packets_forwarded == sum(
+        net.right.routes[dst.name].packets_forwarded for dst in net.sinks)
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +137,11 @@ class TestPinnedScenario:
 
     def test_event_count(self, pinned):
         scenario, _, _ = pinned
-        # 6884 with a tx-complete event per packet. A rise means some
-        # hop went back to paying for events it does not need.
-        assert scenario.sim.events_processed == 4501
+        # 6884 with a tx-complete event per packet, 4501 with a drain
+        # event per packet that waited and the router hop by event. A
+        # rise means some hop went back to paying for events it does not
+        # need.
+        assert scenario.sim.events_processed == 3016
 
     def test_observers_read_the_values_they_always_read(self, pinned):
         scenario, bus, result = pinned

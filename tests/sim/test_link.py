@@ -99,7 +99,6 @@ class TestQueueInteraction:
         sim.run()
         assert link.packets_forwarded == 2
         assert link.bytes_forwarded == 1000
-        assert link.utilization_bytes() == 1000
 
 
 class TestCompletionWithoutAnEvent:

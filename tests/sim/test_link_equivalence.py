@@ -126,9 +126,9 @@ def assert_equivalent(make_queue, arrivals, probes):
     assert actual == expected
     accepted = sum(expected["accepted"])
     assert len(actual["delivered"]) == accepted
-    # Never more than two events per packet (arrivals and probes aside).
-    assert (sim.events_processed - len(times) - len(probes)
-            <= 2 * accepted)
+    # One event per accepted packet, its delivery (arrivals and probes
+    # aside).
+    assert sim.events_processed - len(times) - len(probes) == accepted
 
 
 _gap = st.one_of(

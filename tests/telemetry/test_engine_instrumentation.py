@@ -97,9 +97,9 @@ class TestObservedLoopEquivalence:
 
 
 class TestLinkAttribution:
-    def test_link_time_lands_on_deliver_and_drain(self, sim):
-        """A link's work is attributed to its two handlers: one
-        ``_deliver`` per packet, one ``_drain`` per packet that waited."""
+    def test_link_time_lands_on_deliver_and_nowhere_else(self, sim):
+        """A link's work is attributed to its one handler: one
+        ``_deliver`` per packet, whether it waited for the wire or not."""
         registry = MetricsRegistry()
         instrument_engine(sim, registry, fake_timer())
         link = Link(sim, bandwidth=10_000, delay=0.05, name="l")
@@ -113,9 +113,8 @@ class TestLinkAttribution:
                 "engine_handler_calls_total", handler=name).value
 
         assert handler("Link._deliver") == 3.0
-        assert handler("Link._drain") == 2.0
         assert registry.histogram(
-            "engine_handler_seconds", handler="Link._drain").count == 2
+            "engine_handler_seconds", handler="Link._deliver").count == 3
         names = {sample["labels"]["handler"] for sample in
                  registry.snapshot()["engine_handler_calls_total"]["samples"]}
-        assert names == {"Link._deliver", "Link._drain"}
+        assert names == {"Link._deliver"}
