@@ -34,15 +34,7 @@ from repro.sim.trace import TimeSeries, Tracer, PeriodicSampler
 # these imports last so the partially-initialized package already holds
 # every name the core layer needs.
 from repro.sim.fluid import FluidEngine, FluidFlowResult
-
-
-def __getattr__(name: str) -> object:
-    # The batch is the only numpy user: load it for whoever asks, not
-    # for every ``import repro.<anything>``.
-    if name in ("BatchResult", "FlowClassBatch"):
-        from repro.sim import fluid_batch
-        return getattr(fluid_batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.sim.fluid_batch import BatchResult, FlowClassBatch
 
 
 __all__ = [

@@ -40,24 +40,34 @@ its first term (a term of a ``max``, so an exact lower bound) and are
 filling under the layer ceiling. ``na*C`` is state, written where a
 layer is added or dropped. Windows tile ``[0, duration]``; the last one
 is shorter when ``duration`` is not a multiple of ``step``.
+
+numpy loads when the first ``FlowClassBatch`` is built, not when this
+module is imported: a process that builds no batch never pays for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.core import formulas
 from repro.core.config import QAConfig
 from repro.sim.flowmon import jain_index
 from repro.sim.rng import SeededRNG, derive_seed
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Decision cadence when the caller does not pick one: the packet
 #: adapter's default drain_period, so batch decision lag matches tick lag.
 DEFAULT_STEP = 0.1
+
+
+def _load_numpy() -> None:
+    """Bind the module's ``np`` (a no-op after the first batch)."""
+    global np
+    import numpy as np
 
 
 def scripted_backoffs(seed: int, flow_index: int, duration: float,
@@ -108,15 +118,16 @@ class BatchResult:
                 - self.discarded_bytes - self.buffer)
 
     def summary(self) -> dict[str, float]:
+        # ndarray methods: a result unpickled where no batch ran has no np.
         return {
             "n_flows": float(self.n_flows),
-            "mean_layers": float(np.mean(self.mean_layers)),
-            "mean_rate": float(np.mean(self.mean_rate)),
+            "mean_layers": float(self.mean_layers.mean()),
+            "mean_rate": float(self.mean_rate.mean()),
             "fairness": jain_index([float(r) for r in self.mean_rate]),
-            "adds_per_flow": float(np.mean(self.adds)),
-            "drops_per_flow": float(np.mean(self.drops)),
-            "stall_fraction": float(np.mean(self.stall_bytes > 0.0)),
-            "mean_buffer": float(np.mean(self.buffer)),
+            "adds_per_flow": float(self.adds.mean()),
+            "drops_per_flow": float(self.drops.mean()),
+            "stall_fraction": float((self.stall_bytes > 0.0).mean()),
+            "mean_buffer": float(self.buffer.mean()),
         }
 
 
@@ -151,6 +162,7 @@ class FlowClassBatch:
         max_rate: Optional[float] = None,
         min_rate: float = 100.0,
     ) -> None:
+        _load_numpy()
         if n_flows < 1:
             raise ValueError("n_flows must be positive")
         if duration <= 0 or step <= 0:
@@ -198,6 +210,7 @@ class FlowClassBatch:
         Per-flow backoff phases come from index-keyed derived seeds, so
         the class is identical however it is partitioned into batches.
         """
+        _load_numpy()
         scripts = [
             scripted_backoffs(seed, i, duration, mean_backoff_interval,
                               min_gap=2.0 * step)

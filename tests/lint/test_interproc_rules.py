@@ -106,26 +106,29 @@ class TestSimTimeRule:
 class TestNumpyDisciplineRule:
     def test_exact_findings(self):
         found, violations = locations(NumpyDisciplineRule())
+        # The fixture's only numpy import is function-local.
         assert found == [
-            ("npy_bad.py", 7, 10),  # arange without dtype
-            ("npy_bad.py", 9, 10),  # np.nan pad
-            ("npy_bad.py", 11, 4),  # int accumulator += float
-            ("npy_bad.py", 13, 10),  # 1-D mask on 2-D array
-            ("npy_bad.py", 14, 30),  # np.float32
+            ("npy_bad.py", 11, 11),  # zeros without dtype
+            ("npy_bad.py", 15, 10),  # arange without dtype
+            ("npy_bad.py", 17, 10),  # np.nan pad
+            ("npy_bad.py", 19, 4),  # int accumulator += float
+            ("npy_bad.py", 21, 10),  # 1-D mask on 2-D array
+            ("npy_bad.py", 22, 30),  # np.float32
         ]
         messages = [v.message for v in violations]
-        assert "np.arange() without an explicit dtype" in messages[0]
-        assert "np.nan" in messages[1]
-        assert "'counts'" in messages[2]
-        assert "(1-D) indexes 'grid' (2-D)" in messages[3]
-        assert "np.float32" in messages[4]
+        assert "np.zeros() without an explicit dtype" in messages[0]
+        assert "np.arange() without an explicit dtype" in messages[1]
+        assert "np.nan" in messages[2]
+        assert "'counts'" in messages[3]
+        assert "(1-D) indexes 'grid' (2-D)" in messages[4]
+        assert "np.float32" in messages[5]
 
     def test_pinned_dtypes_and_matched_masks_are_silent(self):
-        # clean(): pinned arange (19), float accumulator (23), inf pad
-        # (24), rank-matched mask (25).
+        # clean(): pinned arange (27), float accumulator (31), inf pad
+        # (32), rank-matched mask (33).
         found, _ = locations(NumpyDisciplineRule())
         flagged = {line for name, line, _ in found if name == "npy_bad.py"}
-        assert flagged.isdisjoint({19, 23, 24, 25})
+        assert flagged.isdisjoint({27, 31, 32, 33})
 
 
 class TestShowSuppressedCoversNewRules:

@@ -1,25 +1,77 @@
 """What ``import repro.<anything>`` drags in.
 
-numpy is needed by :mod:`repro.sim.fluid_batch` alone; the packet
-simulator, the scenarios and the service must start without it (it was
-half of their import time).
+numpy is needed by :mod:`repro.sim.fluid_batch` alone, and only once a
+batch is built: the entry points, the packet simulator, the scenarios
+and the service must start without it (it was half of their import
+time and a third of their memory).
 """
 
+import json
+import pickle
 import subprocess
 import sys
 
+# Loaded before any batch here: the eager reference for the summaries.
+import numpy  # noqa: F401
+
+from repro.experiments.flock_scale import batch_config
+from repro.sim.fluid_batch import FlowClassBatch
+
+ENTRY_POINTS = (
+    "repro.experiments.runner",
+    "repro.analysis.run_report",
+    "repro.service.cli",
+    "repro.lint.cli",
+    "repro.sim",
+    "repro.sim.fluid_batch",
+    "repro.experiments.flock_scale",
+)
+
+
+def small_flock():
+    return FlowClassBatch.jittered(batch_config(), 50, slope=1000,
+                                   duration=20).run()
+
+
+def python(snippet: str, stdin: bytes = b"") -> list:
+    """Run ``snippet`` in a fresh interpreter; one JSON value per line."""
+    done = subprocess.run([sys.executable, "-c", snippet], input=stdin,
+                          capture_output=True, check=True)
+    return [json.loads(line) for line in done.stdout.decode().splitlines()]
+
 
 def test_numpy_loads_only_for_the_batch():
+    # One interpreter covers every entry point: each module body runs
+    # once, so any that loaded numpy on its own would load it here.
     snippet = (
-        "import sys\n"
-        "import repro.scenario, repro.service\n"
-        "print('numpy' in sys.modules)\n"
-        "import repro.sim\n"
+        "import json, sys\n"
+        f"import {', '.join(ENTRY_POINTS)}\n"
+        "print(json.dumps('numpy' in sys.modules))\n"
         "from repro.sim import BatchResult, FlowClassBatch\n"
-        "print('numpy' in sys.modules, FlowClassBatch.__module__,\n"
-        "      {'BatchResult', 'FlowClassBatch'} <= set(repro.sim.__all__))\n"
+        "print(json.dumps([FlowClassBatch.__module__,\n"
+        "    {'BatchResult', 'FlowClassBatch'} <= set(repro.sim.__all__)]))\n"
+        "from repro.experiments.flock_scale import batch_config\n"
+        "result = FlowClassBatch.jittered(batch_config(), 50, slope=1000,\n"
+        "                                 duration=20).run()\n"
+        "print(json.dumps('numpy' in sys.modules))\n"
+        "print(json.dumps(result.summary()))\n"
     )
-    result = subprocess.run([sys.executable, "-c", snippet],
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.split() == [
-        "False", "True", "repro.sim.fluid_batch", "True"]
+    before, names, after, summary = python(snippet)
+    assert before is False
+    assert names == ["repro.sim.fluid_batch", True]
+    assert after is True
+    # This process imported numpy before any batch: same numbers.
+    assert summary == small_flock().summary()
+
+
+def test_a_pooled_result_summarises_where_no_batch_was_built():
+    # ``repro-experiments -j N`` unpickles worker results in a parent
+    # that never built a batch (flock-scale then calls ``summary()``).
+    result = small_flock()
+    snippet = (
+        "import json, pickle, sys\n"
+        "import repro.experiments.flock_scale\n"
+        "result = pickle.load(sys.stdin.buffer)\n"
+        "print(json.dumps(result.summary()))\n"
+    )
+    assert python(snippet, pickle.dumps(result)) == [result.summary()]
