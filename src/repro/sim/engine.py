@@ -73,24 +73,20 @@ class Simulator:
 
     Components receive the simulator instance and call :meth:`schedule` /
     :meth:`schedule_at` to arrange future work. ``sim.now`` is the current
-    simulation time in seconds.
+    simulation time in seconds, a plain attribute (it is read on every
+    hop) that only :meth:`step` and :meth:`run` write.
     """
 
     def __init__(self) -> None:
         self._heap: list[_Entry] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        self.now = 0.0
         self._running = False
         self._events_processed = 0
         self._obs_timer: Optional[Callable[[], float]] = None
         self._obs_record: Optional[
             Callable[[Callable[..., None], float, int], None]
         ] = None
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -111,7 +107,7 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        time = self._now + delay
+        time = self.now + delay
         event = Event(time, callback, args)
         heapq.heappush(self._heap, (time, priority, next(self._seq), event))
         return event
@@ -124,9 +120,9 @@ class Simulator:
         args: tuple[Any, ...] = (),
     ) -> Event:
         """Schedule ``callback`` at absolute simulation time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
         event = Event(time, callback, args)
         heapq.heappush(self._heap, (time, priority, next(self._seq), event))
@@ -144,7 +140,7 @@ class Simulator:
         per item. For large batches the heap is rebuilt with a single
         ``heapify`` instead of N pushes.
         """
-        now = self._now
+        now = self.now
         batch: list[_Entry] = []
         for delay, callback in items:
             if delay < 0:
@@ -180,9 +176,9 @@ class Simulator:
             time, _, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            if time < self._now:
+            if time < self.now:
                 raise SimulationError("event heap yielded an event in the past")
-            self._now = time
+            self.now = time
             self._events_processed += 1
             if event.args:
                 event.callback(*event.args)
@@ -238,11 +234,11 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 pop(heap)
-                if time < self._now:
+                if time < self.now:
                     raise SimulationError(
                         "event heap yielded an event in the past"
                     )
-                self._now = time
+                self.now = time
                 self._events_processed += 1
                 if event.args:
                     event.callback(*event.args)
@@ -255,8 +251,8 @@ class Simulator:
                     )
             # stop() leaves the clock at the last event run: events still
             # pending before ``until`` must not end up in the past.
-            if self._running and until is not None and self._now < until:
-                self._now = until
+            if self._running and until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
 
@@ -285,11 +281,11 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 pop(heap)
-                if time < self._now:
+                if time < self.now:
                     raise SimulationError(
                         "event heap yielded an event in the past"
                     )
-                self._now = time
+                self.now = time
                 self._events_processed += 1
                 started = timer()
                 if event.args:
@@ -304,8 +300,8 @@ class Simulator:
                     )
             # stop() leaves the clock at the last event run: events still
             # pending before ``until`` must not end up in the past.
-            if self._running and until is not None and self._now < until:
-                self._now = until
+            if self._running and until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
 
@@ -315,6 +311,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self._now:.6f}, pending={len(self._heap)}, "
+            f"Simulator(now={self.now:.6f}, pending={len(self._heap)}, "
             f"processed={self._events_processed})"
         )

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
-from repro.sim.packet import Packet
+from repro.sim.packet import DATA, Packet
 from repro.sim.trace import PeriodicSampler, TimeSeries
 
 
@@ -56,7 +56,7 @@ class FlowMonitor:
         self._sampler = PeriodicSampler(sim, sample_period, self._sample)
 
     def _watch(self, packet: Packet, at: float) -> None:
-        if packet.is_data():
+        if packet.ptype is DATA:
             self._arrivals.append((at, packet.flow_id, packet.size))
 
     @property

@@ -21,6 +21,11 @@ class PacketType(Enum):
     ACK = "ack"
 
 
+#: Module-level aliases for the per-hop ``packet.ptype is DATA`` checks
+#: (one global read instead of an enum attribute lookup).
+DATA = PacketType.DATA
+ACK = PacketType.ACK
+
 _packet_uid = itertools.count()
 
 
@@ -38,25 +43,27 @@ class Packet:
             positional).
         created_at: simulation time the source emitted the packet.
         meta: free-form annotations (e.g. ``{"layer": 2}`` for video data,
-            or ACK feedback fields).
+            or ACK feedback fields). Never copied: a sender's dict rides
+            on the packet (and in its ledger) as it is, so whoever builds
+            one hands over a fresh dict and never mutates it afterwards.
         uid: globally unique id (monotone), used for deterministic tracing.
     """
 
     flow_id: int
     seq: int
     size: int
-    ptype: PacketType = PacketType.DATA
+    ptype: PacketType = DATA
     src: str = ""
     dst: str = ""
     created_at: float = 0.0
     meta: dict[str, Any] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_packet_uid))
+    uid: int = field(default_factory=_packet_uid.__next__)
 
     def is_data(self) -> bool:
-        return self.ptype is PacketType.DATA
+        return self.ptype is DATA
 
     def is_ack(self) -> bool:
-        return self.ptype is PacketType.ACK
+        return self.ptype is ACK
 
     @property
     def layer(self) -> Optional[int]:

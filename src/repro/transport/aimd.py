@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
-from repro.sim.packet import Packet
+from repro.sim.packet import ACK, Packet
 from repro.transport.law import AckLedger, Feedback, PacketHandler
 from repro.transport.rap import (
     AimdSource,
@@ -102,7 +102,7 @@ class WindowAimdSource(AimdSource):
         return {**super()._backoff_fields(feedback), "cwnd": self.cwnd}
 
     def receive(self, packet: Packet) -> None:
-        if not packet.is_ack():
+        if packet.ptype is not ACK:
             return
         if packet.meta["acked_seq"] in self.law.outstanding:
             # Additive increase: one packet per window per RTT. It

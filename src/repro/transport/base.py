@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
-from repro.sim.packet import Packet, PacketType
+from repro.sim.packet import DATA, Packet, PacketType
 
 _flow_ids = itertools.count(1)
 
@@ -54,23 +55,16 @@ class TransportAgent:
         self.stats = FlowStats()
         host.attach(flow_id, self)
 
-    def _make_packet(self, seq: int, size: int,
-                     ptype: PacketType = PacketType.DATA,
-                     **meta) -> Packet:
-        return Packet(
-            flow_id=self.flow_id,
-            seq=seq,
-            size=size,
-            ptype=ptype,
-            src=self.host.name,
-            dst=self.peer_name,
-            created_at=self.sim.now,
-            meta=meta,
-        )
+    def _make_packet(self, seq: int, size: int, ptype: PacketType = DATA,
+                     meta: Optional[dict[str, Any]] = None) -> Packet:
+        """A packet from this agent, stamped now; ``meta`` is not copied."""
+        return Packet(self.flow_id, seq, size, ptype, self.host.name,
+                      self.peer_name, self.sim.now,
+                      {} if meta is None else meta)
 
     def _transmit(self, packet: Packet) -> bool:
         ok = self.host.send(packet)
-        if ok and packet.is_data():
+        if ok and packet.ptype is DATA:
             self.stats.packets_sent += 1
             self.stats.bytes_sent += packet.size
         return ok

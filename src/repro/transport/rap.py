@@ -17,7 +17,10 @@ hooks quality adaptation plugs into:
 
 - ``payload_picker(seq)``: called at every transmission opportunity;
   returns the ``meta`` dict for the outgoing packet (e.g. which video layer
-  it carries). ``None`` means plain bulk data.
+  it carries), or ``None`` to leave the slot idle. The dict is not
+  copied: it rides on the packet and in the ledger as it is and comes
+  back in ``on_ack``/``on_loss``, so a picker returns a fresh dict per
+  call and never mutates it afterwards.
 - ``on_ack(seq, meta, size)``: a data packet was acknowledged.
 - ``on_loss(seq, meta, size)``: a data packet was declared lost.
 - ``on_backoff(new_rate)``: the AIMD halving just happened.
@@ -32,7 +35,7 @@ from typing import Callable, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
-from repro.sim.packet import Packet, PacketType
+from repro.sim.packet import ACK, DATA, Packet
 from repro.transport.base import TransportAgent, next_flow_id
 from repro.transport.law import NOTHING, AckLedger, Feedback, PacketHandler, RapLaw
 
@@ -115,14 +118,18 @@ class AimdSource(TransportAgent):
     def _send_one(self) -> bool:
         """Offer the next seq to the application; False if it passed."""
         law = self.law
-        meta: Optional[dict] = {}
-        if self.payload_picker is not None:
-            meta = self.payload_picker(law.next_seq)
-            if meta is None:
-                return False  # application has nothing to send this slot
-        packet = self._make_packet(law.next_seq, law.packet_size, **meta)
-        law.track(packet.meta, law.packet_size)
-        self._transmit(packet)
+        seq = law.next_seq
+        size = law.packet_size
+        picker = self.payload_picker
+        meta = {} if picker is None else picker(seq)
+        if meta is None:
+            return False  # application has nothing to send this slot
+        law.track(meta, size)
+        # Always DATA: count it here instead of asking _transmit to.
+        if self.host.send(self._make_packet(seq, size, DATA, meta)):
+            stats = self.stats
+            stats.packets_sent += 1
+            stats.bytes_sent += size
         return True
 
     def _check_timeout(self) -> Feedback:
@@ -161,7 +168,7 @@ class AimdSource(TransportAgent):
 
     def receive(self, packet: Packet) -> None:
         """Handle an incoming ACK."""
-        if not packet.is_ack():
+        if packet.ptype is not ACK:
             return
         self.stats.acks_received += 1
         meta = packet.meta
@@ -219,10 +226,13 @@ class RapSource(AimdSource):
         self._timeout_tick()
 
     def _send_tick(self) -> None:
-        if not self._active():
+        # _active() inlined: this runs once per packet.
+        sim = self.sim
+        if self._stopped or (self.stop_time is not None
+                             and sim.now >= self.stop_time):
             return
         self._send_one()
-        self.sim.schedule(self.law.ipg, self._send_tick, priority=0)
+        sim.schedule(self.law.ipg, self._send_tick, priority=0)
 
     def _step_tick(self) -> None:
         if not self._active():
@@ -238,7 +248,7 @@ class RapSource(AimdSource):
 
 
 class RapSink(TransportAgent):
-    """The receiving half: ACKs every data packet, echoing its metadata."""
+    """The receiving half: ACKs every data packet with its seq and stamp."""
 
     def __init__(self, sim: Simulator, host: Host, peer_name: str,
                  flow_id: int,
@@ -247,19 +257,14 @@ class RapSink(TransportAgent):
         self.on_data = on_data
 
     def receive(self, packet: Packet) -> None:
-        if not packet.is_data():
+        if packet.ptype is not DATA:
             return
-        self.stats.packets_received += 1
-        self.stats.bytes_received += packet.size
+        stats = self.stats
+        stats.packets_received += 1
+        stats.bytes_received += packet.size
         if self.on_data is not None:
             self.on_data(packet)
-        ack = self._make_packet(
-            packet.seq,
-            ACK_SIZE,
-            ptype=PacketType.ACK,
-            acked_seq=packet.seq,
-            echo_ts=packet.created_at,
-            data_size=packet.size,
-            **({"layer": packet.layer} if packet.layer is not None else {}),
-        )
-        self.host.send(ack)
+        seq = packet.seq
+        self.host.send(self._make_packet(
+            seq, ACK_SIZE, ACK,
+            {"acked_seq": seq, "echo_ts": packet.created_at}))

@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
-from repro.sim.packet import Packet, PacketType
+from repro.sim.packet import ACK, DATA, Packet
 from repro.transport.base import TransportAgent, next_flow_id
 
 ACK_SIZE = 40
@@ -169,7 +169,7 @@ class TcpSource(TransportAgent):
         self._rto_backoff = 1.0
 
     def receive(self, packet: Packet) -> None:
-        if not packet.is_ack() or not self._active():
+        if packet.ptype is not ACK or not self._active():
             return
         self.stats.acks_received += 1
         cum = packet.meta["acked_seq"]  # highest contiguously received seq
@@ -230,7 +230,7 @@ class TcpSink(TransportAgent):
         self._cumulative = -1  # highest contiguously received seq
 
     def receive(self, packet: Packet) -> None:
-        if not packet.is_data():
+        if packet.ptype is not DATA:
             return
         self.stats.packets_received += 1
         self.stats.bytes_received += packet.size
@@ -238,8 +238,5 @@ class TcpSink(TransportAgent):
         while self._cumulative + 1 in self._received:
             self._received.discard(self._cumulative + 1)
             self._cumulative += 1
-        ack = self._make_packet(
-            packet.seq, ACK_SIZE, ptype=PacketType.ACK,
-            acked_seq=self._cumulative,
-        )
-        self.host.send(ack)
+        self.host.send(self._make_packet(
+            packet.seq, ACK_SIZE, ACK, {"acked_seq": self._cumulative}))

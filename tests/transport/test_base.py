@@ -35,14 +35,21 @@ class TestTransportAgent:
     def test_make_packet_fields(self, sim):
         host = Host(sim, "h")
         agent = TransportAgent(sim, host, "peer", flow_id=4243)
-        packet = agent._make_packet(7, 500, layer=2)
+        meta = {"layer": 2}
+        sim.run(until=1.5)
+        packet = agent._make_packet(7, 500, meta=meta)
         assert packet.flow_id == 4243
         assert packet.seq == 7
         assert packet.size == 500
         assert packet.src == "h"
         assert packet.dst == "peer"
-        assert packet.meta == {"layer": 2}
+        assert packet.created_at == 1.5
+        assert packet.meta is meta
         assert packet.ptype is PacketType.DATA
+        ack = agent._make_packet(8, 40, PacketType.ACK)
+        assert ack.ptype is PacketType.ACK
+        assert ack.meta == {}
+        assert agent._make_packet(9, 40).meta is not ack.meta
 
     def test_transmit_counts_only_data(self, sim):
         host = Host(sim, "h")

@@ -122,17 +122,41 @@ class TestRttEstimation:
 
 class TestApplicationHooks:
     def test_payload_picker_controls_meta(self, sim):
+        # A small queue, so some packets are lost as well as acked.
         net = Dumbbell(sim, DumbbellConfig(
-            n_pairs=1, bottleneck_bandwidth=100_000))
+            n_pairs=1, bottleneck_bandwidth=20_000,
+            queue_capacity_packets=3))
         src, dst = net.pair(0)
-        source = RapSource(sim, src, dst.name,
-                           payload_picker=lambda seq: {"layer": seq % 3})
-        received = []
+        picked: dict[int, dict] = {}
+
+        def picker(seq):
+            picked[seq] = {"layer": seq % 3}
+            return picked[seq]
+
+        acked, lost, received, ack_keys = [], [], [], set()
+        source = RapSource(
+            sim, src, dst.name, packet_size=500, payload_picker=picker,
+            on_ack=lambda seq, meta, size: acked.append((seq, meta)),
+            on_loss=lambda seq, meta, size: lost.append((seq, meta)))
+        receive_ack = source.receive
+
+        def spy(packet):
+            ack_keys.add(frozenset(packet.meta))
+            receive_ack(packet)
+
+        source.receive = spy
         RapSink(sim, dst, src.name, source.flow_id,
-                on_data=lambda p: received.append(p.layer))
-        sim.run(until=2.0)
-        assert set(received) <= {0, 1, 2}
+                on_data=received.append)
+        sim.run(until=10.0)
+        assert {p.layer for p in received} <= {0, 1, 2}
         assert len(received) > 3
+        assert acked and lost
+        # The picker's dict is the packet's meta and the ledger's entry:
+        # never copied on the way out or back.
+        assert all(p.meta is picked[p.seq] for p in received)
+        assert all(meta is picked[seq] for seq, meta in acked + lost)
+        # An ACK carries the two fields the source reads, nothing else.
+        assert ack_keys == {frozenset({"acked_seq", "echo_ts"})}
 
     def test_payload_picker_none_skips_slot(self, sim):
         net = Dumbbell(sim, DumbbellConfig(
