@@ -12,7 +12,6 @@ from repro.analysis.export import (
     export_csv,
     export_events_csv,
     export_gnuplot,
-    export_lint_report,
     export_manifest,
     export_series_files,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "export_csv",
     "export_events_csv",
     "export_gnuplot",
-    "export_lint_report",
     "export_manifest",
     "export_series_files",
 ]

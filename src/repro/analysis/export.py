@@ -72,19 +72,6 @@ def export_manifest(manifest: dict, path) -> pathlib.Path:
     return target
 
 
-def export_lint_report(report: dict, path) -> pathlib.Path:
-    """Write a ``repro-lint --format json`` report as stable JSON.
-
-    Same conventions as :func:`export_manifest` (sorted keys, trailing
-    newline): reports for identical trees are byte-identical, so CI can
-    archive them and dashboards can diff violation counts across PRs.
-    """
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return target
-
-
 def export_gnuplot(tracer: Tracer, path, *,
                    names: Optional[Sequence[str]] = None) -> pathlib.Path:
     """Write a gnuplot ``.dat``: '# time col1 col2 ...' then rows."""

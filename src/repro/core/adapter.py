@@ -61,8 +61,8 @@ from repro.core.units import (
 Clock = Callable[[], Seconds]
 RateFn = Callable[[], BytesPerSec]
 SlopeFn = Callable[[], BytesPerSec2]
-#: ``(time, kind, fields)`` decision sink (RL007: ``None`` when nobody
-#: is recording).
+#: ``(time, kind, fields)`` decision sink; ``None`` when nobody is
+#: recording, and callers guard.
 EventHook = Callable[[float, str, dict[str, object]], None]
 
 

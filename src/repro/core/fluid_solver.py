@@ -33,7 +33,7 @@ from repro.core import formulas
 from repro.core.config import QAConfig
 from repro.core.states import kmax_targets
 
-# Re-exported: the tolerance itself is centralized (RL009 discipline).
+# Re-exported: every tolerance is defined once, in core.tolerances.
 from repro.core.tolerances import TIME_TOLERANCE as TIME_TOLERANCE
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2, Seconds
 

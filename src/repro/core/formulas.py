@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-# Re-exported: the tolerance itself is centralized (RL009 discipline).
+# Re-exported: every tolerance is defined once, in core.tolerances.
 from repro.core.tolerances import EPSILON as EPSILON
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2, Seconds
 

@@ -1,13 +1,13 @@
-"""Centralized float-comparison tolerances (the RL009 discipline).
+"""Centralized float-comparison tolerances.
 
 Every tolerance used when comparing unit-bearing floats lives here, so
 the §2.2 crossing/bisection math, the playout boundary matching and the
-byte-conservation checks all agree on what "equal" means. Defining a
-tolerance anywhere else — or comparing unit-bearing floats with a raw
-``==`` — is flagged by ``repro-lint`` rule RL009: scattered ad-hoc
-epsilons are how two code paths quietly disagree about whether a
-crossing fired, which breaks the bit-for-bit determinism the golden and
-differential harnesses depend on.
+byte-conservation checks all agree on what "equal" means. Define no
+tolerance anywhere else, and compare unit-bearing floats through
+:func:`close` rather than a raw ``==``: scattered ad-hoc epsilons are
+how two code paths quietly disagree about whether a crossing fired,
+which breaks the bit-for-bit determinism the golden and differential
+harnesses depend on.
 
 The constants keep their historical values (and therefore every golden
 artifact byte-identical): they were introduced alongside the formula

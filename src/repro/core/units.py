@@ -4,13 +4,9 @@ Internally everything is **bytes** and **bytes per second** (the paper's
 plots use KB/s). The conversion helpers exist so experiment configs can be
 written in the paper's units without sprinkling magic constants.
 
-The ``Annotated`` aliases below give the core QA math machine-checkable
-dimensions. They are erased at runtime (``Bytes`` *is* ``float`` as far as
-the interpreter and mypy are concerned), but ``repro-lint``'s RL006
-dimensional analysis reads the :class:`Unit` markers straight from this
-module's AST and propagates them through the arithmetic of
-:mod:`repro.core.formulas` and its callers — so swapping a slope for a
-rate fails the build instead of silently corrupting a buffer target.
+The aliases below name the dimension of each quantity in the core QA
+math. They are plain aliases (``Bytes`` *is* ``float``): they document
+each dimension for the reader; nothing checks them.
 
 Mapping to the paper's symbols (see docs/MECHANISM.md):
 
@@ -28,40 +24,20 @@ alias              dimension              paper symbol / use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Annotated
-
 KILOBYTE = 1000  # the paper uses decimal KB/s axes
 
-
-@dataclass(frozen=True)
-class Unit:
-    """Dimension marker carried by the ``Annotated`` aliases below.
-
-    ``data`` and ``time`` are the exponents of the two base dimensions
-    (bytes and seconds): ``Unit(data=1, time=-2)`` reads "bytes per
-    second squared". Markers never exist at runtime in checked code —
-    they are metadata for ``repro-lint``'s RL006 rule, which parses this
-    module rather than importing it, so the table here is the single
-    source of truth.
-    """
-
-    data: int = 0
-    time: int = 0
-
-
 #: Buffered data, per-layer shares, triangle areas (B).
-Bytes = Annotated[float, Unit(data=1)]
+Bytes = float
 #: Byte quantities that are inherently integral (packet sizes).
-ByteCount = Annotated[int, Unit(data=1)]
+ByteCount = int
 #: Durations, periods, backoff horizons (s).
-Seconds = Annotated[float, Unit(time=1)]
+Seconds = float
 #: Rates: per-layer consumption ``C``, transmission ``R`` (B/s).
-BytesPerSec = Annotated[float, Unit(data=1, time=-1)]
+BytesPerSec = float
 #: The AIMD linear-increase slope ``S`` (B/s^2).
-BytesPerSec2 = Annotated[float, Unit(data=1, time=-2)]
+BytesPerSec2 = float
 #: Explicitly dimensionless quantities (ratios, gains, EWMA weights).
-Scalar = Annotated[float, Unit()]
+Scalar = float
 
 
 def kbps_to_bytes(kilobits_per_second: float) -> BytesPerSec:

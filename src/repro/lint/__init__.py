@@ -1,24 +1,21 @@
-"""repro-lint: AST-based determinism and invariant checker.
+"""repro-lint: AST-based determinism checker.
 
-The golden-trace harness is only sound if properties hold *at rest*
-that nothing in the test suite can observe directly: the simulation
-must be bit-for-bit deterministic and the core QA arithmetic must not
-mix units. ``repro.lint`` is a standalone static analyzer (stdlib
-``ast`` only, no new dependencies) that rejects whole classes of such
-mistakes before any simulation runs.
+Every golden artifact can only be regenerated because each simulation
+run is a pure function of its seed. ``repro.lint`` is a standalone
+static analyzer (stdlib ``ast`` only, no new dependencies) that guards
+that property at rest, before any simulation runs.
 
-Rules (each documented in docs/LINTING.md):
+Rules (documented in docs/LINTING.md):
 
-- **RL001 determinism** -- no ambient randomness or wall-clock reads in
-  ``sim/``, ``core/``, ``transport/``, ``media/``; seeded
-  :mod:`repro.sim.rng` streams only, and no ``PYTHONHASHSEED``-sensitive
-  set iteration.
-- **RL003 units discipline** -- no arithmetic mixing values built via
-  :mod:`repro.core.units` helpers with raw numeric literals in the core
-  QA math.
+- **RL000 syntax** -- a file the analyzer cannot parse fails the run.
+- **RL001 determinism** -- no ambient randomness, wall-clock reads or
+  ``PYTHONHASHSEED``-sensitive set iteration in ``sim/``, ``core/``,
+  ``transport/``, ``media/``, ``scenario/`` and ``telemetry/``; seeded
+  :mod:`repro.sim.rng` streams only. ``service/`` keeps its wall clock
+  but not the rest.
 
-Violations are reported as ``path:line:col: CODE message`` (or JSON via
-``--format json``) and can be suppressed per line with
+Violations are reported as ``path:line:col: CODE message`` (or JSON or
+SARIF via ``--format``) and can be suppressed per line with
 ``# repro-lint: disable=CODE`` or per file with
 ``# repro-lint: disable-file=CODE``.
 

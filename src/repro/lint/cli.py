@@ -7,12 +7,8 @@ paths match no Python files at all -- a misconfigured CI glob must not
 masquerade as a clean run. ``--changed`` with an empty diff *is* a
 legitimate clean state and exits 0.
 
-Per-file rules (RL001, RL003) run file by file; flow rules (RL005-RL012)
-run once over a whole-program :class:`~repro.lint.flow.project.Project`
-built from every file in the run. ``--changed`` narrows the *report*,
-never the analysis: the project is still built from the full path set so
-cross-module reasoning stays sound, and only findings in files touched
-since HEAD (or untracked) are emitted.
+Every rule runs file by file, so ``--changed`` parses only the files
+touched since HEAD (or untracked) and reports what it finds in them.
 
 Syntax errors in checked files are reported as RL000 -- a file the
 analyzer cannot parse cannot be certified, so it fails the run.
@@ -29,9 +25,8 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.lint.profile import Profiler
 from repro.lint.rules import default_rules
-from repro.lint.rules.base import FileContext, FlowRule, Rule
+from repro.lint.rules.base import FileContext, Rule
 from repro.lint.suppressions import Directive, Suppressions
 from repro.lint.violations import Violation, build_report
 
@@ -84,7 +79,6 @@ def iter_python_files(
 class FileEntry:
     """One loaded source file: parse result plus its suppressions."""
 
-    path: pathlib.Path
     display: str
     suppressions: Suppressions
     ctx: Optional[FileContext]  # None when the file does not parse
@@ -99,7 +93,6 @@ def _make_entry(
         tree = ast.parse(source, filename=display)
     except SyntaxError as exc:
         return FileEntry(
-            path=path,
             display=display,
             suppressions=suppressions,
             ctx=None,
@@ -112,52 +105,33 @@ def _make_entry(
             ),
         )
     return FileEntry(
-        path=path,
         display=display,
         suppressions=suppressions,
-        ctx=FileContext(
-            path=path, display_path=display, source=source, tree=tree
-        ),
+        ctx=FileContext(path=path, display_path=display, tree=tree),
         syntax_violation=None,
     )
 
 
-def _load_files(paths: Sequence[str]) -> list[FileEntry]:
+def _load_files(files: Sequence[tuple[pathlib.Path, str]]) -> list[FileEntry]:
     return [
         _make_entry(path, display, path.read_text(encoding="utf-8"))
-        for path, display in iter_python_files(paths)
+        for path, display in files
     ]
 
 
 def _raw_violations(
-    entries: Sequence[FileEntry],
-    rules: Sequence[Rule],
-    profiler: Optional[Profiler] = None,
+    entries: Sequence[FileEntry], rules: Sequence[Rule]
 ) -> list[Violation]:
     """Every violation in the run, suppressions NOT yet applied."""
-    from repro.lint.flow.project import Project
-
-    prof = profiler if profiler is not None else Profiler()
-    per_file = [r for r in rules if not isinstance(r, FlowRule)]
-    flow = [r for r in rules if isinstance(r, FlowRule)]
     found: list[Violation] = []
     for entry in entries:
         if entry.syntax_violation is not None:
             found.append(entry.syntax_violation)
             continue
         assert entry.ctx is not None
-        for rule in per_file:
+        for rule in rules:
             if rule.applies_to(entry.ctx):
-                with prof.measure(rule.code):
-                    found.extend(rule.check(entry.ctx))
-    if flow:
-        with prof.measure("project:build"):
-            project = Project.build(
-                [entry.ctx for entry in entries if entry.ctx is not None]
-            )
-        for rule in flow:
-            with prof.measure(rule.code):
-                found.extend(rule.check_project(project))
+                found.extend(rule.check(entry.ctx))
     return found
 
 
@@ -176,18 +150,15 @@ def _apply_suppressions(
 
 
 def lint_paths(
-    paths: Sequence[str],
-    rules: Optional[Sequence[Rule]] = None,
-    profiler: Optional[Profiler] = None,
+    paths: Sequence[str], rules: Optional[Sequence[Rule]] = None
 ) -> tuple[list[Violation], int]:
     """Lint every Python file under ``paths``.
 
     Returns (violations sorted by location, number of files checked).
-    ``profiler`` accumulates per-rule wall time when given.
     """
     active = tuple(rules) if rules is not None else default_rules()
-    entries = _load_files(paths)
-    raw = _raw_violations(entries, active, profiler)
+    entries = _load_files(iter_python_files(paths))
+    raw = _raw_violations(entries, active)
     return sorted(_apply_suppressions(raw, entries)), len(entries)
 
 
@@ -198,7 +169,7 @@ def _git_changed_files() -> Optional[set[pathlib.Path]]:
     """Resolved paths of files modified since HEAD, plus untracked.
 
     None when git is unavailable or the cwd is not a work tree -- the
-    caller falls back to reporting everything rather than nothing.
+    caller falls back to checking everything rather than nothing.
     """
     try:
         top = subprocess.run(
@@ -226,15 +197,21 @@ def _git_changed_files() -> Optional[set[pathlib.Path]]:
     return {(root / name).resolve() for name in names}
 
 
-def _filter_changed(
-    violations: Sequence[Violation],
-    entries: Sequence[FileEntry],
-    changed: set[pathlib.Path],
-) -> list[Violation]:
-    changed_displays = {
-        entry.display for entry in entries if entry.path in changed
-    }
-    return [v for v in violations if v.path in changed_displays]
+def _changed_only(
+    files: Sequence[tuple[pathlib.Path, str]],
+) -> list[tuple[pathlib.Path, str]]:
+    """The ``files`` changed since HEAD, or all of them outside git."""
+    changed = _git_changed_files()
+    if changed is None:
+        print(
+            "repro-lint: --changed ignored (not a git work tree)",
+            file=sys.stderr,
+        )
+        return list(files)
+    kept = [entry for entry in files if entry[0] in changed]
+    if not kept:
+        print("repro-lint: no checked files changed since HEAD", file=sys.stderr)
+    return kept
 
 
 # -------------------------------------------------------- --show-suppressed
@@ -308,7 +285,9 @@ def _list_rules() -> str:
 
 def _write_output(text: str, out: Optional[str]) -> None:
     if out is not None:
-        pathlib.Path(out).write_text(text, encoding="utf-8")
+        target = pathlib.Path(out)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -317,8 +296,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "AST and dataflow invariant checker for the repro codebase "
-            "(rules RL001-RL012; see docs/LINTING.md)."
+            "AST determinism checker for the repro codebase "
+            "(rule RL001; see docs/LINTING.md)."
         ),
     )
     parser.add_argument(
@@ -346,10 +325,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--changed",
         action="store_true",
-        help=(
-            "report only findings in files changed since HEAD "
-            "(analysis still covers all paths for cross-module rules)"
-        ),
+        help="check only files changed since HEAD (or untracked)",
     )
     parser.add_argument(
         "--show-suppressed",
@@ -363,14 +339,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--list-rules",
         action="store_true",
         help="print every rule code with its rationale and exit",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "print per-rule wall-time to stderr (and embed a "
-            "'profile' section in --format json reports)"
-        ),
     )
     options = parser.parse_args(argv)
 
@@ -388,19 +356,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         rules = default_rules()
 
-    profiler = Profiler() if options.profile else None
     try:
-        entries = _load_files(options.paths)
-        raw = _raw_violations(entries, rules, profiler)
+        files = iter_python_files(options.paths)
+        if not files:
+            print(
+                "repro-lint: no Python files matched the given paths",
+                file=sys.stderr,
+            )
+            return EXIT_NO_FILES
+        files_checked = len(files)
+        if options.changed and not options.show_suppressed:
+            files = _changed_only(files)
+            files_checked = len(files) or files_checked
+        entries = _load_files(files)
     except FileNotFoundError as exc:
         print(f"repro-lint: no such file or directory: {exc}", file=sys.stderr)
         return 2
-    if not entries:
-        print(
-            "repro-lint: no Python files matched the given paths",
-            file=sys.stderr,
-        )
-        return EXIT_NO_FILES
+    raw = _raw_violations(entries, rules)
 
     if options.show_suppressed:
         audits = audit_suppressions(entries, raw)
@@ -414,42 +386,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if stale else 0
 
     violations = sorted(_apply_suppressions(raw, entries))
-    files_checked = len(entries)
-
-    if options.changed:
-        changed = _git_changed_files()
-        if changed is not None:
-            violations = _filter_changed(violations, entries, changed)
-            changed_count = sum(1 for e in entries if e.path in changed)
-            if changed_count == 0:
-                print(
-                    "repro-lint: no checked files changed since HEAD",
-                    file=sys.stderr,
-                )
-            files_checked = changed_count or files_checked
-        else:
-            print(
-                "repro-lint: --changed ignored (not a git work tree)",
-                file=sys.stderr,
-            )
-
-    if profiler is not None:
-        print(profiler.report_text(), file=sys.stderr)
 
     if options.format == "json":
+        # Sorted keys: identical trees give byte-identical reports.
         report = build_report(violations, files_checked)
-        if profiler is not None:
-            report["profile"] = profiler.report_json()
-        if options.out is not None:
-            # Stable-JSON conventions shared with the experiment
-            # manifests: identical trees produce byte-identical reports.
-            from repro.analysis.export import export_lint_report
-
-            export_lint_report(report, options.out)
-        else:
-            sys.stdout.write(
-                json.dumps(report, indent=2, sort_keys=True) + "\n"
-            )
+        _write_output(
+            json.dumps(report, indent=2, sort_keys=True) + "\n", options.out
+        )
     elif options.format == "sarif":
         from repro.lint.sarif import build_sarif
 

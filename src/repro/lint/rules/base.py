@@ -6,12 +6,9 @@ import abc
 import ast
 import pathlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from repro.lint.violations import Violation
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.flow.project import Project
 
 
 @dataclass(frozen=True)
@@ -20,26 +17,17 @@ class FileContext:
 
     ``display_path`` is the path as the user spelled it (relative paths
     stay relative so output is stable across machines); ``path`` is the
-    resolved location, from which flow rules name the module.
+    resolved location, whose directories scope a rule.
     """
 
     path: pathlib.Path
     display_path: str
-    source: str
     tree: ast.Module
-
-    @property
-    def stem(self) -> str:
-        return self.path.stem
-
-    def dir_parts(self) -> tuple[str, ...]:
-        """Directory components of the path (the filename excluded)."""
-        return self.path.parent.parts
 
     def in_dirs(self, names: Iterable[str]) -> bool:
         """Does any directory component match one of ``names``?"""
         wanted = set(names)
-        return any(part in wanted for part in self.dir_parts())
+        return any(part in wanted for part in self.path.parent.parts)
 
     def violation(self, node: ast.AST, code: str, message: str) -> Violation:
         """A violation anchored at ``node``'s location."""
@@ -71,27 +59,6 @@ class Rule(abc.ABC):
     @abc.abstractmethod
     def check(self, ctx: FileContext) -> list[Violation]:
         """All violations of this rule in ``ctx``."""
-
-
-class FlowRule(Rule):
-    """A rule that runs once over the whole-program :class:`Project`.
-
-    Flow rules never run through the per-file ``check`` path -- the CLI
-    builds one Project from every parsed file in the run and calls
-    :meth:`check_project` once. Findings are still per-file
-    :class:`Violation` objects, so suppressions and report formats apply
-    unchanged.
-    """
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return False
-
-    def check(self, ctx: FileContext) -> list[Violation]:
-        return []
-
-    @abc.abstractmethod
-    def check_project(self, project: "Project") -> list[Violation]:
-        """All violations of this rule across the project."""
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

@@ -1,10 +1,10 @@
 """RL001: simulation code must be bit-for-bit deterministic.
 
-The golden-trace regression harness and the content-addressed result
-cache both assume that an experiment is a pure function of (source,
-config, seed). Any ambient randomness or wall-clock read under ``sim/``,
-``core/``, ``transport/``, ``media/``, ``scenario/`` or ``telemetry/``
-silently breaks that contract, so this rule bans it at rest:
+The golden-trace regression harness and the experiment runner's run
+deduplication both assume that an experiment is a pure function of
+(source, config, seed). Any ambient randomness or wall-clock read
+under ``sim/``, ``core/``, ``transport/``, ``media/``, ``scenario/`` or
+``telemetry/`` silently breaks that contract, so this rule bans it at rest:
 
 - stdlib ``random`` in any form -- module-state calls *and*
   ``random.Random(...)`` construction (the ``queues.py`` fallback bug:

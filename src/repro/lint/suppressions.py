@@ -6,7 +6,7 @@ Two forms, modelled on pylint's:
   for violations reported *on that line* (trailing or standalone -- the
   comment's own line is what counts, matching the ``lineno`` the rules
   report).
-- ``# repro-lint: disable-file=RL001,RL003`` anywhere in the file
+- ``# repro-lint: disable-file=RL000,RL001`` anywhere in the file
   (conventionally in the module docstring area) suppresses the listed
   codes for the whole file.
 

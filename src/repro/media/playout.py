@@ -77,8 +77,8 @@ class PlayoutBuffer:
         self.stalled = False
         self._stall_began = 0.0
         self._last_advance = 0.0
-        #: ``(time, kind, fields)`` QoE-event sink (RL007: ``None`` when
-        #: nobody listens): ``playout_start``, ``stall_begin``, and
+        #: ``(time, kind, fields)`` QoE-event sink, ``None`` when nobody
+        #: listens (callers guard): ``playout_start``, ``stall_begin``, and
         #: ``stall_end`` (with the stall's ``duration``).
         self.on_event = on_event
 

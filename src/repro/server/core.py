@@ -168,13 +168,15 @@ class SessionCore:
         stream: the stored clip; defaults to one matching the config.
         start: session start on the ``now_fn`` clock.
         on_event: decision-record sink shared with the transport, or
-            ``None`` (RL007 discipline: no record is built).
+            ``None`` when recording is off; callers guard, so no record
+            is built.
         span_hook: tracing sink from :meth:`~repro.telemetry.tracing.
-            SpanRecorder.span_hook`, or ``None`` (same RL007
-            discipline). When bound, every :meth:`tick` records a
-            ``qa.tick`` span on the *raw* clock (outside the tape, so
-            taped replays stay byte-identical) and every adapter
-            decision event is mirrored as an instant ``qa.<kind>`` span.
+            SpanRecorder.span_hook`, or ``None`` when tracing is off
+            (callers guard the same way). When bound, every
+            :meth:`tick` records a ``qa.tick`` span on the *raw* clock
+            (outside the tape, so taped replays stay byte-identical)
+            and every adapter decision event is mirrored as an instant
+            ``qa.<kind>`` span.
         adapter_cls: the adapter implementation (ablations override).
         tape: optional :class:`SessionTape` to record into.
     """

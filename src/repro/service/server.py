@@ -288,7 +288,7 @@ class StreamingService(asyncio.DatagramProtocol):
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         cfg = self.config
-        # RL007 discipline: a sink that is off is ``None``, not disabled.
+        # A sink that is off is ``None``, not disabled; callers guard.
         self.recorder = FlightRecorder() if cfg.record_decisions else None
         metrics = MetricsRegistry() if cfg.collect_metrics else None
         self.metrics = metrics

@@ -101,7 +101,7 @@ class Link:
         """Wire this link into a metrics registry.
 
         Queue drops bind as a hook that is ``None`` when the registry is
-        disabled (RL007 discipline); forwarded bytes and the gauges are
+        disabled (callers guard); forwarded bytes and the gauges are
         fed by a collector, read only at export time.
         """
         self._qdrop_hook = registry.counter_hook(

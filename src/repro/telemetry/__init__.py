@@ -27,7 +27,7 @@ On top of the bus sit these observability layers (see
   :class:`SpanRecorder` are the one bounded ring,
   :class:`~repro.telemetry.recorder.SignalRing`.
 - :class:`MetricsRegistry` — counters/gauges/histograms with labels,
-  RL007 hook discipline (``None`` when disabled), Prometheus text
+  hooks that are ``None`` when disabled (callers guard), Prometheus text
   export; :func:`instrument_engine` feeds it per-handler timings and
   heap depth from the event loop.
 - exporters — :func:`chrome_trace` / :func:`export_chrome_trace`

@@ -6,7 +6,7 @@ label value, and numbers format identically run to run, so two runs of
 the same seed export byte-identical text.
 
 Hot-path discipline mirrors :meth:`~repro.telemetry.bus.TelemetryBus.
-event_hook` (enforced by lint rule RL007): producers never poke the
+event_hook`: producers never poke the
 registry per packet. They bind a hook once —
 
     self._fwd_hook = registry.counter_hook("link_tx_bytes", link=name)
@@ -209,7 +209,7 @@ class MetricsRegistry:
         """Bound ``inc(amount)`` for the labeled counter, or ``None``.
 
         ``None`` when the registry is disabled — producers must guard
-        (RL007) so the disabled path never touches the registry.
+        so the disabled path never touches the registry.
         """
         if not self.enabled:
             return None

@@ -20,8 +20,8 @@ a different entry type. Design constraints, in order:
   :data:`RING_CAPACITY` everywhere outside eviction tests); old entries
   are evicted FIFO and counted, never silently lost.
 - **Free when off.** A disabled recorder hands producers ``None`` from
-  :meth:`FlightRecorder.hook` — the same RL007 discipline as
-  ``TelemetryBus.event_hook`` — so the hot path never builds a record
+  :meth:`FlightRecorder.hook`, which they guard like
+  ``TelemetryBus.event_hook``, so the hot path never builds a record
   that nobody will read, and :meth:`SignalRing.write_jsonl` refuses to
   create a file for a run that recorded nothing.
 """
@@ -185,7 +185,7 @@ class FlightRecorder(SignalRing[DecisionRecord]):
         """A ``(time, kind, fields)`` recording callable for ``source``.
 
         Returns ``None`` when the recorder is disabled; producers must
-        treat that as "don't even build the record" (RL007).
+        treat that as "don't even build the record".
         """
         if not self.enabled:
             return None

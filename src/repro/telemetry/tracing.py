@@ -20,11 +20,11 @@ correlation layer:
 - :class:`SpanRecorder` — the bounded sink, the same
   :class:`~repro.telemetry.recorder.SignalRing` the flight recorder is
   built on. Producers bind a :meth:`~SpanRecorder.span_hook` once per
-  ``(source, context)`` and get ``None`` when recording is disabled —
-  the exact RL007 discipline of ``FlightRecorder.hook`` and the metric
+  ``(source, context)`` and get ``None`` when recording is disabled,
+  which they guard exactly like ``FlightRecorder.hook`` and the metric
   hooks, so the hot path stays free when tracing is off.
 
-This module never reads a clock (it lives in the RL001 ``telemetry``
+This module never reads a clock (``telemetry`` is an RL001
 determinism zone): timestamps arrive as hook arguments — simulation
 time from the scenario builder, service-relative wall clock from the
 asyncio service. Span *ids* are deterministic in both cases: the n-th
@@ -215,8 +215,8 @@ class SpanRecorder(SignalRing[Span]):
         """A ``(start, end, name, fields)`` recording callable.
 
         Returns ``None`` when the recorder is disabled; producers must
-        treat that as "don't even build the span" (RL007 — enforced for
-        ``span_hook`` results like every other telemetry hook).
+        treat that as "don't even build the span", like every other
+        telemetry hook.
         """
         if not self.enabled:
             return None

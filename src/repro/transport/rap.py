@@ -44,7 +44,7 @@ ACK_SIZE = 40
 PayloadPicker = Callable[[int], Optional[dict]]
 BackoffHandler = Callable[[float], None]
 #: ``(time, kind, fields)`` decision-record sink (same shape as the
-#: adapter's hook); ``None`` when nobody is recording (RL007).
+#: adapter's hook); ``None`` when nobody is recording, and callers guard.
 EventHook = Callable[[float, str, dict[str, object]], None]
 
 

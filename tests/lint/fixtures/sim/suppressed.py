@@ -1,8 +1,8 @@
 """Suppression cases: the same RL001 hazards, annotated away.
 
-The whole-file directive silences RL003 only (there are no RL003
-violations here, proving unknown-to-this-file codes are harmless), and
-each RL001 hazard carries a line suppression.
+The whole-file directive names RL003, a retired code (no rule reports
+it, proving unknown codes are harmless), and each RL001 hazard
+carries a line suppression.
 """
 
 # repro-lint: disable-file=RL003

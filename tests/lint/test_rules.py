@@ -67,20 +67,6 @@ class TestRL001Determinism:
         assert violations == []
 
 
-class TestRL003UnitsDiscipline:
-    def test_flags_mixed_arithmetic(self):
-        violations = lint_fixture("core", "formulas.py")
-        assert codes_and_lines(violations) == [
-            ("RL003", 12),  # helper value + raw literal
-            ("RL003", 16),  # helper value > raw literal
-            ("RL003", 20),  # units.ms(...) - raw literal
-        ]
-        # Mult scaling, zero comparisons and the annotated line pass.
-
-    def test_clean_units_code_passes(self):
-        assert lint_fixture("core", "clean_units.py") == []
-
-
 class TestSuppressions:
     def test_line_and_file_directives(self):
         violations = lint_fixture("sim", "suppressed.py")

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import heapq
+
 import pytest
 
 from repro.sim.engine import SimulationError
@@ -70,6 +72,53 @@ class TestScheduling:
         sim.schedule(1.0, chain)
         sim.run()
         assert hits == [1.0, 2.0, 3.0]
+
+
+class TestScheduleMany:
+    """``schedule_many`` pushes small batches one by one and merges large
+    ones with a single ``heapify``; both must behave like N ``schedule``
+    calls."""
+
+    @pytest.fixture()
+    def heapify_calls(self, monkeypatch):
+        calls = []
+        heapify = heapq.heapify
+
+        def spy(heap):
+            calls.append(len(heap))
+            heapify(heap)
+
+        monkeypatch.setattr(heapq, "heapify", spy)
+        return calls
+
+    @pytest.mark.parametrize("pending", [0, 40])
+    def test_negative_delay_rejected_heap_unchanged(self, sim, pending):
+        hits = []
+        for n in range(pending):
+            sim.schedule(2.0 + n, hits.append, args=(n,))
+        before = list(sim._heap)
+        with pytest.raises(ValueError):
+            sim.schedule_many([(0.5, lambda: hits.append("a")),
+                               (-0.1, lambda: hits.append("b"))])
+        assert sim._heap == before
+        sim.run()
+        assert hits == list(range(pending))
+
+    @pytest.mark.parametrize("pending, branch", [(0, "heapify"),
+                                                 (40, "push")])
+    def test_equal_time_items_fire_in_iteration_order(
+            self, sim, heapify_calls, pending, branch):
+        order = []
+        sim.schedule(1.0, order.append, args=("before",))
+        for n in range(pending):
+            sim.schedule(5.0 + n, lambda: None)
+        events = sim.schedule_many(
+            (1.0, lambda tag=tag: order.append(tag)) for tag in "abcde")
+        sim.schedule(1.0, order.append, args=("after",))
+        assert len(heapify_calls) == (1 if branch == "heapify" else 0)
+        assert [event.time for event in events] == [1.0] * 5
+        sim.run(until=1.0)
+        assert order == ["before", "a", "b", "c", "d", "e", "after"]
 
 
 class TestRun:
