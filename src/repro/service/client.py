@@ -14,7 +14,10 @@ add/drop/efficiency numbers a simulated run does.
 staggered starts; per-session randomness (the impairment's loss/jitter
 draws) is a :meth:`~repro.sim.rng.SeededRNG.spawn` of one fleet seed,
 so a fleet's loss *pattern* is reproducible even though wall-clock
-arrival times are not.
+arrival times are not. The fleet's clients share one
+:class:`FleetTimers` heap behind one loop timer: every impairment-delayed
+delivery and every sampling tick is an entry on it, not a loop handle
+of its own.
 
 With ``trace_spans`` on, the fleet carries a shared
 :class:`~repro.telemetry.tracing.SpanRecorder` and derives one
@@ -28,8 +31,12 @@ recorders yields one coherent distributed trace per session.
 from __future__ import annotations
 
 import asyncio
+import heapq
+import itertools
+import math
+import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.core.metrics import DropCause, DropEvent, QualityMetrics
 from repro.media.playout import PlayoutBuffer, PlayoutStats
@@ -43,6 +50,10 @@ from repro.telemetry.tracing import SpanRecorder, TraceContext
 #: How long to wait for a WELCOME / FIN_ACK before retransmitting.
 HANDSHAKE_TIMEOUT = 0.5
 HANDSHAKE_RETRIES = 10
+
+#: asyncio runs every timer due before ``loop.time()`` plus this in one
+#: iteration; the fleet heap's batch uses the same horizon.
+_CLOCK_RESOLUTION = time.get_clock_info("monotonic").resolution
 
 
 def metrics_from_summary(summary: dict) -> QualityMetrics:
@@ -100,8 +111,67 @@ class LoadSessionResult:
         )
 
 
+class FleetTimers:
+    """One ``(when, seq, callback, args)`` heap behind one loop timer.
+
+    ``when`` is in ``loop.time()`` seconds. The one live
+    ``TimerHandle`` is armed at the heap's head; a push that becomes the
+    new head cancels it and arms another. When it fires, the batch
+    first takes every entry asyncio would have run in that iteration
+    (due before ``loop.time()`` plus the clock resolution), arms the
+    timer for what is left, and only then runs the batch, in
+    ``(when, push order)``. So an entry pushed from inside a batch runs
+    on a later fire, even when it is already due.
+    """
+
+    def __init__(self, loop: Any) -> None:
+        self._loop = loop
+        self._heap: list[tuple[float, int, Callable[..., None],
+                               tuple]] = []
+        self._seq = itertools.count()
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._armed_at = math.inf
+
+    def push(self, when: float, callback: Callable[..., None],
+             *args: Any) -> None:
+        """Run ``callback(*args)`` once the loop clock reaches ``when``."""
+        heapq.heappush(self._heap, (when, next(self._seq), callback, args))
+        if when < self._armed_at:
+            if self._timer is not None:
+                self._timer.cancel()
+            self._arm(when)
+
+    def _arm(self, when: float) -> None:
+        self._armed_at = when
+        self._timer = self._loop.call_at(when, self._fire)
+
+    def _fire(self) -> None:
+        heap = self._heap
+        horizon = self._loop.time() + _CLOCK_RESOLUTION
+        due = []
+        while heap and heap[0][0] < horizon:
+            due.append(heapq.heappop(heap))
+        if heap:
+            self._arm(heap[0][0])
+        else:
+            self._timer, self._armed_at = None, math.inf
+        for _, _, callback, args in due:
+            callback(*args)
+
+    def close(self) -> None:
+        """Drop every entry; no loop timer stays armed."""
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer, self._armed_at = None, math.inf
+        self._heap.clear()
+
+
 class LoadClient(asyncio.DatagramProtocol):
-    """One receiving session on its own connected datagram socket."""
+    """One receiving session on its own connected datagram socket.
+
+    Its delayed deliveries and sampling ticks go on the fleet's
+    :class:`FleetTimers`; :meth:`run` awaits the last tick.
+    """
 
     def __init__(
         self,
@@ -109,6 +179,7 @@ class LoadClient(asyncio.DatagramProtocol):
         port: int,
         label: str,
         duration: float,
+        timers: FleetTimers,
         impairment: Optional[ImpairmentConfig] = None,
         rng: Optional[SeededRNG] = None,
         nonce: int = 0,
@@ -122,6 +193,7 @@ class LoadClient(asyncio.DatagramProtocol):
         self.duration = duration
         self.nonce = nonce
         self.sample_period = sample_period
+        self._timers = timers
         impairment = impairment or ImpairmentConfig()
         self.impairment = (
             Impairment(impairment, rng or make_rng(0))
@@ -147,6 +219,9 @@ class LoadClient(asyncio.DatagramProtocol):
         self._last_seq = -1
         self._welcome: Optional[asyncio.Future] = None
         self._fin_ack: Optional[asyncio.Future] = None
+        #: Resolved by the sampling tick that finds ``duration`` spent.
+        self._streamed: Optional[asyncio.Future] = None
+        self._end = 0.0
 
     def _now(self) -> float:
         assert self._loop is not None
@@ -198,8 +273,8 @@ class LoadClient(asyncio.DatagramProtocol):
             self._deliver(frame, now)
         else:
             assert self._loop is not None
-            self._loop.call_later(
-                delay, self._deliver, frame, now + delay)
+            self._timers.push(self._loop.time() + delay, self._deliver,
+                              frame, now + delay)
 
     def _deliver(self, frame: protocol.DataFrame, when: float) -> None:
         if self._closed or self.transport is None:
@@ -231,6 +306,21 @@ class LoadClient(asyncio.DatagramProtocol):
             span(when - fields["duration"], when, "client.stall", fields)
         else:
             span(when, when, f"client.{kind}", fields)
+
+    def _arm_sample(self) -> None:
+        """Sample again ``sample_period`` on, or resolve at the end."""
+        remaining = self._end - self._now()
+        if remaining <= 0:
+            self._resolve(self._streamed, None)
+            return
+        assert self._loop is not None
+        self._timers.push(
+            self._loop.time() + min(self.sample_period, remaining),
+            self._tick)
+
+    def _tick(self) -> None:
+        self._sample()
+        self._arm_sample()
 
     def _sample(self) -> None:
         now = self._now()
@@ -280,6 +370,7 @@ class LoadClient(asyncio.DatagramProtocol):
         self._t0 = loop.time()
         self._welcome = loop.create_future()
         self._fin_ack = loop.create_future()
+        self._streamed = loop.create_future()
         await loop.create_datagram_endpoint(
             lambda: self, remote_addr=(self.host, self.port))
         result = LoadSessionResult(
@@ -309,13 +400,9 @@ class LoadClient(asyncio.DatagramProtocol):
                 span(hello_t, self._now(), "client.handshake",
                      {"session_id": reply.session_id})
 
-            end = self._now() + self.duration
-            while True:
-                remaining = end - self._now()
-                if remaining <= 0:
-                    break
-                await asyncio.sleep(min(self.sample_period, remaining))
-                self._sample()
+            self._end = self._now() + self.duration
+            self._arm_sample()
+            await self._streamed
 
             self._closed = True  # stop ACKing; quiesce before FIN
             try:
@@ -389,6 +476,7 @@ class LoadFleet:
     async def run(self) -> list[LoadSessionResult]:
         """Run the whole fleet; one result per session, in index order."""
         root = make_rng(self.seed)
+        timers = FleetTimers(asyncio.get_running_loop())
 
         async def one(index: int) -> LoadSessionResult:
             # Stagger starts across ``spread`` seconds so hundreds of
@@ -400,6 +488,7 @@ class LoadFleet:
                 self.host, self.port,
                 label=f"load{index}",
                 duration=self.duration,
+                timers=timers,
                 impairment=self.impairment,
                 rng=root.spawn(f"load{index}"),
                 nonce=index,
@@ -409,9 +498,12 @@ class LoadFleet:
             )
             return await client.run()
 
-        gathered = await asyncio.gather(
-            *(one(i) for i in range(self.sessions)),
-            return_exceptions=True)
+        try:
+            gathered = await asyncio.gather(
+                *(one(i) for i in range(self.sessions)),
+                return_exceptions=True)
+        finally:
+            timers.close()
         results: list[LoadSessionResult] = []
         for index, item in enumerate(gathered):
             if isinstance(item, BaseException):

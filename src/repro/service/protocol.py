@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from repro.telemetry.tracing import TRACE_OPTION
 
@@ -60,9 +60,14 @@ _HEADER = struct.Struct("!HBB")
 _DATA = struct.Struct("!IIBBd")
 _ACK = struct.Struct("!IId")
 _SESSION = struct.Struct("!I")
+#: A whole ACK frame in one pack (DATA's, padding included, is built
+#: per frame size: see ``_data_pack``).
+_ACK_FRAME = struct.Struct("!HBB" + _ACK.format[1:])
 
 #: Bytes of a DATA frame that are header, not padding.
 DATA_OVERHEAD = _HEADER.size + _DATA.size
+#: Bytes of an ACK frame, which has no padding.
+ACK_SIZE = _ACK_FRAME.size
 #: Smallest packet_size the service accepts (room for the DATA header).
 MIN_PACKET_SIZE = DATA_OVERHEAD
 
@@ -85,8 +90,9 @@ class WelcomeFrame:
     config: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DataFrame:
+class DataFrame(NamedTuple):
+    # The hot-path frames are named tuples: immutable, and about a
+    # third of a frozen dataclass's construction cost.
     session_id: int
     seq: int
     layer: int
@@ -95,8 +101,7 @@ class DataFrame:
     size: int  # nominal on-wire size including padding
 
 
-@dataclass(frozen=True)
-class AckFrame:
+class AckFrame(NamedTuple):
     session_id: int
     acked_seq: int
     echo_ts: float
@@ -155,19 +160,30 @@ def encode_welcome(session_id: int, config: dict) -> bytes:
             + _SESSION.pack(session_id) + _json_body(config))
 
 
-def encode_data(session_id: int, seq: int, layer: int, active: int,
-                send_ts: float, size: int) -> bytes:
+#: ``Struct.pack`` of a whole DATA frame (zero padding included), by
+#: frame size; a service uses one size, so this holds one or two.
+_DATA_PACKS: dict[int, Callable[..., bytes]] = {}
+
+
+def _data_pack(size: int) -> Callable[..., bytes]:
     if size < DATA_OVERHEAD:
         raise ProtocolError(
             f"DATA size {size} below frame overhead {DATA_OVERHEAD}")
-    head = (_HEADER.pack(MAGIC, VERSION, DATA)
-            + _DATA.pack(session_id, seq, layer, active, send_ts))
-    return head + b"\x00" * (size - len(head))
+    pack = _DATA_PACKS[size] = struct.Struct(
+        f"!HBB{_DATA.format[1:]}{size - DATA_OVERHEAD}x").pack
+    return pack
+
+
+def encode_data(session_id: int, seq: int, layer: int, active: int,
+                send_ts: float, size: int) -> bytes:
+    pack = _DATA_PACKS.get(size) or _data_pack(size)
+    return pack(MAGIC, VERSION, DATA, session_id, seq, layer, active,
+                send_ts)
 
 
 def encode_ack(session_id: int, acked_seq: int, echo_ts: float) -> bytes:
-    return (_HEADER.pack(MAGIC, VERSION, ACK)
-            + _ACK.pack(session_id, acked_seq, echo_ts))
+    return _ACK_FRAME.pack(MAGIC, VERSION, ACK, session_id, acked_seq,
+                           echo_ts)
 
 
 def encode_fin(session_id: int) -> bytes:
@@ -196,18 +212,17 @@ def decode(datagram: bytes) -> Frame:
         raise ProtocolError(f"bad magic 0x{magic:04x}")
     if version != VERSION:
         raise ProtocolError(f"unsupported version {version}")
-    body = datagram[_HEADER.size:]
     if ftype == DATA:
-        if len(body) < _DATA.size:
+        size = len(datagram)
+        if size < DATA_OVERHEAD:
             raise ProtocolError("truncated DATA frame")
-        session_id, seq, layer, active, send_ts = _DATA.unpack_from(body)
-        return DataFrame(session_id, seq, layer, active, send_ts,
-                         size=len(datagram))
+        return DataFrame(*_DATA.unpack_from(datagram, _HEADER.size), size)
     if ftype == ACK:
-        if len(body) != _ACK.size:
+        if len(datagram) != ACK_SIZE:
             raise ProtocolError("malformed ACK frame")
-        session_id, acked_seq, echo_ts = _ACK.unpack(body)
-        return AckFrame(session_id, acked_seq, echo_ts)
+        return AckFrame(*_ACK.unpack_from(datagram, _HEADER.size))
+    # Control frames only from here: their bodies are short.
+    body = datagram[_HEADER.size:]
     if ftype == HELLO:
         if len(body) < _SESSION.size:
             raise ProtocolError("truncated HELLO frame")

@@ -167,6 +167,9 @@ class ServiceSession:
             self.core.config.packet_size, now,
             srtt_floor=cfg.srtt_floor, max_rate=cfg.max_rate)
         self.core.bind_transport(self.pacer)
+        #: ``Feedback.replay``'s targets, bound once, not per ACK.
+        self._replay_targets = (self.core.on_ack, self.core.on_loss,
+                                self._backed_off)
         self.outbox: deque = deque()
         self.queue_drops = 0
         self.data_sent = 0
@@ -216,8 +219,7 @@ class ServiceSession:
 
     def _apply(self, feedback: Feedback) -> None:
         if feedback is not NOTHING:
-            feedback.replay(self.core.on_ack, self.core.on_loss,
-                            self._backed_off)
+            feedback.replay(*self._replay_targets)
 
     def _backed_off(self, feedback: Feedback) -> None:
         self.core.on_backoff(feedback.backoff_rate)
@@ -261,6 +263,9 @@ class ServiceSession:
     def finish(self) -> None:
         """Stop stepping; the scheduler drops the heap entry when due."""
         self.done = True
+        # ``_backed_off`` is bound to this session: dropping the targets
+        # lets reference counting, not the cycle collector, free it.
+        self._replay_targets = ()
 
     def record_session_span(self, now: float, reason: str) -> None:
         """Close the session-lifecycle span (FIN or expiry)."""

@@ -6,12 +6,13 @@ session that is due, once. So wake-ups never exceed steps, and both per
 DATA frame are exact counts for a seed. This run is a small
 ``service_virtual``: the benchmark suite's QA and impairment profiles,
 16 sessions for 2 s (64 for 10 s read 1.58 steps and 1.45 wake-ups per
-DATA).
+DATA). The fleet's clients ride one ``FleetTimers`` heap, so it never
+holds more than one live loop timer.
 """
 
 from repro.core.config import QAConfig
 from repro.service import protocol
-from repro.service.client import LoadFleet
+from repro.service.client import FleetTimers, LoadFleet
 from repro.service.impairment import ImpairmentConfig
 from repro.service.server import (ServiceConfig, ServiceSession,
                                   StreamingService)
@@ -25,6 +26,34 @@ SUITE_QA = QAConfig(layer_rate=4000, max_layers=4, packet_size=400,
 SUITE_IMPAIRMENT = ImpairmentConfig(
     loss_rate=0.005, delay=0.02, jitter=0.005, rate_limit=11_000,
     bucket_depth=4000, max_backlog=0.3)
+
+
+class FleetTimerCensus(virtual_loop.VirtualLoop):
+    """Counts the fleet's loop timers that are armed and not yet run."""
+
+    def __init__(self):
+        super().__init__()
+        self.fleet_timers = []
+        self.fired = set()
+        self.most_live = 0
+
+    def live(self):
+        return [h for h in self.fleet_timers
+                if not h.cancelled() and id(h) not in self.fired]
+
+    def call_at(self, when, callback, *args, context=None):
+        if getattr(callback, "__func__", None) is not FleetTimers._fire:
+            return super().call_at(when, callback, *args, context=context)
+
+        def fire():
+            self.fired.add(id(handle))
+            callback(*args)
+            self.most_live = max(self.most_live, len(self.live()))
+
+        handle = super().call_at(when, fire, context=context)
+        self.fleet_timers.append(handle)
+        self.most_live = max(self.most_live, len(self.live()))
+        return handle
 
 
 def test_steps_and_wakeups_per_data_frame(monkeypatch):
@@ -41,7 +70,7 @@ def test_steps_and_wakeups_per_data_frame(monkeypatch):
 
     monkeypatch.setattr(ServiceSession, "step", counted_step)
     monkeypatch.setattr(StreamingService, "_wake", counted_wake)
-    loop = virtual_loop.VirtualLoop()
+    loop = FleetTimerCensus()
 
     async def run():
         service = await StreamingService.start(ServiceConfig(qa=SUITE_QA))
@@ -67,3 +96,5 @@ def test_steps_and_wakeups_per_data_frame(monkeypatch):
     assert counts["wake"] <= counts["step"]
     # 1.53 steps and 1.45 wake-ups per DATA frame.
     assert counts == {"step": 2085, "wake": 1972, "data": 1363}
+    assert loop.fleet_timers and loop.most_live == 1
+    assert loop.live() == []
