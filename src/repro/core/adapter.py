@@ -84,6 +84,12 @@ class QualityAdapter:
         self.slope_fn = slope_fn
         self.on_event = on_event
 
+        # Past 29 instance attributes CPython stops sharing the instance
+        # dict's keys and every attribute load gets slower (measured: a
+        # few % of qa_contended), so the adapter reads plain fields from
+        # its frozen config and binds only what a property would derive.
+        self._base_floor = config.base_floor_bytes
+
         self.buffers = LayerBufferSet(config.layer_rate, config.max_layers)
         self.metrics = QualityMetrics()
         self.filling_policy, self.planner = self._make_policies(config)
@@ -94,7 +100,9 @@ class QualityAdapter:
         self.playout_start_time: Seconds = start_time + config.startup_delay
         self.average_rate: BytesPerSec = 0.0
         self.sent_bytes_per_layer: list[Bytes] = [0.0] * config.max_layers
-        self._shortfall_debt: list[Bytes] = [0.0] * config.max_layers
+        #: Consumption shortfall owed per layer; a layer owing nothing
+        #: has no entry, so an empty dict means no debt at all.
+        self._shortfall_debt: dict[int, Bytes] = {}
         self._inflight: list[Bytes] = [0.0] * config.max_layers
         self._slope_avg: Optional[BytesPerSec2] = None
         self._plan_shortfall_debt: Bytes = 0.0
@@ -138,7 +146,7 @@ class QualityAdapter:
     @property
     def consumption(self) -> BytesPerSec:
         """Total consumption rate na*C in bytes/s."""
-        return self.config.consumption(self.active_layers)
+        return self.active_layers * self.config.layer_rate
 
     @property
     def slope(self) -> BytesPerSec2:
@@ -191,7 +199,7 @@ class QualityAdapter:
         # terms, as soon as its first data reaches the receiver; see
         # :meth:`on_delivered`.
         self.active_layers += 1
-        self._shortfall_debt[layer] = 0.0
+        self._shortfall_debt.pop(layer, None)
         if self._frozen_rate is not None:
             self._refreeze_sequence()
         self._invalidate_plan()
@@ -227,7 +235,7 @@ class QualityAdapter:
             drainable=drainable))
         self.buffers.deactivate(layer)
         self.active_layers -= 1
-        self._shortfall_debt[layer] = 0.0
+        self._shortfall_debt.pop(layer, None)
         self._retransmit_debt[layer] = 0.0
         # Every drop is annotated with the section 2.2 inequality inputs
         # (R, na*C, S, sqrt(2*S*buf)) regardless of which critical
@@ -268,33 +276,42 @@ class QualityAdapter:
         now = self.now_fn()
         rate = self.rate_fn()
         self._advance_clocks(now, rate)
-        levels = self.buffer_levels()
+        cfg, buffers = self.config, self.buffers
+        levels = buffers.levels(self.active_layers)
         quota_spent = 0.0
-        layer = resend = self._retransmission_due()
-        if layer is None:
-            if self._filling(rate):
-                layer = self._pick_filling(rate, levels)
-            else:
-                layer, quota_spent = self._pick_draining(now, rate, levels)
-        if self._flow_control_full(layer):
-            # Receiver full: idle this slot, returning exactly the
-            # draining quota the pick spent on it.
+        resend = (self._retransmission_due() if cfg.retransmit_layers
+                  else None)
+        if resend is not None:
+            layer = resend
+        elif (not self.playout_started  # _filling(rate), inlined
+              or rate >= self.active_layers * cfg.layer_rate):
+            layer = self._pick_filling(rate, levels)
+        else:
+            layer, quota_spent = self._pick_draining(now, rate, levels)
+        cap = cfg.max_buffer_seconds
+        if (cap is not None
+                and buffers.level(layer) >= cap * cfg.layer_rate):
+            # Receiver flow control: the layer's buffer is at its cap.
+            # Idle this slot, returning exactly the draining quota the
+            # pick spent on it.
             if quota_spent:
                 self._quota[layer] += quota_spent
             return None
         if resend is not None:
             self._spend_retransmission(layer)
-        size = self.config.packet_size
-        feedback = self.config.feedback
+        size = cfg.packet_size
+        feedback = cfg.feedback
         self.sent_bytes_per_layer[layer] += size
         if feedback != "oracle":
             # Oracle mode models instant delivery: nothing is in flight.
             self._inflight[layer] += size
-        if feedback in ("send", "oracle"):
-            # The server knows its own transmission history (the paper's
-            # model): credit the receiver estimate right away.
-            self.buffers.deliver(layer, size)
-            self._start_consumption_if_due(layer)
+        if feedback != "ack":
+            # "send" and "oracle": the server knows its own transmission
+            # history (the paper's model): credit the receiver estimate
+            # right away.
+            buffers.deliver(layer, size)
+            if self.playout_started and not buffers.is_consuming(layer):
+                self._start_consumption_if_due(layer)
         return {"layer": layer, "active": self.active_layers}
 
     def on_delivered(self, layer: int, nbytes: ByteCount) -> None:
@@ -302,19 +319,23 @@ class QualityAdapter:
         if layer >= self.config.max_layers:
             return
         self._delivered_accum += nbytes
-        self._inflight[layer] = max(0.0, self._inflight[layer] - nbytes)
+        flight = self._inflight[layer] - nbytes
+        self._inflight[layer] = flight if flight > 0.0 else 0.0
         if self.config.feedback != "ack":
             return  # already credited at send time
-        if not self.buffers.is_active(layer):
+        buffers = self.buffers
+        if not buffers.is_active(layer):
             return  # data for an already-dropped layer
-        self.buffers.deliver(layer, nbytes)
-        self._start_consumption_if_due(layer)
+        buffers.deliver(layer, nbytes)
+        if self.playout_started and not buffers.is_consuming(layer):
+            self._start_consumption_if_due(layer)
 
     def on_lost(self, layer: int, nbytes: ByteCount) -> None:
         """The congestion controller detected the loss of layer data."""
         if layer >= self.config.max_layers:
             return
-        self._inflight[layer] = max(0.0, self._inflight[layer] - nbytes)
+        flight = self._inflight[layer] - nbytes
+        self._inflight[layer] = flight if flight > 0.0 else 0.0
         # The drain plan assumed these bytes would reach the layer; owe
         # them back so a lossy period does not silently starve it.
         if layer < len(self._quota):
@@ -327,14 +348,6 @@ class QualityAdapter:
         if self.config.feedback != "send":
             return  # "ack" never credited it; "oracle" ignores losses
         self.buffers.withdraw(layer, nbytes)
-
-    def _flow_control_full(self, layer: int) -> bool:
-        """Receiver flow control: is this layer's buffer at its cap?"""
-        cap_seconds = self.config.max_buffer_seconds
-        if cap_seconds is None:
-            return False
-        return (self.buffers.level(layer)
-                >= cap_seconds * self.config.layer_rate)
 
     def _retransmission_due(self) -> Optional[int]:
         """The lowest layer owed a packet of retransmission, if any."""
@@ -381,7 +394,8 @@ class QualityAdapter:
         self._frozen_rate = max(new_rate * 2.0, self.consumption)
         self._refreeze_sequence()
         self._emit("backoff", rate=new_rate)
-        self._apply_drop_rule(new_rate, rate, self.buffer_levels())
+        self._apply_drop_rule(new_rate, rate,
+                              self.buffers.levels(self.active_layers))
         self._invalidate_plan()
 
     def tick(self) -> None:
@@ -407,7 +421,7 @@ class QualityAdapter:
             self.average_rate += gain * (sample - self.average_rate)
         self._update_slope()
 
-        levels = self.buffer_levels()
+        levels = self.buffers.levels(self.active_layers)
         if self._filling(rate):
             added = self._maybe_add(rate, levels)
             if self.on_event is not None:
@@ -444,18 +458,19 @@ class QualityAdapter:
                 self._start_consumption_if_due(layer)
             self._emit("playout_start")
         shortfalls = self.buffers.consume_until(now)
+        debt = self._shortfall_debt
         if not shortfalls:
             # Nothing starved: every debt resets, so the starvation drop
             # below cannot fire (its limit is positive).
-            self._shortfall_debt[:self.active_layers] = (
-                [0.0] * self.active_layers)
+            if debt:
+                debt.clear()
             return
         for layer in range(self.active_layers):
             missing = shortfalls.get(layer, 0.0)
             if missing > 0:
-                self._shortfall_debt[layer] += missing
+                debt[layer] = debt.get(layer, 0.0) + missing
             else:
-                self._shortfall_debt[layer] = 0.0
+                debt.pop(layer, None)
         if 0 in shortfalls:
             self.metrics.base_underflow_bytes += shortfalls[0]
         # A persistently starving enhancement layer during a *draining*
@@ -467,7 +482,7 @@ class QualityAdapter:
         debt_limit = (self.config.underflow_debt_packets
                       * self.config.packet_size)
         if (not self._filling(rate)
-                and any(self._shortfall_debt[layer] > debt_limit
+                and any(debt.get(layer, 0.0) > debt_limit
                         for layer in range(1, self.active_layers))):
             self._drop_top_layer(DropCause.UNDERFLOW, rate)
 
@@ -507,8 +522,8 @@ class QualityAdapter:
     def _base_reserve(self) -> Bytes:
         """Stall-protection bytes the base must hold beyond its targets."""
         if self.config.feedback == "ack":
-            return self.config.base_floor_bytes
-        return self.config.base_floor_bytes + self._inflight[0]
+            return self._base_floor
+        return self._base_floor + self._inflight[0]
 
     def _maybe_add(self, rate: BytesPerSec, levels: list[Bytes]) -> bool:
         if not self.add_drop.can_add(
@@ -535,15 +550,22 @@ class QualityAdapter:
                 for level, flight in zip(levels, self._inflight)]
 
     def _pick_filling(self, rate: BytesPerSec, levels: list[Bytes]) -> int:
-        # Once playback runs, every active layer needs the maintenance
-        # floor: consuming layers so they keep playing, and freshly added
-        # (not yet consuming) layers as their bootstrap cushion.
-        needs_floor = [self.playout_started] * self.active_layers
-        decision = self.filling_policy.choose(
-            rate, levels, self.active_layers, self.slope,
-            needs_floor, safety_levels=self._safety(levels))
-        if decision.layer is not None:
-            return decision.layer
+        # Read even when the floor decides: the very first use samples
+        # the slope, and that sample must come from this call.
+        slope = self.slope
+        na = self.active_layers
+        policy = self.filling_policy
+        if self.playout_started:
+            # Once playback runs, every active layer needs the maintenance
+            # floor: consuming layers so they keep playing, and freshly
+            # added (not yet consuming) layers as their bootstrap cushion.
+            # The floor decides most filling picks, so it goes first.
+            layer = policy.starved_layer(na, self._safety(levels))
+            if layer is not None:
+                return layer
+        layer = policy.choose_target(rate, levels, na, slope).layer
+        if layer is not None:
+            return layer
         # Every current-layer target is satisfied: time to add a layer
         # (the first packet of the new layer goes out immediately) ...
         if self._maybe_add(rate, levels):
@@ -614,21 +636,26 @@ class QualityAdapter:
         # that gets dropped (with nothing wasted) when the phase turns
         # critical.
         safety = self._safety(levels)
-        floor = self.config.base_floor_bytes
-        if self.buffers.is_consuming(0) and safety[0] < floor:
+        quota = self._quota
+        if self.buffers.is_consuming(0) and safety[0] < self._base_floor:
             layer = 0
-        elif max(self._quota) <= 0:
-            # The controller is sending faster than the plan assumed; the
-            # surplus is filling-phase bandwidth.
-            return self._pick_filling(rate, levels), 0.0
         else:
             # Spend quotas emptiest-layer-first (ties: largest remaining
             # quota). If the controller under-delivers this period, the
             # unspent quota then belongs to layers that still hold buffer
             # -- they absorb the shortage instead of a dry top layer.
-            candidates = [i for i in range(self.active_layers)
-                          if self._quota[i] > 0]
-            layer = min(candidates,
-                        key=lambda i: (safety[i], -self._quota[i]))
-        self._quota[layer] -= self.config.packet_size
+            layer = -1
+            best = best_quota = 0.0
+            for i in range(self.active_layers):
+                left = quota[i]
+                if left > 0 and (layer < 0 or safety[i] < best
+                                 or (safety[i] == best
+                                     and left > best_quota)):
+                    layer, best, best_quota = i, safety[i], left
+            if layer < 0:
+                # Every quota is spent: the controller is sending faster
+                # than the plan assumed, and the surplus is filling-phase
+                # bandwidth.
+                return self._pick_filling(rate, levels), 0.0
+        quota[layer] -= self.config.packet_size
         return layer, self.config.packet_size

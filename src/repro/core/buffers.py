@@ -46,6 +46,9 @@ class LayerBufferSet:
         self._clock: list[Seconds] = [0.0] * max_layers
         self._active = [False] * max_layers
         self._consuming: list[int] = []  # ascending
+        #: Bytes consumed since the set was made, by every layer it ever
+        #: had: a running counter, so it never falls when a layer goes.
+        self.played: Bytes = 0.0
 
     # ---------------------------------------------------------- lifecycle
 
@@ -117,6 +120,7 @@ class LayerBufferSet:
         rate = self.layer_rate
         delivered, consumed, clock = (
             self._delivered, self._consumed, self._clock)
+        played = 0.0
         for layer in self._consuming:
             dt = now - clock[layer]
             if dt <= 0:
@@ -126,11 +130,14 @@ class LayerBufferSet:
             have = delivered[layer] - consumed[layer]
             if have >= want:  # the per-packet case: the layer plays
                 consumed[layer] += want
+                played += want
                 continue
             take = max(0.0, have)
             consumed[layer] += take
+            played += take
             if want - take > EPSILON:
                 shortfalls[layer] = want - take
+        self.played += played
         return shortfalls
 
     def pause(self, now: Seconds) -> None:
@@ -162,7 +169,3 @@ class LayerBufferSet:
     def consumed(self, layer: int) -> Bytes:
         """Cumulative bytes the decoder has consumed from ``layer``."""
         return self._consumed[layer]
-
-    def total_consumed(self) -> Bytes:
-        """Bytes consumed from every layer that is still active."""
-        return sum(self._consumed)

@@ -20,9 +20,13 @@ from repro.core.units import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class QAConfig:
     """Tunables of the quality adaptation mechanism.
+
+    Frozen: an adapter binds the values it derives from its config once,
+    so a config never changes under it. :meth:`with_` makes a changed
+    copy.
 
     Attributes:
         layer_rate: per-layer consumption rate ``C`` in bytes/s. The paper

@@ -68,6 +68,10 @@ class FillingPolicy:
 
     def __init__(self, config: QAConfig) -> None:
         self.config = config
+        # The three maintenance floors (see :meth:`starved_layer`).
+        self._base_floor = config.base_floor_bytes
+        self._floor = config.floor_bytes
+        self._top_floor = min(self._floor, float(config.packet_size))
 
     def choose(
         self,
@@ -99,18 +103,28 @@ class FillingPolicy:
         every target is met (the adapter then adds a layer or parks excess
         bandwidth in the base layer).
         """
+        layer = self.starved_layer(
+            active_layers, buffers if safety_levels is None
+            else safety_levels, needs_floor)
+        if layer is not None:
+            return FillingDecision(layer, 0, 0, SCENARIO_ONE,
+                                   maintenance=True)
+        return self.choose_target(rate, buffers, active_layers, slope)
+
+    def choose_target(
+        self,
+        rate: BytesPerSec,
+        buffers: Sequence[Bytes],
+        active_layers: int,
+        slope: BytesPerSec2,
+    ) -> FillingDecision:
+        """:meth:`choose` once no layer is below its maintenance floor:
+        the first layer below its working state's target."""
         cfg = self.config
         na = active_layers
         buffers = buffers[:na]
         total = sum(buffers)
         consumption = na * cfg.layer_rate
-
-        layer = self._most_starved(
-            na, needs_floor, buffers if safety_levels is None
-            else safety_levels)
-        if layer is not None:
-            return FillingDecision(layer, 0, 0, SCENARIO_ONE,
-                                   maintenance=True)
 
         s1_k, req1 = self._first_unsatisfied(
             rate, consumption, slope, total, SCENARIO_ONE, cap=cfg.k_max)
@@ -158,9 +172,9 @@ class FillingPolicy:
         # path monotone.
         return SCENARIO_TWO, self._clamp_shares(shares2, shares1)
 
-    def _most_starved(
-        self, na: int, needs_floor: Optional[Sequence[bool]],
-        safety_levels: Sequence[Bytes],
+    def starved_layer(
+        self, na: int, safety_levels: Sequence[Bytes],
+        needs_floor: Optional[Sequence[bool]] = None,
     ) -> Optional[int]:
         """The emptiest protected layer below its maintenance floor.
 
@@ -169,12 +183,13 @@ class FillingPolicy:
         holds (near) nothing, riding the network at C, so that when it
         is dropped almost no buffered data is wasted (this is what
         drives the paper's buffering efficiency to ~100%). The base
-        never goes thin. Ties go to the lower layer.
+        never goes thin. Ties go to the lower layer. ``needs_floor``
+        flags the protected layers (default: all).
+
+        The one floor check: :meth:`choose` makes it first, and so does
+        the adapter, before it asks for a target at all.
         """
-        cfg = self.config
-        base = cfg.base_floor_bytes
-        middle = cfg.floor_bytes
-        top = min(middle, float(cfg.packet_size))
+        base, middle, top = self._base_floor, self._floor, self._top_floor
         worst = None
         for layer in range(na):
             floor = (base if layer == 0

@@ -96,34 +96,44 @@ class StateSequence:
         self.k_max = k_max
         self.states: list[BufferState] = self._build()
 
-    def _raw_states(self) -> list[BufferState]:
-        consumption = self.active_layers * self.layer_rate
-        k1 = formulas.k1_backoffs(self.rate, consumption)
-        raw: list[BufferState] = []
-        for k in range(1, self.k_max + 1):
-            for scenario in (SCENARIO_ONE, SCENARIO_TWO):
-                if scenario == SCENARIO_TWO and k <= k1:
-                    continue  # identical to scenario 1 at this k
-                total = formulas.scenario_total(
-                    self.rate, consumption, self.slope, k, scenario)
-                shares = formulas.scenario_shares(
-                    self.rate, self.layer_rate, self.active_layers,
-                    self.slope, k, scenario)
-                raw.append(BufferState(scenario, k, total, shares))
-        return raw
-
     def _build(self) -> list[BufferState]:
-        raw = self._raw_states()
+        # Raw states as ``(total, scenario, k, shares)`` tuples, computed
+        # with the float expressions of ``formulas.scenario_total`` and
+        # ``formulas.scenario_shares`` (bands once per k, not per state).
+        rate, layer_rate, slope = self.rate, self.layer_rate, self.slope
+        na = self.active_layers
+        consumption = na * layer_rate
+        k1 = formulas.k1_backoffs(rate, consumption)
+        padding = (0.0,) * na
+        first_total = sequential = 0.0
+        first = seq = padding
+        raw: list[tuple[Bytes, int, int, tuple[Bytes, ...]]] = []
+        for k in range(1, self.k_max + 1):
+            deficit = formulas.deficit_after_backoffs(rate, consumption, k)
+            total = formulas.triangle_area(deficit, slope)
+            bands = formulas.band_shares(deficit, layer_rate, slope) + padding
+            raw.append((total, SCENARIO_ONE, k, bands[:na]))
+            if k == k1:
+                # Scenario 2 departs from here (it equals scenario 1 up
+                # to k1): these bands plus (k - k1) sequential triangles.
+                first_total, first = total, bands
+                sequential = formulas.triangle_area(consumption / 2.0, slope)
+                seq = formulas.band_shares(
+                    consumption / 2.0, layer_rate, slope) + padding
+            elif k > k1:
+                n = k - k1
+                raw.append((first_total + n * sequential, SCENARIO_TWO, k,
+                            tuple([a + n * b
+                                   for a, b in zip(first[:na], seq)])))
         # Figure 9 ordering: increasing total requirement; scenario 1 wins
-        # ties; then smaller k first. sorted() is stable so the (k,
-        # scenario) generation order handles residual ties.
-        raw.sort(key=lambda s: (s.total, s.scenario, s.k))
-        running = [0.0] * self.active_layers
+        # ties; then smaller k first. No two states share (scenario, k),
+        # so the tuples never compare their shares.
+        raw.sort()
+        running = padding
         out: list[BufferState] = []
-        for state in raw:
-            running = [max(a, b) for a, b in zip(running, state.shares)]
-            out.append(BufferState(state.scenario, state.k, state.total,
-                                   state.shares, tuple(running)))
+        for total, scenario, k, shares in raw:
+            running = tuple(map(max, running, shares))
+            out.append(BufferState(scenario, k, total, shares, running))
         return out
 
     def __len__(self) -> int:

@@ -87,17 +87,24 @@ class PlayoutBuffer:
     def on_packet(self, now: float, layer: int, size: int,
                   server_active: Optional[int] = None) -> None:
         """A media packet arrived."""
-        self.advance(now)
-        if server_active is not None:
+        # Each call below runs only when its own guard would let it do
+        # something: most packets arrive at a new instant, announce no
+        # drop, and find their layer already playing.
+        if now > self._last_advance:
+            self.advance(now)
+        if (server_active is not None
+                and self.active_layers > max(1, server_active)):
             self._sync_active(now, server_active)
         if layer >= self.max_layers:
             return
-        if not self.buffers.is_active(layer):
+        buffers = self.buffers
+        if not buffers.is_active(layer):
             self._activate_through(now, layer)
-        self.buffers.deliver(layer, size)
-        self._maybe_start_layer(now, layer)
+        buffers.deliver(layer, size)
         if self.stalled:
             self._maybe_resume(now)
+        elif self.playing and not buffers.is_consuming(layer):
+            self._maybe_start_layer(now, layer)
 
     def _activate_through(self, now: float, layer: int) -> None:
         """Activate every inactive layer up to ``layer`` (ordered adds)."""
@@ -151,7 +158,7 @@ class PlayoutBuffer:
             else:
                 self.stats.gap_bytes_per_layer[layer] = (
                     self.stats.gap_bytes_per_layer.get(layer, 0.0) + nbytes)
-        self.stats.played_bytes = self.buffers.total_consumed()
+        self.stats.played_bytes = self.buffers.played
 
     def _begin_playout(self, now: float) -> None:
         self.playing = True

@@ -14,11 +14,20 @@ Marker conventions:
 
 from __future__ import annotations
 
+import os
+import pathlib
+
 import pytest
 
 from repro.core.config import QAConfig
 from repro.sim.engine import Simulator
 from repro.sim.topology import Dumbbell, DumbbellConfig
+
+# pyproject's ``pythonpath`` puts src/ on this interpreter's path; the
+# interpreters some tests start get it through the environment.
+_SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def pytest_addoption(parser):

@@ -118,7 +118,6 @@ class TestIdleSlotSpendsNothing:
     def test_idle_retransmission_is_not_refunded_quota(self):
         h = self.draining()
         h.adapter.on_lost(0, h.config.packet_size)  # owes quota + debt
-        h.config.max_buffer_seconds = 0.5
         self.fill_to_cap(h, 0)
         quota = list(h.adapter._quota)
         assert h.adapter.pick_layer(0) is None
@@ -129,7 +128,6 @@ class TestIdleSlotSpendsNothing:
         never charged a quota, so idling it refunds nothing."""
         h = self.draining(retransmit_layers=0)
         h.adapter._quota = [0.0] * h.adapter.active_layers
-        h.config.max_buffer_seconds = 0.5
         for layer in range(h.adapter.active_layers):
             self.fill_to_cap(h, layer)
         assert h.adapter.pick_layer(0) is None
@@ -137,7 +135,6 @@ class TestIdleSlotSpendsNothing:
 
     def test_idle_quota_slot_is_refunded_what_it_paid(self):
         h = self.draining(retransmit_layers=0)
-        h.config.max_buffer_seconds = 0.5
         for layer in range(h.adapter.active_layers):
             self.fill_to_cap(h, layer)
         quota = list(h.adapter._quota)

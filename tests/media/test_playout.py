@@ -52,6 +52,18 @@ class TestConsumption:
         po.advance(3.0)
         assert po.stats.played_bytes == pytest.approx(2000)
 
+    def test_played_bytes_never_fall_across_a_drop(self):
+        po = make(playout_start=0.0)
+        po.on_packet(0.0, 0, 10_000)
+        po.on_packet(0.0, 1, 10_000)
+        readings = []
+        for now in (1.0, 2.0, 2.5, 3.0):
+            # At 2.5 the server's packets say it dropped layer 1.
+            po.on_packet(now, 0, 100, server_active=1 if now >= 2.5 else 2)
+            readings.append(po.stats.played_bytes)
+        assert po.active_layers == 1
+        assert readings == pytest.approx([2000, 4000, 5000, 5500])
+
 
 class TestStalls:
     def test_base_underflow_stalls(self):
