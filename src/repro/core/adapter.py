@@ -62,7 +62,9 @@ Clock = Callable[[], Seconds]
 RateFn = Callable[[], BytesPerSec]
 SlopeFn = Callable[[], BytesPerSec2]
 #: ``(time, kind, fields)`` decision sink; ``None`` when nobody is
-#: recording, and callers guard.
+#: recording, and callers guard. Each event gets a fresh ``fields``
+#: dict that its sinks keep (ownership rule at
+#: :data:`repro.telemetry.recorder.RecorderHook`).
 EventHook = Callable[[float, str, dict[str, object]], None]
 
 

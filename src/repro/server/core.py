@@ -60,12 +60,18 @@ def _tee_decision_spans(on_event: Optional[EventHook],
     The adapter keeps seeing exactly one hook (hook *presence* changes
     its clock-read count, which the session tape pins), so enabling
     spans alongside a recorder does not perturb taped replays of the
-    same wiring.
+    same wiring. The span and the record share the event's ``fields``,
+    and span names are formatted once per kind.
     """
+    names: dict[str, str] = {}
+
     def _hook(time: float, kind: str, fields: dict[str, object]) -> None:
         if on_event is not None:
             on_event(time, kind, fields)
-        span_hook(time, time, f"qa.{kind}", fields)
+        name = names.get(kind)
+        if name is None:
+            name = names[kind] = f"qa.{kind}"
+        span_hook(time, time, name, fields)
     return _hook
 
 

@@ -17,12 +17,18 @@ from repro.sim.engine import Simulator
 
 
 class TimeSeries:
-    """An append-only (time, value) series with analysis helpers."""
+    """An append-only (time, value) series with analysis helpers.
+
+    A channel made by :meth:`Tracer.lockstep` shares its ``times``
+    list with its sibling channels; only the producer that made it
+    appends to it, and :meth:`record` refuses a sample.
+    """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.times: list[float] = []
         self.values: list[float] = []
+        self.lockstep = False
 
     def __len__(self) -> int:
         return len(self.times)
@@ -32,6 +38,10 @@ class TimeSeries:
 
     def record(self, time: float, value: float) -> None:
         """Append a sample. Times must be non-decreasing."""
+        if self.lockstep:
+            raise ValueError(
+                f"{self.name}: a probe owns this channel and shares its "
+                f"clock with its siblings; record into another channel")
         if self.times and time < self.times[-1]:
             raise ValueError(
                 f"{self.name}: time went backwards ({time} < {self.times[-1]})"
@@ -157,12 +167,34 @@ class Tracer:
             ts = self.series[name] = TimeSeries(name)
         return ts
 
+    def lockstep(self, names: Sequence[str]) -> list[TimeSeries]:
+        """New channels ``names`` on one shared ``times`` list.
+
+        For a producer that samples every channel at each instant: it
+        appends the instant to ``series[0].times`` once and then one
+        value per channel, so an instant is stored once. Raises
+        ValueError if a channel already holds samples.
+        """
+        series = [self.channel(name) for name in names]
+        clock: list[float] = []
+        for ts in series:
+            if ts.times:
+                raise ValueError(
+                    f"{ts.name}: channel already has samples; a shared "
+                    f"clock needs fresh channels")
+            ts.times = clock
+            ts.lockstep = True
+        return series
+
     def record(self, name: str, time: float, value: float) -> None:
         """Append a sample, creating the series on first use."""
         self.channel(name).record(time, value)
 
     def log_event(self, time: float, kind: str, **fields) -> None:
-        """Record a discrete event (layer add/drop, underflow, ...)."""
+        """Record a discrete event (layer add/drop, underflow, ...).
+
+        An event hook appends its ``(time, kind, fields)`` to
+        :attr:`events` directly and keeps the producer's mapping."""
         self.events.append((time, kind, fields))
 
     def events_of(self, kind: str) -> list[tuple[float, dict]]:

@@ -86,7 +86,9 @@ class TelemetryBus:
         recorder attached, events fan out to it as decision records;
         the recorder keeps working even when the bus itself is disabled
         (causal log without time-series cost). ``None`` only when both
-        sinks are off.
+        sinks are off. Both sinks keep the producer's ``fields`` mapping
+        itself (the ownership rule at
+        :data:`~repro.telemetry.recorder.RecorderHook`).
         """
         recorder = self.recorder
         record = (
@@ -94,12 +96,12 @@ class TelemetryBus:
         )
         if not self.enabled:
             return record
-        tracer = self.tracer
+        events = self.tracer.events
         if record is None:
-            return lambda t, kind, f: tracer.log_event(t, kind, **f)
+            return lambda t, kind, f: events.append((t, kind, f))
 
         def _fan_out(t: float, kind: str, f: dict[str, object]) -> None:
-            tracer.log_event(t, kind, **f)
+            events.append((t, kind, f))
             record(t, kind, f)
 
         return _fan_out

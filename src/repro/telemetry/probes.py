@@ -3,7 +3,8 @@
 Each probe is a small object with a desired sampling ``period``, the
 names of its ``channels()`` and a ``sample(now)`` method that stores one
 value per channel: names are formatted and looked up on the first sample
-only. Probes are inert until subscribed; a disabled bus registers them
+only. A probe's channels share one clock, so a sample instant is stored
+once. Probes are inert until subscribed; a disabled bus registers them
 without ever sampling.
 """
 
@@ -42,8 +43,9 @@ class Probe:
         """Append ``values``, one per channel, at time ``now``.
 
         The first call resolves the channels to their series, so each
-        enters ``tracer.series`` with its first sample; they then move
-        in lockstep, so the first one's time check covers them all.
+        enters ``tracer.series`` with its first sample. The channels
+        share one clock (:meth:`~repro.sim.trace.Tracer.lockstep`):
+        ``now`` is checked and stored once, then one value per channel.
         """
         series = self._series
         if series is None:
@@ -51,13 +53,13 @@ class Probe:
             assert bus is not None, "probe sampled before subscribe()"
             if not bus.enabled:
                 return
-            channel = bus.tracer.channel
-            series = self._series = [channel(n) for n in self.channels()]
-        pairs = zip(series, values)
-        first, value = next(pairs)
-        first.record(now, value)
-        for ts, value in pairs:
-            ts.times.append(now)
+            series = self._series = bus.tracer.lockstep(self.channels())
+        times = series[0].times
+        if times and now < times[-1]:
+            raise ValueError(f"{series[0].name}: time went backwards "
+                             f"({now} < {times[-1]})")
+        times.append(now)
+        for ts, value in zip(series, values):
             ts.values.append(value)
 
 

@@ -22,8 +22,8 @@ a different entry type. Design constraints, in order:
 - **Free when off.** A disabled recorder hands producers ``None`` from
   :meth:`FlightRecorder.hook`, which they guard like
   ``TelemetryBus.event_hook``, so the hot path never builds a record
-  that nobody will read, and :meth:`SignalRing.write_jsonl` refuses to
-  create a file for a run that recorded nothing.
+  that nobody will read, and :meth:`SignalRing.write_jsonl` of a
+  disabled ring creates no file.
 """
 
 from __future__ import annotations
@@ -40,6 +40,13 @@ RING_CAPACITY = 65536
 
 #: ``(time, kind, fields)`` — what a producer hands the recorder. The
 #: producer's identity (``source``) is bound into the hook itself.
+#:
+#: Ownership, for every signal hook (this one,
+#: :data:`~repro.telemetry.tracing.SpanHook` and
+#: :data:`~repro.core.adapter.EventHook`): a sink keeps the ``fields``
+#: mapping it is handed and never copies it, so one event is one
+#: mapping however many sinks hold it. The producer builds a fresh
+#: mapping for each event and never touches it again.
 RecorderHook = Callable[[float, str, Mapping[str, object]], None]
 
 
@@ -157,7 +164,7 @@ class DecisionRecord:
         self.time = time
         self.source = source
         self.kind = kind
-        self.fields = dict(fields)
+        self.fields = fields
 
     def to_json(self) -> str:
         """One deterministic JSON line (sorted keys, compact separators)."""

@@ -41,7 +41,9 @@ from repro.telemetry.recorder import SignalRing, json_line, tally
 
 #: ``(start, end, name, fields)`` — what a producer hands the recorder.
 #: The producer's identity (``source``) and trace membership
-#: (``TraceContext``) are bound into the hook itself.
+#: (``TraceContext``) are bound into the hook itself. The span keeps
+#: ``fields`` as handed over (ownership rule at
+#: :data:`~repro.telemetry.recorder.RecorderHook`).
 SpanHook = Callable[[float, float, str, Mapping[str, object]], None]
 
 #: Key under which a trace context travels in HELLO/WELCOME JSON
@@ -158,7 +160,7 @@ class Span:
         self.name = name
         self.start = start
         self.end = end
-        self.fields = dict(fields)
+        self.fields = fields
         self._span_id: Optional[str] = None
 
     @property

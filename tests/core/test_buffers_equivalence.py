@@ -265,7 +265,16 @@ class DifferentialBufferMachine(BufferMachine):
 
 TestDifferentialBufferMachine = DifferentialBufferMachine.TestCase
 TestDifferentialBufferMachine.settings = settings(
-    max_examples=80, stateful_step_count=50, deadline=None)
+    max_examples=5, stateful_step_count=50, deadline=None)
+
+
+@pytest.mark.slow
+class TestDifferentialBufferMachineWide(DifferentialBufferMachine.TestCase):
+    """The wide sweep, behind ``--run-slow`` (CI's fluid-differential
+    job runs it on every push); tier-1 keeps the five-program smoke."""
+
+    settings = settings(max_examples=80, stateful_step_count=50,
+                        deadline=None)
 
 
 @pytest.mark.parametrize("args", [(0.0, LAYERS), (1000.0, 0)])

@@ -105,6 +105,39 @@ def test_a_probe_refuses_a_sample_from_the_past_whole(sim):
         == [[1.0]] * 3
 
 
+def test_a_probe_owned_channel_refuses_an_ad_hoc_sample(sim):
+    link = Link(sim, bandwidth=10_000, delay=0.01,
+                queue=DropTailQueue(4), name="l")
+    bus = TelemetryBus(sim)
+    probe = QueueOccupancyProbe(link, name="hop0")
+    probe.bind(bus)
+    probe.sample(1.0)
+    # The channels share one clock: an ad-hoc sample would shift every
+    # sibling's times, so each way in names the channel and raises.
+    with pytest.raises(ValueError, match="hop0_qbytes: a probe owns"):
+        bus.record("hop0_qbytes", 2.0, 0.0)
+    with pytest.raises(ValueError, match="hop0_drops: a probe owns"):
+        bus.tracer.record("hop0_drops", 2.0, 0.0)
+    probe.sample(2.0)
+    series = bus.tracer.series
+    assert [(s.times, len(s.values)) for s in series.values()] \
+        == [([1.0, 2.0], 2)] * 3
+    assert series["hop0_qlen"].times is series["hop0_drops"].times
+    bus.record("other", 2.0, 1.0)  # a channel no probe owns
+    assert bus.series("other").times == [2.0]
+
+
+def test_a_probe_refuses_a_channel_that_already_has_samples(sim):
+    link = Link(sim, bandwidth=10_000, delay=0.01,
+                queue=DropTailQueue(4), name="l")
+    bus = TelemetryBus(sim)
+    bus.record("hop0_qbytes", 0.5, 3.0)
+    probe = QueueOccupancyProbe(link, name="hop0")
+    probe.bind(bus)
+    with pytest.raises(ValueError, match="hop0_qbytes: channel already"):
+        probe.sample(1.0)
+
+
 def test_a_probe_on_a_disabled_bus_creates_no_series(sim):
     link = Link(sim, bandwidth=10_000, delay=0.01,
                 queue=DropTailQueue(4), name="l")

@@ -23,12 +23,6 @@ class TestDecisionRecord:
         assert line == ('{"fields":{"cause":"rule","layer":2},'
                         '"kind":"drop","seq":3,"src":"qa0","t":1.25}')
 
-    def test_fields_are_copied(self):
-        fields = {"layer": 1}
-        record = DecisionRecord(0, 0.0, "qa", "add", fields)
-        fields["layer"] = 9
-        assert record.fields == {"layer": 1}
-
 
 class TestRingBuffer:
     def test_sequence_numbers_survive_eviction(self):

@@ -1,10 +1,10 @@
 """What a run with every signal on pays while it runs, pinned.
 
-The hot path stores; names, ids and copies are paid once, when a probe
+The hot path stores once; names and ids are paid once, when a probe
 first samples or when somebody exports. A span id hashed at record time,
-or a sample relayed by name through the bus and the tracer, is the
-per-entry cost these counts keep out. What the sinks export is pinned
-next door, in ``test_signals_pinned.py``.
+a sample relayed by name through the bus and the tracer, or an event
+mapping copied per sink, is the per-entry cost these tests keep out.
+What the sinks export is pinned next door, in ``test_signals_pinned.py``.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.trace import Tracer
-from repro.telemetry import TelemetryBus, tracing
-from repro.telemetry.tracing import SpanRecorder, TraceContext
+from repro.telemetry import DecisionRecord, TelemetryBus, tracing
+from repro.telemetry.tracing import Span, SpanRecorder, TraceContext
 from tests.telemetry.test_signals_pinned import DURATION, observed_scenario
 
 
@@ -93,3 +93,41 @@ def test_a_session_probe_looks_each_channel_up_once(monkeypatch):
     # By the first sample, in the order the series appear.
     assert resolved == [name for tracer in tracers
                         for name in tracer.series]
+
+
+def test_a_record_and_a_span_keep_the_mapping_they_are_given():
+    fields = {"layer": 1}
+    assert DecisionRecord(0, 0.0, "qa", "add", fields).fields is fields
+    span = Span("0" * 16, 0, "0" * 16, "qa", "qa.add", 0.0, 0.0, fields)
+    assert span.fields is fields
+
+
+def test_each_event_is_one_mapping_in_every_sink():
+    scenario = observed_scenario()
+    scenario.sim.run(until=DURATION)
+    records, spans = list(scenario.recorder), list(scenario.spans)
+    assert scenario.recorder.evicted == scenario.spans.evicted == 0
+    decisions = 0
+    for flow in scenario.flows:
+        events = flow.session.telemetry.tracer.events
+        own = [r for r in records if r.source == flow.label]
+        # The tracer log and the ring hold the same mappings, in order.
+        assert len(own) == len(events) > 100
+        for (time, kind, fields), record in zip(events, own):
+            assert (record.time, record.kind) == (time, kind)
+            assert record.fields is fields
+        # Every adapter event's ``qa.*`` span holds its record's mapping.
+        by_id = {id(r.fields): r for r in own}
+        mirrored = [s for s in spans if s.source == flow.label
+                    and s.name.startswith("qa.") and s.name != "qa.tick"]
+        assert {s.name for s in mirrored} >= {"qa.add", "qa.drop_rule"}
+        for span in mirrored:
+            record = by_id[id(span.fields)]
+            assert record.fields is span.fields
+            assert (span.name, span.start) == (f"qa.{record.kind}",
+                                               record.time)
+        decisions += len(mirrored)
+    # No producer reuses a mapping: one per record, one per span, and
+    # the mirrored spans share their record's.
+    held = {id(entry.fields) for entry in records + spans}
+    assert len(held) == len(records) + len(spans) - decisions
