@@ -15,6 +15,8 @@ import pathlib
 import pytest
 
 import repro.service
+from tests.test_static_determinism import (
+    dotted_name, import_aliases, resolve_dotted)
 
 SERVICE = pathlib.Path(repro.service.__file__).parent
 
@@ -41,36 +43,9 @@ LOOP_MODULES = ("server", "pacing", "protocol", "client", "impairment",
 CLI_COROUTINES = ("_serve", "_load")
 
 
-def _imports(tree):
-    """Local name -> the dotted path it imports."""
-    names = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".", 1)[0]
-                names[alias.asname or root] = (
-                    alias.name if alias.asname else root)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                names[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}")
-    return names
-
-
-def _dotted(node):
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def blocking_calls(tree, scope=None):
     """``(line, name)`` of every blocking call under ``scope``."""
-    imports = _imports(tree)
+    imports = import_aliases(tree)
     found = []
     for call in ast.walk(scope or tree):
         if not isinstance(call, ast.Call):
@@ -79,11 +54,7 @@ def blocking_calls(tree, scope=None):
                 and call.func.attr in BLOCKING_METHODS):
             found.append((call.lineno, call.func.attr))
             continue
-        dotted = _dotted(call.func)
-        if dotted is None:
-            continue
-        head, dot, rest = dotted.partition(".")
-        name = imports.get(head, head) + dot + rest
+        name = resolve_dotted(call.func, imports) or dotted_name(call.func)
         if name in BLOCKING_CALLS:
             found.append((call.lineno, name))
     return sorted(found)

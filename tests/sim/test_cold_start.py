@@ -21,7 +21,6 @@ ENTRY_POINTS = (
     "repro.experiments.runner",
     "repro.analysis.run_report",
     "repro.service.cli",
-    "repro.lint.cli",
     "repro.sim",
     "repro.sim.fluid_batch",
     "repro.experiments.flock_scale",
