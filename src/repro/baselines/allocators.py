@@ -26,7 +26,7 @@ from repro.core import formulas
 from repro.core.draining import DrainingPlanner, DrainPlan
 from repro.core.filling import FillingPolicy
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
-from repro.core.states import StateSequence
+from repro.core.states import StateSequence, state
 
 
 class _RedistributedFillingPolicy(FillingPolicy):
@@ -36,9 +36,13 @@ class _RedistributedFillingPolicy(FillingPolicy):
     def _distribute(self, total: float, active_layers: int) -> list[float]:
         raise NotImplementedError
 
-    def _targets(self, rate, na, slope, buffers, s1_k, req1, s2_k, req2):
-        if s1_k <= self.config.k_max and req1 <= req2:
-            return SCENARIO_ONE, self._distribute(req1, na)
+    def _targets(self, built, buffers, s1_k, s2_k):
+        na = len(buffers)
+        req2 = state(built, SCENARIO_TWO, s2_k)[0]
+        if s1_k <= self.config.k_max:
+            req1 = state(built, SCENARIO_ONE, s1_k)[0]
+            if req1 <= req2:
+                return SCENARIO_ONE, self._distribute(req1, na)
         return SCENARIO_TWO, self._distribute(req2, na)
 
 

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 from repro.core import formulas
 from repro.core.config import QAConfig
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
-from repro.core.states import kmax_targets
+from repro.core.states import Ladder, ladder, state
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2
 
 #: Runaway guard for the (normally small) scenario-2 search.
@@ -121,47 +121,48 @@ class FillingPolicy:
         """:meth:`choose` once no layer is below its maintenance floor:
         the first layer below its working state's target."""
         cfg = self.config
+        k_max = cfg.k_max
         na = active_layers
         buffers = buffers[:na]
-        total = sum(buffers)
-        consumption = na * cfg.layer_rate
+        bound = sum(buffers) + formulas.EPSILON
+        built = ladder(rate, cfg.layer_rate, na, slope, k_max)
+        k1, rungs, sequential, _ = built
+        # The pseudocode's WHILE loops, read off the ladder: the first
+        # state of each scenario whose total the buffering does not
+        # cover. Scenario 1 stops past K_max (fully provisioned);
+        # scenario 2 is scenario 1 up to k1 and is not capped.
+        s1_k = next((k for k in range(1, k_max + 1)
+                     if rungs[k - 1][0] > bound), k_max + 1)
+        s2_k = next((k for k in range(1, k1 + 1)
+                     if rungs[k - 1][0] > bound), None)
+        if s2_k is None:
+            s2_k = k1 + self._sequential_backoffs(
+                rungs[k1 - 1][0], sequential[0], bound, k1)
 
-        s1_k, req1 = self._first_unsatisfied(
-            rate, consumption, slope, total, SCENARIO_ONE, cap=cfg.k_max)
-        s2_k, req2 = self._first_unsatisfied(
-            rate, consumption, slope, total, SCENARIO_TWO, cap=None)
-
-        scenario, targets = self._targets(
-            rate, na, slope, buffers, s1_k, req1, s2_k, req2)
+        scenario, targets = self._targets(built, buffers, s1_k, s2_k)
         for layer in range(na):
             if targets[layer] > buffers[layer] + formulas.EPSILON:
                 return FillingDecision(layer, s1_k, s2_k, scenario)
         return FillingDecision(None, s1_k, s2_k, scenario)
 
-    def _targets(
-        self, rate: BytesPerSec, na: int, slope: BytesPerSec2,
-        buffers: Sequence[Bytes], s1_k: int, req1: Bytes, s2_k: int,
-        req2: Bytes,
-    ) -> tuple[int, Sequence[Bytes]]:
+    def _targets(self, built: Ladder, buffers: Sequence[Bytes], s1_k: int,
+                 s2_k: int) -> tuple[int, Sequence[Bytes]]:
         """The working scenario and the per-layer targets to fill to."""
-        cfg = self.config
-        if s1_k > cfg.k_max and s2_k > cfg.k_max:
+        k_max = self.config.k_max
+        if s1_k > k_max and s2_k > k_max:
             # Every state up to K_max is covered *in total*; before
             # deepening protection beyond K_max, make sure the K_max
             # distribution itself is complete per layer (the pseudocode's
             # total-based loops can leave a middle layer below its share
             # while the base over-fills, which would stall the add rule).
-            targets = kmax_targets(rate, cfg.layer_rate, na, slope,
-                                   cfg.k_max)
-            if any(targets[layer] > buffers[layer] + formulas.EPSILON
-                   for layer in range(na)):
+            targets = built[3]
+            if any(target > held + formulas.EPSILON
+                   for target, held in zip(targets, buffers)):
                 return SCENARIO_TWO, targets
-        shares2 = formulas.scenario_shares(rate, cfg.layer_rate, na, slope,
-                                           s2_k, SCENARIO_TWO)
-        if s1_k > cfg.k_max:
+        req2, shares2 = state(built, SCENARIO_TWO, s2_k)
+        if s1_k > k_max:
             return SCENARIO_TWO, shares2
-        shares1 = formulas.scenario_shares(rate, cfg.layer_rate, na, slope,
-                                           s1_k, SCENARIO_ONE)
+        req1, shares1 = state(built, SCENARIO_ONE, s1_k)
         if req1 <= req2:
             return SCENARIO_ONE, shares1
         # Working towards the scenario-2 state, clamped by the pending
@@ -219,54 +220,21 @@ class FillingPolicy:
             clamped[-1] += carry
         return tuple(clamped)
 
-    def _first_unsatisfied(
-        self,
-        rate: BytesPerSec,
-        consumption: BytesPerSec,
-        slope: BytesPerSec2,
-        total_buffer: Bytes,
-        scenario: int,
-        cap: Optional[int],
-    ) -> tuple[int, Bytes]:
-        """Smallest k whose total requirement exceeds the buffering.
+    @staticmethod
+    def _sequential_backoffs(first: Bytes, sequential: Bytes,
+                             bound: Bytes, k1: int) -> int:
+        """Smallest ``n >= 1`` whose scenario-2 total ``first + n *
+        sequential`` (the ladder's state ``k1 + n``) exceeds ``bound``.
 
-        Mirrors the pseudocode's WHILE loops: returns ``(k, requirement)``;
-        for scenario 1 the search stops at ``cap + 1`` (fully provisioned).
-
-        For scenario 2 past ``k1`` the requirement grows *linearly* —
-        ``req(k) = first + (k - k1) * sequential`` — so instead of walking
-        k one step at a time (the profiled hot spot: ~100 evaluations per
-        packet at deep buffering), the smallest unsatisfied k is found by
-        direct division and then corrected by at most a couple of exact
-        comparisons. The returned requirement is computed with the same
-        expression :func:`formulas.scenario_total` uses, so the result is
-        bit-identical to the naive walk.
+        The total grows linearly past ``k1``, so ``n`` comes from one
+        division, corrected by at most a couple of exact comparisons of
+        the same expression :func:`repro.core.states.state` uses.
         """
-        bound = total_buffer + formulas.EPSILON
-        k = 0
-        req = 0.0
-        k1 = (formulas.k1_backoffs(rate, consumption)
-              if scenario == SCENARIO_TWO else None)
-        while req <= bound:
-            if cap is not None and k >= cap + 1:
-                break
-            if k >= _MAX_K_SEARCH:  # pragma: no cover - runaway guard
-                break
-            if k1 is not None and k == k1 and cap is None:
-                # Linear regime: jump to the answer instead of walking.
-                first = req
-                sequential = formulas.triangle_area(consumption / 2.0,
-                                                    slope)
-                n = max(1, int((bound - first) / sequential))
-                while n > 1 and first + (n - 1) * sequential > bound:
-                    n -= 1
-                while (first + n * sequential <= bound
-                       and k1 + n < _MAX_K_SEARCH):
-                    n += 1
-                if k1 + n > _MAX_K_SEARCH:  # pragma: no cover - guard
-                    n = _MAX_K_SEARCH - k1
-                return k1 + n, first + n * sequential
-            k += 1
-            req = formulas.scenario_total(rate, consumption, slope, k,
-                                          scenario)
-        return k, req
+        n = max(1, int((bound - first) / sequential))
+        while n > 1 and first + (n - 1) * sequential > bound:
+            n -= 1
+        while first + n * sequential <= bound and k1 + n < _MAX_K_SEARCH:
+            n += 1
+        if k1 + n > _MAX_K_SEARCH:  # pragma: no cover - runaway guard
+            n = _MAX_K_SEARCH - k1
+        return n

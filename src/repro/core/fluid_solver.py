@@ -18,9 +18,12 @@ closed form:
   bracket is a binary search: a caller owes it a residual that changes
   sign upward at most once inside the window (contract in its docstring).
 
-:mod:`repro.sim.fluid` drives these helpers per flow;
-:mod:`repro.sim.fluid_batch` re-derives the same forms vectorized over
-numpy arrays for homogeneous flow classes. The packet-vs-fluid
+:mod:`repro.sim.fluid` drives these helpers per flow. The §3.1 add
+requirement and the split read the one Appendix A ladder
+(:func:`repro.core.states.ladder`, through ``kmax_targets``);
+:mod:`repro.sim.fluid_batch` composes the same ladder's ``K_max``
+totals vectorized over numpy arrays for homogeneous flow classes, and
+a property test pins the two bit for bit at N = 1. The packet-vs-fluid
 differential harness (``tests/differential/``) pins the agreement of the
 two backends on the paper-figure quantities.
 """
@@ -99,8 +102,8 @@ def add_requirement(rate: BytesPerSec, config: QAConfig,
     sequence is met, and §2.1's condition 2 (one further backoff with
     the new layer) holds, exactly when the *total* clears this level.
     Probed at every bracket and bisection step of the add residual, so the
-    targets come from :func:`repro.core.states.kmax_targets`, not from
-    a state sequence built per probe.
+    targets come from :func:`repro.core.states.kmax_targets` (one flat
+    ladder call), not from a state sequence built per probe.
     """
     targets = kmax_targets(
         rate, config.layer_rate, active_layers, slope, config.k_max)

@@ -28,6 +28,7 @@ The key geometric facts (derived in DESIGN.md section 1):
   the rate just below consumption, then each of the remaining ``k - k1``
   backoffs happens right when the rate has climbed back to consumption,
   producing identical triangles of height ``consumption/2``.
+  :func:`repro.core.states.ladder` composes both scenarios' states.
 """
 
 from __future__ import annotations
@@ -91,13 +92,18 @@ def band_shares(deficit: BytesPerSec, layer_rate: BytesPerSec,
     """
     if deficit <= EPSILON:
         return ()
+    two_s = 2.0 * slope
     shares: list[float] = []
     level = 0.0
+    # A band's upper square is the next band's lower one.
+    below = (deficit - level) ** 2
     while level < deficit - EPSILON:
-        top = min(level + layer_rate, deficit)
-        area = ((deficit - level) ** 2 - (deficit - top) ** 2) / (2.0 * slope)
-        shares.append(area)
-        level = top
+        top = level + layer_rate
+        if top > deficit:
+            top = deficit
+        above = (deficit - top) ** 2
+        shares.append((below - above) / two_s)
+        below, level = above, top
     return tuple(shares)
 
 
@@ -166,73 +172,6 @@ def k1_backoffs(rate: BytesPerSec, consumption: BytesPerSec) -> int:
     while rate / (2.0 ** k1) >= consumption - EPSILON:
         k1 += 1
     return k1
-
-
-def scenario_total(rate: BytesPerSec, consumption: BytesPerSec,
-                   slope: BytesPerSec2, k: int, scenario: int) -> Bytes:
-    """``TotalBufRequired`` of the section 4.1 pseudocode (A.4).
-
-    Scenario 1: ``k`` immediate backoffs, one big triangle.
-    Scenario 2: ``k1`` immediate backoffs, then ``k - k1`` sequential
-    backoff/recovery cycles each costing ``(consumption/2)^2 / (2S)``.
-    For ``k <= k1`` the scenarios coincide.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if scenario == SCENARIO_ONE:
-        return triangle_area(deficit_after_backoffs(rate, consumption, k),
-                             slope)
-    if scenario == SCENARIO_TWO:
-        k1 = k1_backoffs(rate, consumption)
-        if k <= k1:
-            return triangle_area(
-                deficit_after_backoffs(rate, consumption, k), slope)
-        first = triangle_area(deficit_after_backoffs(rate, consumption, k1),
-                              slope)
-        sequential = triangle_area(consumption / 2.0, slope)
-        return first + (k - k1) * sequential
-    raise ValueError(f"scenario must be 1 or 2, got {scenario}")
-
-
-def scenario_shares(rate: BytesPerSec, layer_rate: BytesPerSec,
-                    active_layers: int, slope: BytesPerSec2, k: int,
-                    scenario: int) -> tuple[Bytes, ...]:
-    """``BufRequired`` for every layer at once (A.5), padded to ``na``.
-
-    Returns a base-first vector of length ``active_layers``; entries
-    beyond the minimum buffering layers are zero. The vector sums to
-    :func:`scenario_total` (within float tolerance).
-    """
-    if active_layers < 1:
-        raise ValueError("need at least one active layer")
-    consumption = active_layers * layer_rate
-    if scenario == SCENARIO_ONE:
-        shares = band_shares(deficit_after_backoffs(rate, consumption, k),
-                             layer_rate, slope)
-    elif scenario == SCENARIO_TWO:
-        k1 = k1_backoffs(rate, consumption)
-        if k <= k1:
-            shares = band_shares(
-                deficit_after_backoffs(rate, consumption, k),
-                layer_rate, slope)
-        else:
-            first = band_shares(
-                deficit_after_backoffs(rate, consumption, k1),
-                layer_rate, slope)
-            seq = band_shares(consumption / 2.0, layer_rate, slope)
-            width = max(len(first), len(seq))
-            shares = tuple(
-                (first[i] if i < len(first) else 0.0)
-                + (k - k1) * (seq[i] if i < len(seq) else 0.0)
-                for i in range(width)
-            )
-    else:
-        raise ValueError(f"scenario must be 1 or 2, got {scenario}")
-    padded = list(shares[:active_layers])
-    padded += [0.0] * (active_layers - len(padded))
-    # Band slicing can produce at most `active_layers` bands because the
-    # deficit never exceeds na*C; the slice above is a safety net.
-    return tuple(padded)
 
 
 def drain_duration(deficit: BytesPerSec, slope: BytesPerSec2) -> Seconds:

@@ -95,9 +95,9 @@ def scenario_shares(rate: float, layer_rates: Sequence[float],
                     scenario: int) -> tuple[float, ...]:
     """Per-layer optimal shares for k backoffs, non-linear spacing.
 
-    The scenario *totals* match :func:`repro.core.formulas.
-    scenario_total` with ``consumption = sum(layer_rates)``; only the
-    distribution over layers differs.
+    The scenario *totals* match the linear ladder's
+    (:func:`repro.core.states.ladder`) with ``na*C = sum(layer_rates)``;
+    only the distribution over layers differs.
     """
     rates = validate_rates(layer_rates)
     consumption = math.fsum(rates)

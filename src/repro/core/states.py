@@ -1,4 +1,4 @@
-"""Optimal buffer states and the maximally efficient filling path.
+"""Appendix A's ladder of buffer states, and the maximally efficient path.
 
 Section 4 of the paper organizes buffering targets as a sequence of
 *states* ``(scenario, k)`` -- "enough optimally-distributed buffering to
@@ -12,19 +12,21 @@ strictly necessary is always usable for recovery (lower-layer buffering is
 *more* efficient, section 2.3), so the monotone path still protects every
 state it has passed.
 
-:class:`StateSequence` is used two ways:
+:func:`ladder` computes every state once, with the float expressions of
+eqs A.4-A.5: ``k1``, the scenario-1 state of each k, scenario 2's first
+and sequential triangles, and the per-layer maxima over the states up to
+``K_max``. Everything else reads it:
 
-- analytically, to regenerate Figures 8, 9 and 10;
-- operationally, by the draining planner (section 4.2), which walks the
-  same path backwards.
-
-The per-packet filling algorithm (:mod:`repro.core.filling`) does not read
-a precomputed sequence -- following the paper's pseudocode it recomputes
-its working state on the fly -- but the two agree (tested).
-
-The add condition (section 3.1) needs only the *end* of the path, the
-per-layer maxima over all states. :func:`kmax_targets` computes that
-vector directly; nothing on the add path builds a sequence.
+- :func:`state` composes any ``(scenario, k)`` state from it;
+- :func:`kmax_targets` is the end of the path, which the add condition
+  (section 3.1), the filling policy's K_max step and the fluid solver
+  read per call -- a plain function, no sequence and no sort;
+- :class:`StateSequence` sorts the states up to ``K_max`` (Figure 9) and
+  takes the running maximum (Figure 10), for the draining planner
+  (section 4.2) and the analytic figures;
+- the per-packet filling algorithm (:mod:`repro.core.filling`) searches
+  the ladder's totals for its working states on the fly, following the
+  paper's pseudocode.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ class StateSequence:
     def __init__(self, rate: BytesPerSec, layer_rate: BytesPerSec,
                  active_layers: int, slope: BytesPerSec2,
                  k_max: int) -> None:
-        if k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if active_layers < 1:
-            raise ValueError("need at least one active layer")
         self.rate = rate
         self.layer_rate = layer_rate
         self.active_layers = active_layers
@@ -97,39 +95,21 @@ class StateSequence:
         self.states: list[BufferState] = self._build()
 
     def _build(self) -> list[BufferState]:
-        # Raw states as ``(total, scenario, k, shares)`` tuples, computed
-        # with the float expressions of ``formulas.scenario_total`` and
-        # ``formulas.scenario_shares`` (bands once per k, not per state).
-        rate, layer_rate, slope = self.rate, self.layer_rate, self.slope
-        na = self.active_layers
-        consumption = na * layer_rate
-        k1 = formulas.k1_backoffs(rate, consumption)
-        padding = (0.0,) * na
-        first_total = sequential = 0.0
-        first = seq = padding
+        k_max = self.k_max
+        built = ladder(self.rate, self.layer_rate, self.active_layers,
+                       self.slope, k_max)
+        # Scenario 2 coincides with scenario 1 up to k1: one state each.
         raw: list[tuple[Bytes, int, int, tuple[Bytes, ...]]] = []
-        for k in range(1, self.k_max + 1):
-            deficit = formulas.deficit_after_backoffs(rate, consumption, k)
-            total = formulas.triangle_area(deficit, slope)
-            bands = formulas.band_shares(deficit, layer_rate, slope) + padding
-            raw.append((total, SCENARIO_ONE, k, bands[:na]))
-            if k == k1:
-                # Scenario 2 departs from here (it equals scenario 1 up
-                # to k1): these bands plus (k - k1) sequential triangles.
-                first_total, first = total, bands
-                sequential = formulas.triangle_area(consumption / 2.0, slope)
-                seq = formulas.band_shares(
-                    consumption / 2.0, layer_rate, slope) + padding
-            elif k > k1:
-                n = k - k1
-                raw.append((first_total + n * sequential, SCENARIO_TWO, k,
-                            tuple([a + n * b
-                                   for a, b in zip(first[:na], seq)])))
+        for scenario, first in ((SCENARIO_ONE, 1),
+                                (SCENARIO_TWO, built[0] + 1)):
+            for k in range(first, k_max + 1):
+                total, shares = state(built, scenario, k)
+                raw.append((total, scenario, k, shares))
         # Figure 9 ordering: increasing total requirement; scenario 1 wins
         # ties; then smaller k first. No two states share (scenario, k),
         # so the tuples never compare their shares.
         raw.sort()
-        running = padding
+        running = (0.0,) * self.active_layers
         out: list[BufferState] = []
         for total, scenario, k, shares in raw:
             running = tuple(map(max, running, shares))
@@ -185,18 +165,40 @@ class StateSequence:
         return pos
 
 
-def kmax_targets(rate: BytesPerSec, layer_rate: BytesPerSec,
-                 active_layers: int, slope: BytesPerSec2,
-                 k_max: int) -> tuple[Bytes, ...]:
-    """``StateSequence(...).final_targets`` without the sequence.
+#: One buffer state: its total requirement and its base-first per-layer
+#: shares.
+State = tuple[Bytes, tuple[Bytes, ...]]
+#: What :func:`ladder` returns: ``(k1, rungs, sequential, targets)``.
+Ladder = tuple[int, list[State], State, tuple[Bytes, ...]]
 
-    The last state's effective shares are the element-wise maximum over
-    every raw state, and a maximum does not depend on the Figure 9 order:
-    no totals, no sort, no :class:`BufferState` objects. Every share is
-    computed with the float expressions :func:`formulas.scenario_shares`
-    uses, so the result is the same tuple of floats (tested with ``==``).
+
+def ladder(rate: BytesPerSec, layer_rate: BytesPerSec,
+           active_layers: int, slope: BytesPerSec2, k_max: int) -> Ladder:
+    """Appendix A's states for one situation, each computed once.
+
+    Returns ``(k1, rungs, sequential, targets)``:
+
+    - ``k1`` (A.4): the immediate backoffs that take ``rate`` below the
+      consumption ``na*C``;
+    - ``rungs[k - 1]``: the scenario-1 state of ``k`` backoffs, the
+      triangle of height ``na*C - R/2^k`` (equation 1) sliced into bands
+      of height C (A.5, Figure 4), for every ``k`` up to
+      ``max(k_max, k1)``; scenario 2 is the same state up to ``k1``;
+    - ``sequential``: one recovery triangle of height ``na*C/2``;
+      scenario 2's state ``k1 + n`` is ``rungs[k1 - 1]`` plus ``n`` of
+      them;
+    - ``targets``: the per-layer maxima over every state up to ``k_max``
+      in both scenarios, the end of the monotone path. A maximum does not
+      depend on the Figure 9 order, and ``a + n*b`` with ``b >= 0`` never
+      falls as ``n`` grows, so scenario 2 contributes its ``k_max`` state
+      alone.
+
+    A rung holds only the bands its triangle reaches (the layers above
+    hold nothing), cut to ``na`` when repeated additions of C fall short
+    of ``na*C`` and the slicer yields a sliver more; :func:`state` pads
+    them to ``na`` layers.
     """
-    # Checks in the order the sequence meets them (k1 validates the rate).
+    # k1 validates the rate and the consumption.
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if active_layers < 1:
@@ -205,25 +207,73 @@ def kmax_targets(rate: BytesPerSec, layer_rate: BytesPerSec,
     k1 = formulas.k1_backoffs(rate, consumption)
     if slope <= 0:
         raise ValueError("slope must be positive")
+    two_s = 2.0 * slope
     targets = [0.0] * active_layers
-    padding = (0.0,) * active_layers
-    first = seq = padding
-    for k in range(1, k_max + 1):
-        # Scenario 1: one triangle after k immediate backoffs.
+    rungs: list[State] = []
+    for k in range(1, max(k_max, k1) + 1):
+        deficit = consumption - rate / (2.0 ** k)
         bands = formulas.band_shares(
-            consumption - rate / (2.0 ** k), layer_rate, slope)
-        for i, share in enumerate(bands[:active_layers]):
-            if share > targets[i]:
-                targets[i] = share
-        if k == k1:
-            # Scenario 2 departs from here: these bands plus (k - k1)
-            # sequential triangles of height consumption/2.
-            first = bands + padding
-            seq = formulas.band_shares(
-                consumption / 2.0, layer_rate, slope) + padding
-        elif k > k1:
-            for i in range(active_layers):
-                share = first[i] + (k - k1) * seq[i]
-                if share > targets[i]:
-                    targets[i] = share
-    return tuple(targets)
+            deficit, layer_rate, slope)[:active_layers]
+        rungs.append((deficit * deficit / two_s if deficit > 0 else 0.0,
+                      bands))
+        if k <= k_max:
+            _raise_to(targets, bands)
+    half = consumption / 2.0
+    sequential = (half * half / two_s, formulas.band_shares(
+        half, layer_rate, slope)[:active_layers])
+    if k_max > k1:
+        _raise_to(targets, _past_k1(rungs[k1 - 1], sequential,
+                                    k_max - k1)[1])
+    return k1, rungs, sequential, tuple(targets)
+
+
+def state(built: Ladder, scenario: int, k: int) -> State:
+    """``(total, shares)`` of the state ``(scenario, k)`` of a ladder,
+    its shares padded with zeros to the active layer count.
+
+    Scenario 1, and scenario 2 up to ``k1``, is a rung; scenario 2 past
+    ``k1`` adds ``k - k1`` sequential triangles to rung ``k1`` (Figure
+    14). ``k`` must be covered by the ladder (a scenario-2 ``k`` past
+    ``k1`` always is).
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    k1, rungs, sequential, targets = built
+    if scenario == SCENARIO_ONE or (scenario == SCENARIO_TWO and k <= k1):
+        total, shares = rungs[k - 1]
+    elif scenario == SCENARIO_TWO:
+        total, shares = _past_k1(rungs[k1 - 1], sequential, k - k1)
+    else:
+        raise ValueError(f"scenario must be 1 or 2, got {scenario}")
+    return total, shares + (0.0,) * (len(targets) - len(shares))
+
+
+def kmax_targets(rate: BytesPerSec, layer_rate: BytesPerSec,
+                 active_layers: int, slope: BytesPerSec2,
+                 k_max: int) -> tuple[Bytes, ...]:
+    """The ladder's ``targets``: the per-layer shares whose satisfaction
+    allows adding a layer (section 3.1).
+
+    Equal, float for float, to ``StateSequence(...).final_targets``
+    (tested with ``==``), with no :class:`BufferState` objects and no
+    sort: the add condition and the fluid solver ask for it per probe.
+    """
+    return ladder(rate, layer_rate, active_layers, slope, k_max)[3]
+
+
+def _raise_to(targets: list[Bytes], shares: Sequence[Bytes]) -> None:
+    """Lift each of ``targets`` to the share of its layer, in place."""
+    for i, share in enumerate(shares):
+        if share > targets[i]:
+            targets[i] = share
+
+
+def _past_k1(first: State, sequential: State, n: int) -> State:
+    """Scenario 2's state ``n`` sequential backoffs past ``k1``; a layer
+    either triangle does not reach adds nothing."""
+    (first_total, first_shares), (seq_total, seq_shares) = first, sequential
+    width = max(len(first_shares), len(seq_shares))
+    first_shares += (0.0,) * (width - len(first_shares))
+    seq_shares += (0.0,) * (width - len(seq_shares))
+    return (first_total + n * seq_total,
+            tuple([a + n * b for a, b in zip(first_shares, seq_shares)]))

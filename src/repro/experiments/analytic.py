@@ -8,7 +8,7 @@ import math
 
 from repro.analysis import format_kv, format_table
 from repro.core import formulas, nonlinear
-from repro.core.states import StateSequence
+from repro.core.states import StateSequence, ladder, state
 from repro.experiments import Results, artifact
 
 R, C, S = 30_000.0, 6500.0, 8000.0
@@ -78,9 +78,8 @@ def optimal_allocation(rate: float = R, layer_rate: float = C,
     """Figure 4's numbers: the per-layer shares, the deficit
     ``D0 = na*C - R/2``, the triangle it spans and ``nb``."""
     deficit = active_layers * layer_rate - rate / 2.0
-    shares = formulas.scenario_shares(
-        rate, layer_rate, active_layers, slope, k=1,
-        scenario=formulas.SCENARIO_ONE)
+    _, shares = state(ladder(rate, layer_rate, active_layers, slope, 1),
+                      formulas.SCENARIO_ONE, 1)
     return (shares, deficit, formulas.triangle_area(deficit, slope),
             formulas.min_buffering_layers(deficit, layer_rate))
 
@@ -104,9 +103,9 @@ def fig07(results: Results) -> str:
          "required buffering (bytes)"),
         double_backoff_rows(),
         title="Figure 7: double-backoff scenarios")
+    built = ladder(R, C, 3, S, 2)
     out += format_kv({
-        f"analytic_scenario{scenario}_k2": formulas.scenario_total(
-            R, 3 * C, S, k=2, scenario=scenario)
+        f"analytic_scenario{scenario}_k2": state(built, scenario, 2)[0]
         for scenario in (formulas.SCENARIO_ONE, formulas.SCENARIO_TWO)
     })
     return out
@@ -169,15 +168,12 @@ def fig08(results: Results) -> str:
 def buffer_state_rows(rate: float = R, layer_rate: float = C,
                       active_layers: int = 4, slope: float = S,
                       k_max: int = 5) -> list[tuple]:
-    consumption = active_layers * layer_rate
+    built = ladder(rate, layer_rate, active_layers, slope, k_max)
     return [
-        (f"S{scenario}", k,
-         round(formulas.scenario_total(rate, consumption, slope, k,
-                                       scenario)),
-         *(round(s) for s in formulas.scenario_shares(
-             rate, layer_rate, active_layers, slope, k, scenario)))
+        (f"S{scenario}", k, round(total), *(round(s) for s in shares))
         for k in range(1, k_max + 1)
         for scenario in (formulas.SCENARIO_ONE, formulas.SCENARIO_TWO)
+        for total, shares in [state(built, scenario, k)]
     ]
 
 
@@ -264,8 +260,8 @@ def fig14(results: Results) -> str:
         "k": k,
         "k1 (backoffs to cross consumption)": k1,
         "sum_of_components": first + max(0, k - k1) * sequential,
-        "closed_form_total": formulas.scenario_total(
-            R, consumption, S, k, formulas.SCENARIO_TWO),
+        "closed_form_total": state(ladder(R, C, 3, S, k),
+                                   formulas.SCENARIO_TWO, k)[0],
     })
     return out
 

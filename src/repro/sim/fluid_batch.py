@@ -17,7 +17,11 @@ two per-flow exact forms with vectorized bounds:
 
 - the add requirement uses the dominant ``K_max`` state's *total*
   (closed form via the ``k1`` halving count) instead of the per-layer
-  running-max split;
+  running-max split; at N = 1 it is, bit for bit, the
+  :func:`repro.core.states.ladder`'s ``max(total(S1, K_max),
+  total(S2, K_max), condition 2)`` and never above the scalar
+  requirement by more than one ulp of its share sum
+  (``tests/sim/test_fluid_batch_bounds.py``, the ladder pin);
 - a dropped layer discards at most its maintenance floor (top layers
   drain first; the per-flow engine computes the exact split share).
 
@@ -257,10 +261,11 @@ class FlowClassBatch:
                          na: np.ndarray) -> np.ndarray:
         """Vectorized total-buffer form of the buffer-only add rule.
 
-        The dominant ``K_max`` state total (scenario 1 vs scenario 2 at
-        ``k = K_max``, via the closed-form ``k1`` halving count) stands
-        in for the per-layer running-max split — a lower bound, so the
-        batch adds at most one tick-quantized step early.
+        The dominant ``K_max`` state total of the ladder (scenario 1 vs
+        scenario 2 at ``k = K_max``, via the closed-form ``k1`` halving
+        count) stands in for the per-layer running-max split — a lower
+        bound up to rounding, so the batch adds at most one
+        tick-quantized step early.
         """
         cfg = self.config
         cons = na * cfg.layer_rate

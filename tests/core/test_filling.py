@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import formulas
 from repro.core.adapter import QualityAdapter
 from repro.core.config import QAConfig
 from repro.core.filling import FillingDecision, FillingPolicy
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
-from repro.core.states import StateSequence
+from repro.core.states import StateSequence, ladder, state
 
 
 @pytest.fixture
@@ -157,12 +156,12 @@ class TestTargetFilling:
         if (decision.layer is not None
                 and decision.working_scenario == SCENARIO_TWO
                 and decision.s1_k <= cfg.k_max):
-            shares1 = formulas.scenario_shares(
-                rate, cfg.layer_rate, na, slope, decision.s1_k,
-                SCENARIO_ONE)
-            shares2 = formulas.scenario_shares(
-                rate, cfg.layer_rate, na, slope, decision.s2_k,
-                SCENARIO_TWO)
+            _, shares1 = state(
+                ladder(rate, cfg.layer_rate, na, slope, decision.s1_k),
+                SCENARIO_ONE, decision.s1_k)
+            _, shares2 = state(
+                ladder(rate, cfg.layer_rate, na, slope, decision.s2_k),
+                SCENARIO_TWO, decision.s2_k)
             clamped = FillingPolicy._clamp_shares(shares2, shares1)
             # Redistribution preserves the total requirement...
             assert sum(clamped) == pytest.approx(sum(shares2))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import formulas
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
+from repro.core.states import ladder, state
 
 # Strategy corners: rates and consumptions in bytes/s, slopes in
 # bytes/s^2, all within physically sensible ranges.
@@ -16,6 +17,12 @@ layer_rates = st.floats(min_value=500, max_value=50_000)
 slopes = st.floats(min_value=100, max_value=1_000_000)
 layer_counts = st.integers(min_value=1, max_value=10)
 ks = st.integers(min_value=1, max_value=8)
+
+
+def scenario_state(rate, layer_rate, na, slope, k, scenario):
+    """``(total, shares)`` of one A.4-A.5 state, read off a ladder that
+    reaches it."""
+    return state(ladder(rate, layer_rate, na, slope, k), scenario, k)
 
 
 class TestTriangleArea:
@@ -193,41 +200,41 @@ class TestK1:
 
 class TestScenarioTotals:
     def test_scenarios_coincide_at_k1(self):
-        rate, consumption, slope = 30_000, 19_500, 8_000
-        k1 = formulas.k1_backoffs(rate, consumption)
-        assert formulas.scenario_total(
-            rate, consumption, slope, k1, SCENARIO_ONE) == pytest.approx(
-            formulas.scenario_total(rate, consumption, slope, k1,
-                                    SCENARIO_TWO))
+        rate, layer_rate, na, slope = 30_000, 6_500, 3, 8_000
+        k1 = formulas.k1_backoffs(rate, na * layer_rate)
+        assert scenario_state(
+            rate, layer_rate, na, slope, k1, SCENARIO_ONE)[0] == (
+            pytest.approx(scenario_state(rate, layer_rate, na, slope, k1,
+                                         SCENARIO_TWO)[0]))
 
     def test_scenario2_adds_fixed_triangles(self):
-        rate, consumption, slope = 30_000, 19_500, 8_000
+        rate, layer_rate, na, slope = 30_000, 6_500, 3, 8_000
+        consumption = na * layer_rate
         k1 = formulas.k1_backoffs(rate, consumption)
-        t_k1 = formulas.scenario_total(rate, consumption, slope, k1,
-                                       SCENARIO_TWO)
-        t_k3 = formulas.scenario_total(rate, consumption, slope, k1 + 2,
-                                       SCENARIO_TWO)
+        t_k1 = scenario_state(rate, layer_rate, na, slope, k1,
+                              SCENARIO_TWO)[0]
+        t_k3 = scenario_state(rate, layer_rate, na, slope, k1 + 2,
+                              SCENARIO_TWO)[0]
         seq = formulas.triangle_area(consumption / 2, slope)
         assert t_k3 == pytest.approx(t_k1 + 2 * seq)
 
     def test_rejects_bad_scenario(self):
         with pytest.raises(ValueError):
-            formulas.scenario_total(1000, 1000, 100, 1, 3)
+            scenario_state(1000, 1000, 1, 100, 1, 3)
 
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
-            formulas.scenario_total(1000, 1000, 100, 0, SCENARIO_ONE)
+            scenario_state(1000, 1000, 1, 100, 0, SCENARIO_ONE)
 
     @given(rate=rates, layer_rate=layer_rates, na=layer_counts,
            slope=slopes, k=ks)
     @settings(max_examples=200)
     def test_scenario1_monotone_in_k(self, rate, layer_rate, na, slope,
                                      k):
-        consumption = na * layer_rate
-        a = formulas.scenario_total(rate, consumption, slope, k,
-                                    SCENARIO_ONE)
-        b = formulas.scenario_total(rate, consumption, slope, k + 1,
-                                    SCENARIO_ONE)
+        a = scenario_state(rate, layer_rate, na, slope, k,
+                           SCENARIO_ONE)[0]
+        b = scenario_state(rate, layer_rate, na, slope, k + 1,
+                           SCENARIO_ONE)[0]
         assert b >= a - 1e-9
 
     @given(rate=rates, layer_rate=layer_rates, na=layer_counts,
@@ -235,11 +242,10 @@ class TestScenarioTotals:
     @settings(max_examples=200)
     def test_scenario2_monotone_in_k(self, rate, layer_rate, na, slope,
                                      k):
-        consumption = na * layer_rate
-        a = formulas.scenario_total(rate, consumption, slope, k,
-                                    SCENARIO_TWO)
-        b = formulas.scenario_total(rate, consumption, slope, k + 1,
-                                    SCENARIO_TWO)
+        a = scenario_state(rate, layer_rate, na, slope, k,
+                           SCENARIO_TWO)[0]
+        b = scenario_state(rate, layer_rate, na, slope, k + 1,
+                           SCENARIO_TWO)[0]
         assert b >= a - 1e-9
 
 
@@ -250,10 +256,8 @@ class TestScenarioShares:
     @settings(max_examples=300)
     def test_shares_sum_to_total(self, rate, layer_rate, na, slope, k,
                                  scenario):
-        shares = formulas.scenario_shares(rate, layer_rate, na, slope, k,
-                                          scenario)
-        total = formulas.scenario_total(rate, na * layer_rate, slope, k,
-                                        scenario)
+        total, shares = scenario_state(rate, layer_rate, na, slope, k,
+                                       scenario)
         assert len(shares) == na
         assert math.fsum(shares) == pytest.approx(total, rel=1e-6,
                                                   abs=1e-6)
@@ -264,15 +268,15 @@ class TestScenarioShares:
     @settings(max_examples=300)
     def test_shares_base_heavy(self, rate, layer_rate, na, slope, k,
                                scenario):
-        shares = formulas.scenario_shares(rate, layer_rate, na, slope, k,
-                                          scenario)
+        _, shares = scenario_state(rate, layer_rate, na, slope, k,
+                                   scenario)
         for lower, higher in zip(shares, shares[1:]):
             assert lower >= higher - 1e-9
 
     def test_scenario1_equals_band_slicing(self):
         rate, layer_rate, na, slope = 30_000, 6_500, 4, 8_000
-        shares = formulas.scenario_shares(rate, layer_rate, na, slope, 2,
-                                          SCENARIO_ONE)
+        _, shares = scenario_state(rate, layer_rate, na, slope, 2,
+                                   SCENARIO_ONE)
         deficit = na * layer_rate - rate / 4
         bands = formulas.band_shares(deficit, layer_rate, slope)
         for share, band in zip(shares, bands):

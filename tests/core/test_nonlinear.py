@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import formulas, nonlinear
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
+from repro.core.states import ladder, state
 
 rate_vectors = st.lists(st.floats(min_value=500, max_value=20_000),
                         min_size=1, max_size=6)
@@ -95,15 +96,15 @@ class TestScenarioShares:
         rate = rate_factor * consumption
         shares = nonlinear.scenario_shares(rate, rates, slope, k,
                                            scenario)
-        expected = formulas.scenario_total(rate, consumption, slope, k,
-                                           scenario)
+        expected, _ = state(ladder(rate, consumption, 1, slope, k),
+                            scenario, k)
         assert math.fsum(shares) == pytest.approx(expected, rel=1e-6,
                                                   abs=1e-6)
 
     def test_linear_special_case(self):
         rate, layer_rate, na, slope = 30_000.0, 6_500.0, 4, 8_000.0
-        linear = formulas.scenario_shares(rate, layer_rate, na, slope, 2,
-                                          SCENARIO_TWO)
+        _, linear = state(ladder(rate, layer_rate, na, slope, 2),
+                          SCENARIO_TWO, 2)
         general = nonlinear.scenario_shares(rate, [layer_rate] * na,
                                             slope, 2, SCENARIO_TWO)
         for a, b in zip(linear, general):

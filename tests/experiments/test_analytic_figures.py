@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core import formulas
-from repro.core.states import StateSequence
+from repro.core.states import StateSequence, ladder, state
 from repro.experiments import analytic, runner
 from repro.experiments.analytic import C, R, S
 
@@ -50,8 +50,9 @@ class TestFig04:
 class TestFig07:
     def test_extremes_match_closed_forms(self):
         rows = analytic.double_backoff_rows()
-        s1 = formulas.scenario_total(R, 3 * C, S, 2, formulas.SCENARIO_ONE)
-        s2 = formulas.scenario_total(R, 3 * C, S, 2, formulas.SCENARIO_TWO)
+        built = ladder(R, C, 3, S, 2)
+        s1 = state(built, formulas.SCENARIO_ONE, 2)[0]
+        s2 = state(built, formulas.SCENARIO_TWO, 2)[0]
         assert rows[0][1] == pytest.approx(s1, rel=0.02)
         assert rows[-1][1] == pytest.approx(s2, rel=0.02)
 
@@ -124,6 +125,5 @@ class TestFig14:
         first = formulas.triangle_area(
             formulas.deficit_after_backoffs(R, consumption, k1), S)
         seq = formulas.triangle_area(consumption / 2, S)
-        total = formulas.scenario_total(R, consumption, S, 4,
-                                        formulas.SCENARIO_TWO)
+        total = state(ladder(R, C, 3, S, 4), formulas.SCENARIO_TWO, 4)[0]
         assert first + (4 - k1) * seq == pytest.approx(total)

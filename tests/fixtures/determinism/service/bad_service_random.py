@@ -3,7 +3,7 @@
 Wall-clock and asyncio are legitimate in the service zone, but a load
 fleet's loss pattern must replay from its seed -- ambient randomness
 and OS entropy stay banned. Line numbers are asserted by
-tests/lint/test_rules.py -- renumber there if this file changes.
+tests/test_static_determinism.py -- renumber there if this file changes.
 """
 
 

@@ -1,7 +1,7 @@
 """RL001 positive cases: asyncio timers leaking into simulation code.
 
-Line numbers are asserted by tests/lint/test_rules.py -- renumber there
-if this file changes.
+Line numbers are asserted by tests/test_static_determinism.py --
+renumber there if this file changes.
 """
 
 

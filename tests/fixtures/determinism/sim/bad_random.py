@@ -1,12 +1,12 @@
 """RL001 positive cases: every banned determinism hazard in one file.
 
-Line numbers are asserted by tests/lint/test_rules.py -- renumber there
-if this file changes.
+Line numbers are asserted by tests/test_static_determinism.py --
+renumber there if this file changes.
 """
 
 
 def red_queue_fallback(rng=None):
-    # The exact bug repro-lint exists to prevent: the old REDQueue
+    # The exact bug the determinism check prevents: the old REDQueue
     # fallback silently gave every queue the same constant-seed stream.
     if rng is None:
         import random  # line 12: RL001 (import random)

@@ -12,6 +12,20 @@ shortcuts are exact, not close:
   adds ``0.0``, so ``_ramp_area`` may take the uncapped form: equal to
   the capped expression spelled out here, bit for bit, on either path.
 
+At N = 1 the batch's requirement is also pinned to the scalar forms:
+
+- **Ladder pin.** ``_add_requirement`` is, bit for bit, the
+  :func:`repro.core.states.ladder`'s ``max(total(S1, K_max),
+  total(S2, K_max), condition 2)``: the batch's log2 ``k1`` and its
+  clipped ``K_max - k1`` compose the same states as the scalar ladder.
+- **One tick early, at most.** It never exceeds
+  :func:`repro.core.fluid_solver.add_requirement` (no base reserve) by
+  more than one ulp: the scalar form sums the per-layer ``K_max``
+  targets, and where one state dominates every layer, the ``fsum`` of
+  its shares can round one ulp below the state's closed-form total
+  (302 of 20 000 uniform draws). Beyond that rounding, a batch flow may
+  add before its scalar twin would, never after.
+
 The scenarios at the end put a flow through two drops in one tick and
 through an add in the window right after a drop, against the dense
 oracle: the sparse ``na*C`` / ``buf - base_floor`` write-backs are what
@@ -30,7 +44,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.core import formulas, fluid_solver  # noqa: E402
 from repro.core.config import QAConfig  # noqa: E402
+from repro.core.states import ladder, state  # noqa: E402
 from repro.sim.fluid_batch import FlowClassBatch  # noqa: E402
 
 from tests.sim.test_fluid_batch import assert_same_arrays  # noqa: E402
@@ -109,6 +125,50 @@ def test_the_bound_is_the_requirement_on_part_of_the_flock_range():
                                np.full(rate.size, 4, dtype=np.int64))
     assert dominant[rate == 20_000.0].all()
     assert 0 < dominant.sum() < rate.size
+
+
+# ------------------------------------------------------------- ladder pin
+
+def check_ladder_pin(config, slope, rate, na) -> None:
+    """N = 1: the ladder's K_max requirement, and no more than the
+    scalar fluid solver's."""
+    got = closed_forms(config, slope)._add_requirement(
+        np.array([rate]), np.array([na], dtype=np.int64))
+    k_max = config.k_max
+    built = ladder(rate, config.layer_rate, na, slope, k_max)
+    want = max(state(built, formulas.SCENARIO_ONE, k_max)[0],
+               state(built, formulas.SCENARIO_TWO, k_max)[0],
+               formulas.one_backoff_requirement(
+                   rate, config.consumption(na + 1), slope))
+    assert same_bits(got, np.array([want]))
+    scalar = fluid_solver.add_requirement(rate, config, na, slope,
+                                          base_reserve=0.0)
+    assert got[0] <= np.nextafter(scalar, np.inf)
+
+
+@st.composite
+def ladder_points(draw):
+    layer_rate = draw(st.sampled_from((1000.0, 2500.0)))
+    max_layers = draw(st.integers(1, 8))
+    config = QAConfig(layer_rate=layer_rate, max_layers=max_layers,
+                      k_max=draw(st.integers(1, 5)))
+    # The ladder's k1 needs a positive rate.
+    rate = draw(st.floats(1.0, 4.0 * max_layers * layer_rate))
+    return (config, draw(st.sampled_from(SLOPES)), rate,
+            draw(st.integers(1, max_layers)))
+
+
+@FAST
+@given(point=ladder_points())
+def test_the_batch_requirement_is_the_ladder_s_at_one_flow_fast(point):
+    check_ladder_pin(*point)
+
+
+@pytest.mark.slow
+@WIDE
+@given(point=ladder_points())
+def test_the_batch_requirement_is_the_ladder_s_at_one_flow_wide(point):
+    check_ladder_pin(*point)
 
 
 # ---------------------------------------------------------- uncapped ramp
