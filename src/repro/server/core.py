@@ -12,8 +12,8 @@ code:
 
 - the **packet simulator** (:class:`~repro.server.server.VideoServer`)
   binds a ``RapSource`` and drives ticks from a ``PeriodicSampler``;
-- the **asyncio service** (:mod:`repro.service`) binds a wall-clock
-  RAP pacer and drives ticks from event-loop timers.
+- the **asyncio service** (:mod:`repro.service`) binds a ``RapPacer``
+  and ticks last in each session step, as the sampler does in its instant.
 
 A :class:`SessionTransport` is anything exposing the two live numbers
 the adapter reads between feedback events: the current transmission

@@ -20,7 +20,7 @@ from typing import Optional
 from repro.core.adapter import QualityAdapter
 from repro.core.config import QAConfig
 from repro.media.stream import LayeredStream
-from repro.server.core import SessionCore, SessionTape
+from repro.server.core import SessionCore
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
 from repro.sim.trace import PeriodicSampler
@@ -42,7 +42,6 @@ class VideoServer:
         span_hook=None,
         adapter_cls: type[QualityAdapter] = QualityAdapter,
         transport_cls: type[RapSource] = RapSource,
-        tape: Optional[SessionTape] = None,
     ) -> None:
         self.sim = sim
         self.core = SessionCore(
@@ -53,7 +52,6 @@ class VideoServer:
             on_event=on_event,
             span_hook=span_hook,
             adapter_cls=adapter_cls,
-            tape=tape,
         )
         # Any AIMD transport with RAP's hook signature works here (the
         # paper's section-7 plan); see repro.transport.aimd. The

@@ -12,19 +12,18 @@ Layer map::
 
     repro.core.adapter.QualityAdapter      the paper's mechanism
     repro.server.core.SessionCore          transport-agnostic wiring
-    repro.transport.law.RapLaw             the one AIMD controller
-      |                      |
+    repro.transport.law.RapLaw             the one AIMD controller and
+      |                      |             its send/step/poll deadlines
     repro.server (simulated) repro.service (this package)
-      RapSource: its clock     RapPacer: its clock
-      on Simulator timers      on asyncio deadlines, over UDP
+      RapSource: one Simulator RapPacer: woken on one asyncio
+      event per deadline       timer heap, over UDP
 
 Pieces:
 
 - :mod:`repro.service.protocol` -- the datagram wire format
   (HELLO/WELCOME/DATA/ACK/FIN frames, struct-packed hot path).
 - :mod:`repro.service.pacing` -- :class:`~repro.transport.law.RapLaw`
-  plus send/step/timeout deadlines for a caller-driven clock, an SRTT
-  floor and a rate cap.
+  with an SRTT floor, a rate cap and its own start phase.
 - :mod:`repro.service.impairment` -- a seeded loopback loss/delay/
   token-bucket shim so CI can script congestion without root/netem.
 - :mod:`repro.service.server` -- :class:`StreamingService`, the asyncio

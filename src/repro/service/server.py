@@ -249,12 +249,12 @@ class ServiceSession:
     def step(self, now: float) -> Optional[float]:
         """Run what is due at ``now``; return the next deadline, or None
         once the idle reaper has expired the session."""
+        if self.pacer.send_due(now):
+            self._send_data(now)
         self._apply(self.pacer.advance(now))
         while now >= self._next_tick:
             self.core.tick()
             self._next_tick += self._drain_period
-        if self.pacer.send_due(now):
-            self._send_data(now)
         if now - self.last_heard > self.service.config.session_timeout:
             self.service.expire_session(self)
             return None

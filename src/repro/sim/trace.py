@@ -110,7 +110,9 @@ class TimeSeries:
 
 
 class PeriodicSampler:
-    """Calls ``callback(now)`` every ``period`` seconds until stopped."""
+    """Calls ``callback(now)`` every ``period`` seconds until stopped, at
+    priority 1: after the priority-0 events of its instant, whose end
+    state a tick or a probe then reads."""
 
     def __init__(
         self,
@@ -125,7 +127,7 @@ class PeriodicSampler:
         self.period = period
         self.callback = callback
         self._stopped = False
-        sim.schedule(max(0.0, start - sim.now), self._tick, priority=0)
+        sim.schedule(max(0.0, start - sim.now), self._tick, priority=1)
 
     def stop(self) -> None:
         self._stopped = True
@@ -134,7 +136,7 @@ class PeriodicSampler:
         if self._stopped:
             return
         self.callback(self.sim.now)
-        self.sim.schedule(self.period, self._tick, priority=0)
+        self.sim.schedule(self.period, self._tick, priority=1)
 
 
 class Tracer:

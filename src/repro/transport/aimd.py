@@ -93,10 +93,11 @@ class WindowAimdSource(AimdSource):
     def _timeout_tick(self) -> None:
         if not self._active():
             return
-        if (self._check_timeout().timed_out
-                or self.law.quiet(self.sim.now)):
+        now = self.sim.now
+        if self._timed_out(self.law.poll(now)) or self.law.quiet(now):
             self._fill_window()  # restart a flushed or stalled window
-        self.sim.schedule(self.law.rto / 2, self._timeout_tick, priority=0)
+        self.sim.schedule_at(self.law.next_poll, self._timeout_tick,
+                             priority=0)
 
     def _backoff_fields(self, feedback: Feedback) -> dict[str, object]:
         return {**super()._backoff_fields(feedback), "cwnd": self.cwnd}

@@ -11,11 +11,13 @@ law on top of it (``+P/srtt`` once per SRTT, halve, never below
 the buffer formulas integrate over.
 
 The module is sans-IO: it never reads a clock, schedules a timer or
-imports the simulator, asyncio or the service. The owner passes ``now``
-in and gets a :class:`Feedback` back. The simulator agents
-(:mod:`repro.transport.rap`, :mod:`repro.transport.aimd`) and the UDP
-service's pacer (:mod:`repro.service.pacing`) are clock adapters over
-it, so all three run the same controller.
+imports the simulator, asyncio or the service. It owns its deadlines
+(send slot, additive step, timeout poll; all first due at the ``now`` it
+is built with): the owner wakes it at them, passes ``now`` in and gets a
+:class:`Feedback` back. The simulator agents (:mod:`repro.transport.rap`,
+:mod:`repro.transport.aimd`) and the UDP service's pacer
+(:mod:`repro.service.pacing`) are such owners, so all three run the same
+controller in one order within an instant: send, step(s), poll.
 
 ACKs come from the network, so :meth:`AckLedger.on_ack` treats them as
 hostile: an ACK for a packet that was never sent changes nothing, and an
@@ -101,6 +103,8 @@ class AckLedger:
         #: Unacknowledged packets by seq; insertion order is seq order.
         self.outstanding: dict[int, Sent] = {}
         self.last_ack_time = now
+        #: When the timeout backstop is next checked.
+        self.next_poll = now
         self.backoffs = 0
         self.timeouts = 0
         self.packets_lost = 0
@@ -191,6 +195,17 @@ class AckLedger:
         self._congested(feedback, self.next_seq)
         return feedback
 
+    def poll(self, now: float) -> Feedback:
+        """The timeout backstop, if its poll is due at ``now``."""
+        if now < self.next_poll:
+            return NOTHING
+        # However many polls are due, one check settles them: firing
+        # empties the ledger and restarts the ACK clock.
+        feedback = self.check_timeout(now)
+        while now >= self.next_poll:
+            self.next_poll += self.rto / 2
+        return feedback
+
     def _congested(self, feedback: Feedback, trigger_seq: int) -> None:
         """Count the losses; decrease once per congestion event."""
         self.packets_lost += len(feedback.lost)
@@ -211,14 +226,13 @@ class RapLaw(AckLedger):
     """RAP's rate law over the ledger: the paper's AIMD sawtooth."""
 
     def __init__(self, packet_size: int, now: float,
-                 srtt_init: float = 0.2,
-                 initial_rate: Optional[float] = None,
-                 min_rate: Optional[float] = None) -> None:
+                 srtt_init: float = 0.2) -> None:
         super().__init__(packet_size, now, srtt_init, self._halve)
-        self.min_rate = (min_rate if min_rate is not None
-                         else packet_size / 2.0)  # one packet per 2 s
-        self._rate = max(initial_rate if initial_rate is not None
-                         else packet_size / srtt_init, self.min_rate)
+        self.min_rate = packet_size / 2.0  # one packet per 2 s
+        self._rate = max(packet_size / srtt_init, self.min_rate)
+        #: When the next transmission opportunity and additive step fall.
+        self.next_send = now
+        self.next_step = now
 
     @property
     def rate(self) -> float:
@@ -230,8 +244,34 @@ class RapLaw(AckLedger):
         """Current inter-packet gap in seconds."""
         return self.packet_size / self._rate
 
+    def send_due(self, now: float) -> bool:
+        """Is a transmission opportunity due?"""
+        return now >= self.next_send
+
+    def register_send(self, now: float, meta: dict[str, Any],
+                      size: int) -> int:
+        """Consume the current opportunity with a real packet."""
+        self.next_send = now + self.ipg
+        return self.track(meta, size)
+
+    def skip_send(self, now: float) -> None:
+        """Consume the opportunity with an idle slot (receiver full)."""
+        self.next_send = now + self.ipg
+
+    def advance(self, now: float) -> Feedback:
+        """Run the steps, then the poll, due at ``now``; the owner sends
+        first, so a packet due at a step leaves at the old rate."""
+        while now >= self.next_step:
+            self.additive_increase()
+            self.next_step += self.srtt
+        return self.poll(now)
+
+    def next_deadline(self, now: float) -> float:
+        """Earliest time anything needs to run again."""
+        return min(self.next_send, self.next_step, self.next_poll)
+
     def additive_increase(self) -> None:
-        """The AI of AIMD; the owner calls it once per SRTT."""
+        """The AI of AIMD, once per SRTT."""
         self._rate += self.packet_size / self.srtt
 
     def _halve(self) -> float:

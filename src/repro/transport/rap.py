@@ -2,15 +2,13 @@
 
 RAP is a rate-based, TCP-friendly AIMD congestion controller; this is
 the variant **without** fine-grain (inter-RTT) adaptation, the one the
-paper's quality adaptation analysis assumes. The controller itself is
-:class:`~repro.transport.law.RapLaw`; :class:`RapSource` is its
-simulator clock. It adds three timers and nothing else:
+paper's quality adaptation analysis assumes. The controller and its
+deadlines (send slot, additive step, timeout poll, all first due at
+``start``) are :class:`~repro.transport.law.RapLaw`; :class:`RapSource`
+is its simulator clock: one event at the earliest deadline, which runs
+whatever is due in the law's order.
 
-- *send*: a packet every IPG (``packet_size / rate``) seconds;
-- *step*: the additive increase once per SRTT, first at ``start``;
-- *timeout*: the loss backstop, checked every ``rto / 2``.
-
-ACKs and timer firings are handed to the law, and the
+ACKs and deadlines are handed to the law, and the
 :class:`~repro.transport.law.Feedback` it returns is replayed into the
 flow's stats, the ``on_event`` decision records and the application
 hooks quality adaptation plugs into:
@@ -53,8 +51,8 @@ class AimdSource(TransportAgent):
 
     Start/stop gating, the application hooks, and the replay of the
     law's :class:`~repro.transport.law.Feedback` into stats, decision
-    records and hooks. Subclasses choose the law and own the timers,
-    starting them in ``_start``.
+    records and hooks. Subclasses choose the law and schedule its
+    deadlines, from ``_start`` on.
     """
 
     def __init__(
@@ -132,17 +130,18 @@ class AimdSource(TransportAgent):
             stats.bytes_sent += size
         return True
 
-    def _check_timeout(self) -> Feedback:
-        feedback = self.law.check_timeout(self.sim.now)
-        if feedback.timed_out:
-            self.stats.timeouts += 1
-            if self.on_event is not None:
-                self.on_event(self.sim.now, "transport_timeout", {
-                    "outstanding": len(feedback.lost),
-                    "idle": feedback.idle, "rto": self.law.rto,
-                })
-            feedback.replay(self.on_ack, self._lost, self._backed_off)
-        return feedback
+    def _timed_out(self, feedback: Feedback) -> bool:
+        """Replay a timeout poll; True when the backstop fired."""
+        if not feedback.timed_out:
+            return False
+        self.stats.timeouts += 1
+        if self.on_event is not None:
+            self.on_event(self.sim.now, "transport_timeout", {
+                "outstanding": len(feedback.lost),
+                "idle": feedback.idle, "rto": self.law.rto,
+            })
+        feedback.replay(self.on_ack, self._lost, self._backed_off)
+        return True
 
     def _lost(self, seq: int, meta: dict, size: int) -> None:
         self.stats.packets_lost += 1
@@ -190,8 +189,6 @@ class RapSource(AimdSource):
         peer_name: str,
         flow_id: Optional[int] = None,
         packet_size: int = 1000,
-        initial_rate: Optional[float] = None,
-        min_rate: Optional[float] = None,
         srtt_init: float = 0.2,
         start: float = 0.0,
         stop: Optional[float] = None,
@@ -203,7 +200,7 @@ class RapSource(AimdSource):
     ) -> None:
         super().__init__(
             sim, host, peer_name, flow_id,
-            RapLaw(packet_size, start, srtt_init, initial_rate, min_rate),
+            RapLaw(packet_size, start, srtt_init),
             start, stop, payload_picker, on_ack, on_loss, on_backoff,
             on_event)
         self.min_rate = self.law.min_rate
@@ -218,33 +215,24 @@ class RapSource(AimdSource):
         """Current inter-packet gap in seconds."""
         return self.law.ipg
 
-    def _start(self) -> None:
-        if self._stopped:
-            return
-        self._send_tick()
-        self._step_tick()
-        self._timeout_tick()
-
-    def _send_tick(self) -> None:
-        # _active() inlined: this runs once per packet.
+    def _wake(self) -> None:
+        # _active() inlined and the deadlines compared in place: this
+        # runs once per packet.
         sim = self.sim
+        now = sim.now
         if self._stopped or (self.stop_time is not None
-                             and sim.now >= self.stop_time):
+                             and now >= self.stop_time):
             return
-        self._send_one()
-        sim.schedule(self.law.ipg, self._send_tick, priority=0)
+        law = self.law
+        if now >= law.next_send:
+            self._send_one()
+            law.next_send = now + law.ipg
+        if now >= law.next_step or now >= law.next_poll:
+            self._timed_out(law.advance(now))
+        sim.schedule_at(min(law.next_send, law.next_step, law.next_poll),
+                        self._wake, priority=0)
 
-    def _step_tick(self) -> None:
-        if not self._active():
-            return
-        self.law.additive_increase()
-        self.sim.schedule(self.law.srtt, self._step_tick, priority=0)
-
-    def _timeout_tick(self) -> None:
-        if not self._active():
-            return
-        self._check_timeout()
-        self.sim.schedule(self.law.rto / 2, self._timeout_tick, priority=0)
+    _start = _wake
 
 
 class RapSink(TransportAgent):

@@ -6,7 +6,6 @@ from repro.service.pacing import RapPacer
 
 
 def make(now=0.0, **kw):
-    kw.setdefault("srtt_init", 0.2)
     return RapPacer(500, now, **kw)
 
 

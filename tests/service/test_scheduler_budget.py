@@ -94,7 +94,9 @@ def test_steps_and_wakeups_per_data_frame(monkeypatch):
         loop.close()
     assert all(r.ok for r in results)
     assert counts["wake"] <= counts["step"]
-    # 1.53 steps and 1.45 wake-ups per DATA frame.
-    assert counts == {"step": 2085, "wake": 1972, "data": 1363}
+    # 1.56 steps and 1.47 wake-ups per DATA frame. 2085 / 1972 / 1363
+    # while a step advanced the pacer before sending: a packet due at a
+    # step's instant now leaves at the rate before the increase.
+    assert counts == {"step": 2055, "wake": 1942, "data": 1317}
     assert loop.fleet_timers and loop.most_live == 1
     assert loop.live() == []

@@ -118,6 +118,7 @@ _steps = st.lists(
         st.tuples(st.just("wait"), st.floats(min_value=0.0, max_value=3.0)),
         st.tuples(st.just("step")),
         st.tuples(st.just("timeout")),
+        st.tuples(st.just("advance")),
     ),
     max_size=120,
 )
@@ -143,6 +144,9 @@ def test_any_interleaving_keeps_the_ledger_consistent(make, steps):
             law.additive_increase()
         elif kind == "timeout":
             feedback = law.check_timeout(now)
+        elif kind == "advance":
+            feedback = law.advance(now)
+            assert min(law.next_step, law.next_poll) > now
         elif kind == "ack" and law.next_seq:
             feedback = law.on_ack(step[1] % law.next_seq, step[2], now)
         elif kind == "forge":
