@@ -22,6 +22,9 @@ from repro.core.metrics import QualityMetrics
 from repro.sim.engine import Simulator
 from repro.sim.trace import PeriodicSampler, Tracer
 
+#: Send-and-sample grid of :class:`FluidRun`, in seconds.
+SAMPLE_PERIOD = 0.02
+
 
 class ScriptedAimd:
     """An AIMD rate trajectory with backoffs at scripted times.
@@ -51,20 +54,6 @@ class ScriptedAimd:
     def next_backoff(self) -> Optional[float]:
         """The next pending backoff instant, or None when exhausted."""
         return self._pending[0] if self._pending else None
-
-    def clone(self) -> "ScriptedAimd":
-        """An independent copy of the full current state.
-
-        The fluid engine consumes pending backoffs as it advances;
-        clone before a run to drive a second backend from the same
-        trajectory.
-        """
-        out = ScriptedAimd(self._anchor_rate, self.slope,
-                           min_rate=self.min_rate, max_rate=self.max_rate)
-        out._anchor_rate = self._anchor_rate
-        out._anchor_time = self._anchor_time
-        out._pending = list(self._pending)
-        return out
 
     def backoffs_until(self, t: float) -> list[float]:
         """Consume and return scripted backoff times up to ``t``."""
@@ -102,31 +91,21 @@ class FluidRun:
     """Drive a QualityAdapter with a scripted fluid bandwidth.
 
     Data is credited at send time (oracle feedback) and packets are small
-    (an eighth of the configured packet size by default) so curves are
-    smooth like the paper's sketches.
+    (an eighth of the configured packet size) so curves are smooth like
+    the paper's sketches. Traces are sampled every :data:`SAMPLE_PERIOD`.
     """
 
-    def __init__(
-        self,
-        config: QAConfig,
-        bandwidth: ScriptedAimd,
-        duration: float,
-        quantum: Optional[int] = None,
-        sample_period: float = 0.02,
-        sim: Optional[Simulator] = None,
-    ) -> None:
+    def __init__(self, config: QAConfig, bandwidth: ScriptedAimd,
+                 duration: float) -> None:
         if duration <= 0:
             raise ValueError("duration must be positive")
         self.config = config.with_(
             feedback="oracle",
-            packet_size=quantum or max(1, config.packet_size // 8),
+            packet_size=max(1, config.packet_size // 8),
         )
         self.bandwidth = bandwidth
         self.duration = duration
-        self.sample_period = sample_period
-        # An external simulator lets a scenario host several scripted
-        # flows on one clock; standalone runs keep their private one.
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.tracer = Tracer()
         self.adapter = QualityAdapter(
             self.config,
@@ -138,28 +117,15 @@ class FluidRun:
         )
         self._carry = 0.0
         self._seq = 0
-        self._drained_last = [0.0] * self.config.max_layers
         self._sent_last = [0.0] * self.config.max_layers
-
-    def start(self) -> None:
-        """Schedule the tick and send samplers on the simulator.
-
-        Used directly when the simulator is shared (scenario backend);
-        ``run`` calls it for the standalone case.
-        """
-        PeriodicSampler(self.sim, self.config.drain_period,
-                        lambda _t: self.adapter.tick())
-        PeriodicSampler(self.sim, self.sample_period, self._step)
-
-    def result(self) -> FluidResult:
-        """Traces and adapter state collected so far."""
-        return FluidResult(tracer=self.tracer, adapter=self.adapter)
 
     def run(self) -> FluidResult:
         """Run the scripted scenario to completion and return traces."""
-        self.start()
+        PeriodicSampler(self.sim, self.config.drain_period,
+                        lambda _t: self.adapter.tick())
+        PeriodicSampler(self.sim, SAMPLE_PERIOD, self._step)
         self.sim.run(until=self.duration)
-        return self.result()
+        return FluidResult(tracer=self.tracer, adapter=self.adapter)
 
     # ------------------------------------------------------------ internals
 
@@ -170,7 +136,7 @@ class FluidRun:
             self.adapter.on_backoff(new_rate)
 
         rate = self.bandwidth.rate(now)
-        self._carry += rate * self.sample_period
+        self._carry += rate * SAMPLE_PERIOD
         quantum = self.config.packet_size
         while self._carry >= quantum:
             self._carry -= quantum
@@ -190,6 +156,6 @@ class FluidRun:
             t.record(f"buffer_L{i}", now, level)
             sent = self.adapter.sent_bytes_per_layer[i]
             t.record(f"send_rate_L{i}", now,
-                     (sent - self._sent_last[i]) / self.sample_period)
+                     (sent - self._sent_last[i]) / SAMPLE_PERIOD)
             self._sent_last[i] = sent
         t.record("total_buffer", now, total)

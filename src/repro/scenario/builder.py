@@ -5,7 +5,7 @@ Construction discipline (this is what makes scenarios deterministic):
 1. the topology is built first;
 2. flows are built strictly in ``config.flows`` order — flow ids and
    event sequence numbers follow list position;
-3. flow monitors attach last (read-only taps; they never change a
+3. the flow monitor attaches last (a read-only tap; it never changes a
    packet's fate).
 
 Per-flow randomness comes from ``rng.spawn(label)`` child streams, so a
@@ -16,18 +16,15 @@ flows consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.scenario.result import FlowResult, ScenarioResult
-from repro.core.fluid import FluidRun, ScriptedAimd
-from repro.media.playout import PlayoutStats
 from repro.scenario.specs import (
     CbrFlowSpec,
     FlowSpec,
     QAFlowSpec,
     RapFlowSpec,
     ScenarioConfig,
-    ScriptedQAFlowSpec,
     TcpFlowSpec,
 )
 from repro.server.session import SessionResult, StreamingSession
@@ -35,9 +32,8 @@ from repro.sim.engine import Simulator
 from repro.sim.flowmon import FlowMonitor, jain_index
 from repro.sim.link import Link
 from repro.sim.node import Host
-from repro.sim.parking_lot import ParkingLot, ParkingLotConfig
 from repro.sim.rng import SeededRNG, make_rng
-from repro.sim.topology import Dumbbell, DumbbellConfig
+from repro.sim.topology import Dumbbell
 from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
@@ -67,8 +63,6 @@ class BuiltFlow:
     source: object
     sink: object = None
     session: Optional[StreamingSession] = None
-    #: Populated for scripted_qa flows: the replay driving the adapter.
-    fluid_run: Optional[FluidRun] = None
 
     @property
     def kind(self) -> str:
@@ -79,7 +73,7 @@ class Scenario:
     """Builds and runs one multi-flow scenario from a
 
     :class:`~repro.scenario.specs.ScenarioConfig`. All simulation state
-    (network, flows, monitors) is constructed in ``__init__``; ``run()``
+    (network, flows, monitor) is constructed in ``__init__``; ``run()``
     just advances the clock and collects results.
     """
 
@@ -88,23 +82,18 @@ class Scenario:
         self.rng: SeededRNG = make_rng(config.seed)
         self.sim = Simulator()
         # Shared observability sinks: one causal decision log and one
-        # metrics registry per scenario, fed by every flow and backbone
-        # link. Both are disabled (and cost nothing) unless asked for.
+        # metrics registry per scenario, fed by every flow and the
+        # bottleneck. Both are disabled (and cost nothing) unless asked for.
         self.recorder = FlightRecorder(enabled=config.record_decisions)
         self.metrics = MetricsRegistry(enabled=config.collect_metrics)
         # Span tracing: one recorder per scenario, one deterministic
         # trace per QA flow (ids derive from the seed and flow index,
         # so two same-seed runs produce identical trace ids).
         self.spans = SpanRecorder(enabled=config.trace_spans)
-        self.network: Union[Dumbbell, ParkingLot]
-        if isinstance(config.topology, ParkingLotConfig):
-            self.network = ParkingLot(self.sim, config.topology)
-        else:
-            self.network = Dumbbell(self.sim, replace(
-                config.topology, n_pairs=len(config.flows)))
+        self.network = Dumbbell(self.sim, replace(
+            config.topology, n_pairs=len(config.flows)))
         if config.collect_metrics:
-            for link in self.backbone_links:
-                link.attach_metrics(self.metrics)
+            self.network.bottleneck.attach_metrics(self.metrics)
             self.metrics.register_collector(self._collect_engine)
 
         self.flows: list[BuiltFlow] = []
@@ -116,30 +105,15 @@ class Scenario:
             rng = self.rng.spawn(f"flow{index}:{spec.kind}")
             self.flows.append(self._build_flow(index, spec, rng))
 
-        self.monitors: list[FlowMonitor] = [
-            FlowMonitor(self.sim, link,
-                        sample_period=config.monitor_period)
-            for link in self.backbone_links
-        ]
-        self.monitor = self.monitors[0]
+        self.monitor = FlowMonitor(self.sim, self.network.bottleneck,
+                                   sample_period=config.monitor_period)
 
     # ----------------------------------------------------------- topology
 
     @property
     def backbone_links(self) -> list[Link]:
-        """The congested link(s): dumbbell bottleneck or parking-lot hops."""
-        if isinstance(self.network, ParkingLot):
-            return list(self.network.hops)
+        """The congested links: the dumbbell's one bottleneck."""
         return [self.network.bottleneck]
-
-    def hosts_for(self, index: int) -> tuple[Host, Host]:
-        """(source, sink) hosts for flow slot ``index``."""
-        if isinstance(self.network, ParkingLot):
-            if index == 0:
-                return self.network.e2e_source, self.network.e2e_sink
-            return (self.network.cross_sources[index - 1],
-                    self.network.cross_sinks[index - 1])
-        return self.network.pair(index)
 
     # -------------------------------------------------------------- flows
 
@@ -148,12 +122,10 @@ class Scenario:
 
     def _build_flow(self, index: int, spec: FlowSpec,
                     rng: SeededRNG) -> BuiltFlow:
-        src, dst = self.hosts_for(index)
+        src, dst = self.network.pair(index)
         label = self._label(index, spec)
         if isinstance(spec, QAFlowSpec):
             return self._build_qa(index, spec, label, src, dst)
-        if isinstance(spec, ScriptedQAFlowSpec):
-            return self._build_scripted(index, spec, label)
         if isinstance(spec, RapFlowSpec):
             return self._build_rap(index, spec, label, src, dst, rng)
         if isinstance(spec, TcpFlowSpec):
@@ -227,29 +199,6 @@ class Scenario:
 
         return _collect
 
-    def _build_scripted(self, index: int, spec: ScriptedQAFlowSpec,
-                        label: str) -> BuiltFlow:
-        """A scripted QA replay sharing the scenario clock.
-
-        The flow drives the real adapter with quantized sends at a
-        deterministic trajectory; no packets enter the topology, so it
-        coexists with transport flows without perturbing them. Its
-        flow id is synthetic and negative — the flow monitor never
-        sees it, and ``result()`` reads delivery from the adapter.
-        """
-        run = FluidRun(
-            spec.config,
-            ScriptedAimd(spec.initial_rate, spec.slope,
-                         backoff_times=spec.backoff_times,
-                         max_rate=spec.max_rate),
-            duration=self.config.duration,
-            sample_period=spec.sample_period,
-            sim=self.sim,
-        )
-        run.start()
-        return BuiltFlow(index, spec, label, -(index + 1), 0.0,
-                         run.bandwidth, fluid_run=run)
-
     def _build_rap(self, index: int, spec: RapFlowSpec, label: str,
                    src: Host, dst: Host, rng: SeededRNG) -> BuiltFlow:
         srtt = (spec.srtt_init if spec.srtt_init is not None
@@ -292,31 +241,15 @@ class Scenario:
 
     def result(self) -> ScenarioResult:
         duration = self.config.duration
-        monitor = self.monitor
-        # Scripted replays bypass the topology, so their delivery comes
-        # from the adapter's own send accounting, not the flow monitor.
-        delivered_by_index = {
-            built.index: (
-                int(sum(built.fluid_run.adapter.sent_bytes_per_layer))
-                if built.fluid_run is not None
-                else monitor.bytes_by_flow.get(built.flow_id, 0))
-            for built in self.flows
-        }
-        total = sum(delivered_by_index.values())
+        by_flow = self.monitor.bytes_by_flow
+        delivered_bytes = [by_flow.get(built.flow_id, 0)
+                           for built in self.flows]
+        total = sum(delivered_bytes)
         flow_results: list[FlowResult] = []
-        for built in self.flows:
-            delivered = delivered_by_index[built.index]
+        for built, delivered in zip(self.flows, delivered_bytes):
             session_result: Optional[SessionResult] = None
             if built.session is not None:
                 session_result = built.session.result()
-            elif built.fluid_run is not None:
-                session_result = SessionResult(
-                    tracer=built.fluid_run.tracer,
-                    metrics=built.fluid_run.adapter.metrics,
-                    playout=PlayoutStats(),
-                    duration=duration,
-                    # FluidRun always samples its own tracer.
-                    telemetry_enabled=True)
             flow_results.append(FlowResult(
                 index=built.index,
                 kind=built.kind,
@@ -329,15 +262,13 @@ class Scenario:
                 session=session_result,
             ))
         fairness = jain_index([f.mean_rate for f in flow_results])
-        utilization = [
-            link.bytes_forwarded / (link.bandwidth * duration)
-            for link in self.backbone_links
-        ]
+        bottleneck = self.network.bottleneck
         return ScenarioResult(
             flows=flow_results,
             duration=duration,
             fairness=fairness,
-            link_utilization=utilization,
+            link_utilization=[bottleneck.bytes_forwarded
+                              / (bottleneck.bandwidth * duration)],
         )
 
     def observability(self) -> dict[str, object]:

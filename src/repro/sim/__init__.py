@@ -9,7 +9,6 @@ It provides:
 - :mod:`repro.sim.queues` -- drop-tail (and RED) queues.
 - :mod:`repro.sim.node` -- hosts and routers that forward packets.
 - :mod:`repro.sim.topology` -- canonical dumbbell topology builder.
-- :mod:`repro.sim.parking_lot` -- multi-bottleneck chain topology.
 - :mod:`repro.sim.flowmon` -- per-flow throughput and Jain fairness.
 - :mod:`repro.sim.trace` -- time-series recording of simulation state.
 - :mod:`repro.sim.rng` -- deterministic random-number utilities.
@@ -27,12 +26,13 @@ from repro.sim.link import Link
 from repro.sim.queues import DropTailQueue, REDQueue
 from repro.sim.node import Node, Host, Router
 from repro.sim.topology import Dumbbell, DumbbellConfig
-from repro.sim.parking_lot import ParkingLot, ParkingLotConfig
 from repro.sim.flowmon import FlowMonitor, jain_index
 from repro.sim.trace import TimeSeries, Tracer, PeriodicSampler
-# Fluid modules import repro.core.* which imports repro.sim.engine; keep
-# these imports last so the partially-initialized package already holds
-# every name the core layer needs.
+# The fluid modules import repro.core.*, and repro.core.fluid imports
+# repro.sim.engine and repro.sim.trace back. sim.fluid names the core's
+# ScriptedAimd only for type checking, so neither side needs the other
+# fully initialised and this order is not load-bearing
+# (tests/sim/test_cold_start.py imports repro.core.fluid first).
 from repro.sim.fluid import FluidEngine, FluidFlowResult
 from repro.sim.fluid_batch import BatchResult, FlowClassBatch
 
@@ -50,8 +50,6 @@ __all__ = [
     "Router",
     "Dumbbell",
     "DumbbellConfig",
-    "ParkingLot",
-    "ParkingLotConfig",
     "FlowMonitor",
     "jain_index",
     "TimeSeries",

@@ -36,16 +36,18 @@ pins these claims on the paper-figure scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core import fluid_solver, formulas
 from repro.core.adapter import EventHook
 from repro.core.config import QAConfig
-from repro.core.fluid import ScriptedAimd
 from repro.core.metrics import DropCause, DropEvent, QualityMetrics
 from repro.core.tolerances import TIME_SLACK as _TOL
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2, Seconds
 from repro.sim.trace import Tracer
+
+if TYPE_CHECKING:
+    from repro.core.fluid import ScriptedAimd
 
 #: Phases of the fluid state machine (Figure 3's filling/draining plus
 #: the stalled-base corner the paper calls playback starvation).
@@ -106,11 +108,9 @@ class FluidEngine:
             feedback (nothing in flight, losses impossible) — the same
             conditions :class:`~repro.core.fluid.FluidRun` forces.
         bandwidth: the scripted sawtooth. Mutated during the run (its
-            pending backoffs are consumed); pass ``bandwidth.clone()``
-            to keep the original reusable.
-        duration: simulated seconds.
-        start: flow start time (epochs begin here; playout starts
-            ``config.startup_delay`` later).
+            pending backoffs are consumed), so build one per run.
+        duration: simulated seconds. The flow starts at 0 and playout
+            ``config.startup_delay`` later.
         sample_period: trace sampling grid; ``None`` disables the
             tracer entirely (decision events and metrics still record).
         on_event: optional ``(t, kind, fields)`` hook, fired for
@@ -123,7 +123,6 @@ class FluidEngine:
         config: QAConfig,
         bandwidth: ScriptedAimd,
         duration: float,
-        start: float = 0.0,
         sample_period: Optional[float] = 0.02,
         on_event: Optional[EventHook] = None,
     ) -> None:
@@ -132,17 +131,16 @@ class FluidEngine:
         self.config = config
         self.bandwidth = bandwidth
         self.duration = duration
-        self.start = start
         self.sample_period = sample_period
         self.on_event = on_event
 
         self.tracer = Tracer()
         self.metrics = QualityMetrics()
-        self.t: Seconds = start
+        self.t: Seconds = 0.0
         self.active_layers = 1  # the base layer is always sent
         self.buffer: Bytes = 0.0
         self.playout_started = False
-        self.playout_time: Seconds = start + config.startup_delay
+        self.playout_time: Seconds = config.startup_delay
 
         self.sent_bytes: Bytes = 0.0
         self.consumed_bytes: Bytes = 0.0
@@ -152,7 +150,7 @@ class FluidEngine:
 
         self._stall_since: Optional[Seconds] = None
         self._next_sample: Optional[Seconds] = (
-            start if sample_period is not None else None)
+            0.0 if sample_period is not None else None)
 
     # ------------------------------------------------------------- helpers
 

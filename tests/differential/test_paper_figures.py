@@ -24,33 +24,3 @@ def test_backends_agree_on_paper_figures(case):
     problems = compare_backends(case, case.run_packet(), case.run_fluid())
     assert not problems, "\n".join(problems)
 
-
-def test_scenario_layer_backends_agree_on_mean_quantities():
-    """The same agreement holds one level up, through ScenarioConfig.
-
-    This pins the backend-selection plumbing itself: a scripted spec run
-    via ``backend="fluid"`` vs ``backend="packet"`` must deliver the
-    same mean rate and layers, not just the low-level engines.
-    """
-    from repro.scenario import (
-        ScenarioConfig,
-        ScriptedQAFlowSpec,
-        run_scenario,
-    )
-
-    case = PAPER_CASES[1]  # fig05
-    spec = ScriptedQAFlowSpec(
-        config=case.config, initial_rate=case.initial_rate,
-        slope=case.slope, backoff_times=case.backoff_times,
-        max_rate=case.max_rate)
-    results = {
-        backend: run_scenario(ScenarioConfig(
-            flows=(spec,), duration=case.duration, backend=backend))
-        for backend in ("packet", "fluid")
-    }
-    f_packet = results["packet"].flows[0]
-    f_fluid = results["fluid"].flows[0]
-    assert f_packet.mean_rate == pytest.approx(f_fluid.mean_rate, rel=0.01)
-    assert f_packet.mean_layers() == pytest.approx(
-        f_fluid.mean_layers(), abs=0.15)
-    assert f_fluid.flow_id < 0  # synthetic id, never a transport's

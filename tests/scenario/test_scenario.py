@@ -12,7 +12,6 @@ from repro.scenario import (
     ScenarioConfig,
     TcpFlowSpec,
 )
-from repro.sim.parking_lot import ParkingLotConfig
 from repro.sim.topology import DumbbellConfig
 
 FAST_LINK = DumbbellConfig(bottleneck_bandwidth=60_000.0,
@@ -34,22 +33,14 @@ def test_empty_scenario_is_rejected():
         ScenarioConfig(flows=())
 
 
-def test_parking_lot_flow_count_is_validated():
-    with pytest.raises(ValueError, match="exactly 4 flows"):
-        ScenarioConfig(
-            flows=(QAFlowSpec(), TcpFlowSpec()),
-            topology=ParkingLotConfig(n_hops=3))
-
-
-def test_parking_lot_monitors_every_hop():
-    config = ScenarioConfig(
-        flows=(QAFlowSpec(), TcpFlowSpec(), TcpFlowSpec()),
-        topology=ParkingLotConfig(n_hops=2), duration=5.0)
-    scenario = Scenario(config)
-    assert len(scenario.monitors) == 2
+def test_the_bottleneck_is_monitored_and_its_utilization_reported():
+    scenario = Scenario(ScenarioConfig(
+        flows=(QAFlowSpec(), TcpFlowSpec()),
+        topology=FAST_LINK, duration=5.0))
+    assert scenario.monitor.link is scenario.network.bottleneck
     result = scenario.run()
-    assert len(result.link_utilization) == 2
-    assert result.utilization > 0
+    assert len(result.link_utilization) == 1
+    assert 0 < result.utilization <= 1
 
 
 def test_flow_randomness_depends_only_on_slot_and_kind():

@@ -4,16 +4,21 @@ numpy is needed by :mod:`repro.sim.fluid_batch` alone, and only once a
 batch is built: the entry points, the packet simulator, the scenarios
 and the service must start without it (it was half of their import
 time and a third of their memory).
+
+A module must also import on its own, without the eager
+``repro/__init__`` having loaded its dependencies first.
 """
 
 import json
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 # Loaded before any batch here: the eager reference for the summaries.
 import numpy  # noqa: F401
 
+import repro
 from repro.experiments.flock_scale import batch_config
 from repro.sim.fluid_batch import FlowClassBatch
 
@@ -74,3 +79,21 @@ def test_a_pooled_result_summarises_where_no_batch_was_built():
         "print(json.dumps(result.summary()))\n"
     )
     assert python(snippet, pickle.dumps(result)) == [result.summary()]
+
+
+def test_core_fluid_imports_first_without_the_package_init():
+    # A bare ``repro`` package skips ``repro/__init__``, which would
+    # otherwise import repro.sim (and so repro.sim.fluid) before the
+    # scripted sawtooth's own module and hide a cycle between the two.
+    package = str(Path(repro.__file__).parent)
+    snippet = (
+        "import json, sys, types\n"
+        "bare = types.ModuleType('repro')\n"
+        f"bare.__path__ = [{package!r}]\n"
+        "sys.modules['repro'] = bare\n"
+        "from repro.core.fluid import ScriptedAimd\n"
+        "from repro.sim.fluid import FluidEngine\n"
+        "print(json.dumps([ScriptedAimd.__module__,\n"
+        "                  FluidEngine.__module__]))\n"
+    )
+    assert python(snippet) == [["repro.core.fluid", "repro.sim.fluid"]]
