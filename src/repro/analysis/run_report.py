@@ -101,15 +101,16 @@ def run_scenario(scenario: Scenario) -> float:
 
 
 def _render_timeline(recorder: FlightRecorder) -> str:
+    records = list(recorder)
     counts: dict[str, int] = {}
-    for record in recorder:
+    for record in records:
         counts[record.kind] = counts.get(record.kind, 0) + 1
     lines = [format_kv(
         {k: counts[k] for k in sorted(counts)},
         title=(f"Decision records: {recorder.total_recorded} recorded, "
                f"{recorder.evicted} evicted (capacity "
                f"{recorder.capacity})"))]
-    shown = [r for r in recorder if r.kind in _TIMELINE_KINDS]
+    shown = [r for r in records if r.kind in _TIMELINE_KINDS]
     truncated = len(shown) - _TIMELINE_LIMIT
     if truncated > 0:
         lines.append(f"  ... {truncated} earlier timeline entries "

@@ -65,4 +65,4 @@ class FixedQualityAdapter(QualityAdapter):
 
     def on_backoff(self, new_rate: float) -> None:
         """A non-adaptive server shrugs."""
-        self._emit("backoff", rate=new_rate)
+        self._emit("backoff", (new_rate,))

@@ -40,7 +40,7 @@ helper that may move a layer returns the one current afterwards
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core import formulas
 from repro.core.add_drop import AddDropPolicy
@@ -58,14 +58,12 @@ from repro.core.units import (
     Seconds,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - repro.sim imports repro.core
+    from repro.sim.trace import EventHook
+
 Clock = Callable[[], Seconds]
 RateFn = Callable[[], BytesPerSec]
 SlopeFn = Callable[[], BytesPerSec2]
-#: ``(time, kind, fields)`` decision sink; ``None`` when nobody is
-#: recording, and callers guard. Each event gets a fresh ``fields``
-#: dict that its sinks keep (ownership rule at
-#: :data:`repro.telemetry.recorder.RecorderHook`).
-EventHook = Callable[[float, str, dict[str, object]], None]
 
 
 class QualityAdapter:
@@ -175,9 +173,11 @@ class QualityAdapter:
         else:
             self._slope_avg += 0.05 * (sample - self._slope_avg)
 
-    def _emit(self, kind: str, **fields: object) -> None:
+    def _emit(self, kind: str, values: tuple = ()) -> None:
+        """Hand a decision event to the hook: ``values`` laid out by
+        :data:`repro.sim.trace.EVENT_FIELDS` (one tuple, no mapping)."""
         if self.on_event is not None:
-            self.on_event(self.now_fn(), kind, fields)
+            self.on_event(self.now_fn(), kind, values)
 
     def buffer_levels(self) -> list[Bytes]:
         """Per-layer buffered-byte estimates for the active layers."""
@@ -207,7 +207,7 @@ class QualityAdapter:
         self._invalidate_plan()
         if layer > 0:  # the initial base-layer activation is not an "add"
             self.metrics.record_add(now, layer)
-            self._emit("add", layer=layer, active=self.active_layers)
+            self._emit("add", (layer, self.active_layers))
 
     def _drainable_total(self, levels: list[Bytes]) -> Bytes:
         """Receiver buffering actually available to absorb a deficit:
@@ -243,13 +243,12 @@ class QualityAdapter:
         # (R, na*C, S, sqrt(2*S*buf)) regardless of which critical
         # situation triggered it, so a decision log can always answer
         # "would the rule alone have fired here?".
-        self._emit("drop", layer=layer, cause=cause.value,
-                   active=self.active_layers, buf_drop=buf_drop,
-                   buf_total=buf_total, required=required,
-                   rate=rate, consumption=consumption,
-                   slope=self.slope, drainable=drainable,
-                   threshold=formulas.drop_threshold(self.slope, drainable),
-                   buffers=safety)
+        if self.on_event is not None:
+            slope = self.slope
+            self._emit("drop", (
+                layer, cause.value, self.active_layers, buf_drop,
+                buf_total, required, rate, consumption, slope, drainable,
+                formulas.drop_threshold(slope, drainable), safety))
         if self._frozen_rate is not None:
             self._refreeze_sequence()
         self._invalidate_plan()
@@ -364,11 +363,9 @@ class QualityAdapter:
         self._retransmit_debt[layer] -= self.config.packet_size
         self.retransmitted_bytes += self.config.packet_size
         if self.on_event is not None:
-            self.on_event(self.now_fn(), "retransmit", {
-                "layer": layer,
-                "nbytes": self.config.packet_size,
-                "debt": self._retransmit_debt[layer],
-            })
+            self.on_event(self.now_fn(), "retransmit", (
+                layer, self.config.packet_size,
+                self._retransmit_debt[layer]))
 
     def _start_consumption_if_due(self, layer: int) -> None:
         """Playout of a layer begins once it has a cushion of data.
@@ -395,7 +392,7 @@ class QualityAdapter:
         # phase walks the same path the filling phase climbed.
         self._frozen_rate = max(new_rate * 2.0, self.consumption)
         self._refreeze_sequence()
-        self._emit("backoff", rate=new_rate)
+        self._emit("backoff", (new_rate,))
         self._apply_drop_rule(new_rate, rate,
                               self.buffers.levels(self.active_layers))
         self._invalidate_plan()
@@ -430,22 +427,16 @@ class QualityAdapter:
                 # One causal record per coarse-grain add evaluation (not
                 # per packet: _pick_filling also probes _maybe_add, but
                 # the tick cadence is the decision loop the paper
-                # describes). kmax_margin is the worst layer's headroom
-                # over the Figure-4 targets — negative says why the add
-                # was refused, None means the layer ceiling.
+                # describes). The record's kmax_margin (the worst
+                # layer's headroom over the Figure-4 targets) is worked
+                # out when it is read, from the policy, slope and base
+                # reserve kept here.
                 if added:
                     levels = self.buffer_levels()
-                self.on_event(now, "add_eval", {
-                    "rate": rate,
-                    "average_rate": self.average_rate,
-                    "consumption": self.consumption,
-                    "active": self.active_layers,
-                    "kmax_margin": self.add_drop.kmax_margin(
-                        rate, self.active_layers, levels,
-                        self.slope, base_reserve=self._base_reserve()),
-                    "buffers": levels,
-                    "added": added,
-                })
+                self.on_event(now, "add_eval", (
+                    rate, self.average_rate, self.consumption,
+                    self.active_layers, levels, added, self.add_drop,
+                    self.slope, self._base_reserve()))
         else:
             levels = self._apply_drop_rule(rate, rate, levels)
             self._ensure_plan(now, rate, levels)
@@ -504,16 +495,11 @@ class QualityAdapter:
             keep = self.add_drop.layers_after_drop_rule(
                 rule_rate, total, self.active_layers, self.slope)
             if self.on_event is not None:
-                self.on_event(self.now_fn(), "drop_rule", {
-                    "rate": rule_rate,
-                    "consumption": self.consumption,
-                    "slope": self.slope,
-                    "drainable": total,
-                    "threshold": formulas.drop_threshold(self.slope, total),
-                    "active": self.active_layers,
-                    "keep": keep,
-                    "buffers": self._safety(levels),
-                })
+                slope = self.slope
+                self.on_event(self.now_fn(), "drop_rule", (
+                    rule_rate, self.consumption, slope, total,
+                    formulas.drop_threshold(slope, total),
+                    self.active_layers, keep, self._safety(levels)))
             if keep >= self.active_layers:
                 return levels
             self._drop_top_layer(DropCause.RULE, rate)

@@ -112,7 +112,7 @@ class FluidRun:
             now_fn=lambda: self.sim.now,
             rate_fn=lambda: self.bandwidth.rate(self.sim.now),
             slope_fn=lambda: self.bandwidth.slope,
-            on_event=lambda t, kind, f: self.tracer.events.append(
+            on_event=lambda t, kind, f: self.tracer.log.append(
                 (t, kind, f)),
         )
         self._carry = 0.0

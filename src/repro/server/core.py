@@ -47,31 +47,33 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Protocol, runtime_checkable
 
-from repro.core.adapter import EventHook, QualityAdapter
+from repro.core.adapter import QualityAdapter
 from repro.core.config import QAConfig
 from repro.media.stream import LayeredStream
-from repro.telemetry.tracing import SpanHook
+from repro.sim.trace import EventFields, EventHook
+from repro.telemetry.tracing import SpanSource
 
 
 def _tee_decision_spans(on_event: Optional[EventHook],
-                        span_hook: SpanHook) -> EventHook:
-    """Mirror adapter decision events into instant spans.
+                        spans: SpanSource) -> EventHook:
+    """Mirror adapter decision events into instant ``qa.<kind>`` spans.
 
     The adapter keeps seeing exactly one hook (hook *presence* changes
     its clock-read count, which the session tape pins), so enabling
     spans alongside a recorder does not perturb taped replays of the
-    same wiring. The span and the record share the event's ``fields``,
-    and span names are formatted once per kind.
+    same wiring. The span keeps a reference to the entry the decision
+    sink stored, so the event is kept once; with no sink (or one that
+    returns nothing) the span holds ``(time, kind, fields)`` itself.
     """
-    names: dict[str, str] = {}
+    mirror = spans.mirror
 
-    def _hook(time: float, kind: str, fields: dict[str, object]) -> None:
-        if on_event is not None:
-            on_event(time, kind, fields)
-        name = names.get(kind)
-        if name is None:
-            name = names[kind] = f"qa.{kind}"
-        span_hook(time, time, name, fields)
+    def _hook(time: float, kind: str, fields: EventFields) -> tuple:
+        entry = (on_event(time, kind, fields) if on_event is not None
+                 else None)
+        if entry is None:
+            entry = (time, kind, fields)
+        mirror(entry)
+        return entry
     return _hook
 
 
@@ -195,7 +197,7 @@ class SessionCore:
         stream: Optional[LayeredStream] = None,
         start: float = 0.0,
         on_event: Optional[EventHook] = None,
-        span_hook: Optional[SpanHook] = None,
+        span_hook: Optional[SpanSource] = None,
         adapter_cls: type[QualityAdapter] = QualityAdapter,
         tape: Optional[SessionTape] = None,
     ) -> None:
@@ -301,8 +303,7 @@ class SessionCore:
             return
         t0 = self._span_now()
         self.adapter.tick()
-        span(t0, self._span_now(), "qa.tick",
-             {"active": self.adapter.active_layers})
+        span.tick(t0, self._span_now(), self.adapter.active_layers)
 
     # -------------------------------------------------------------- replay
 

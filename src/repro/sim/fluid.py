@@ -39,12 +39,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core import fluid_solver, formulas
-from repro.core.adapter import EventHook
 from repro.core.config import QAConfig
 from repro.core.metrics import DropCause, DropEvent, QualityMetrics
 from repro.core.tolerances import TIME_SLACK as _TOL
 from repro.core.units import Bytes, BytesPerSec, BytesPerSec2, Seconds
-from repro.sim.trace import Tracer
+from repro.sim.trace import EventHook, Tracer
 
 if TYPE_CHECKING:
     from repro.core.fluid import ScriptedAimd

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.trace import PeriodicSampler, TimeSeries, Tracer
+from repro.sim.trace import (EventFields, EventHook, PeriodicSampler,
+                             TimeSeries, Tracer)
 from repro.telemetry.recorder import FlightRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,35 +77,33 @@ class TelemetryBus:
         if self.enabled:
             self.tracer.log_event(time, kind, **fields)
 
-    def event_hook(
-        self,
-    ) -> Optional[Callable[[float, str, dict[str, object]], None]]:
+    def event_hook(self) -> Optional[EventHook]:
         """An ``on_event(t, kind, fields)`` callable, or None if disabled.
 
         Producers treat ``None`` as "don't even build the event", which
-        keeps the disabled path allocation-free. With an enabled flight
-        recorder attached, events fan out to it as decision records;
-        the recorder keeps working even when the bus itself is disabled
-        (causal log without time-series cost). ``None`` only when both
-        sinks are off. Both sinks keep the producer's ``fields`` mapping
-        itself (the ownership rule at
-        :data:`~repro.telemetry.recorder.RecorderHook`).
+        keeps the disabled path allocation-free. Each event is stored
+        once: with an enabled flight recorder attached, its ring and
+        the tracer's :attr:`~repro.sim.trace.Tracer.log` hold the same
+        ``(t, kind, fields, source)`` entry, and the recorder keeps
+        working even when the bus itself is disabled (causal log
+        without time-series cost). ``None`` only when both sinks are
+        off. The hook returns the entry it stored (the ownership rule
+        at :data:`~repro.telemetry.recorder.RecorderHook`).
         """
+        log = self.tracer.log
         recorder = self.recorder
-        record = (
-            recorder.hook(self.source) if recorder is not None else None
-        )
+        if recorder is not None and recorder.enabled:
+            return recorder.hook(self.source,
+                                 log if self.enabled else None)
         if not self.enabled:
-            return record
-        events = self.tracer.events
-        if record is None:
-            return lambda t, kind, f: events.append((t, kind, f))
+            return None
 
-        def _fan_out(t: float, kind: str, f: dict[str, object]) -> None:
-            events.append((t, kind, f))
-            record(t, kind, f)
+        def _log(t: float, kind: str, fields: EventFields) -> tuple:
+            entry = (t, kind, fields)
+            log.append(entry)
+            return entry
 
-        return _fan_out
+        return _log
 
     # ------------------------------------------------------------ queries
 

@@ -117,7 +117,8 @@ def chrome_trace(
         }
     ]
     if recorder is not None and recorder.enabled:
-        sources = sorted({record.source for record in recorder})
+        records = list(recorder)
+        sources = sorted({record.source for record in records})
         tids = {src: _COUNTER_TID + 1 + i for i, src in enumerate(sources)}
         for src in sources:
             events.append(
@@ -129,7 +130,7 @@ def chrome_trace(
                     "args": {"name": src},
                 }
             )
-        for record in recorder:
+        for record in records:
             events.append(
                 {
                     "name": record.kind,

@@ -3,14 +3,16 @@
 Each probe is a small object with a desired sampling ``period``, the
 names of its ``channels()`` and a ``sample(now)`` method that stores one
 value per channel: names are formatted and looked up on the first sample
-only. A probe's channels share one clock, so a sample instant is stored
-once. Probes are inert until subscribed; a disabled bus registers them
-without ever sampling.
+only. A probe's channels share one ``array('d')`` clock, so a sample
+instant is stored once, and each channel keeps its values in a typed
+array picked by its first sample (:func:`~repro.sim.trace.typed_store`).
+Probes are inert until subscribed; a disabled bus registers them without
+ever sampling.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.sim.link import Link
 from repro.sim.trace import TimeSeries
@@ -28,6 +30,9 @@ class Probe:
         self.period = period
         self.bus: Optional["TelemetryBus"] = None
         self._series: Optional[list[TimeSeries]] = None
+        #: Per channel: its store's ``append`` and the type it last took.
+        self._appends: list[Callable[[Any], None]] = []
+        self._types: list[type] = []
 
     def bind(self, bus: "TelemetryBus") -> None:
         self.bus = bus
@@ -39,13 +44,16 @@ class Probe:
         """Channel names, in the order :meth:`sample` stores values."""
         raise NotImplementedError
 
-    def store(self, now: float, values: Sequence[float]) -> None:
+    def store(self, now: float, values: Sequence[Any]) -> None:
         """Append ``values``, one per channel, at time ``now``.
 
         The first call resolves the channels to their series, so each
         enters ``tracer.series`` with its first sample. The channels
         share one clock (:meth:`~repro.sim.trace.Tracer.lockstep`):
         ``now`` is checked and stored once, then one value per channel.
+        A sample whose value types differ from the last one's (checked
+        once per sample, not per value) moves each channel whose type
+        changed from its array to a list, so reads keep every type.
         """
         series = self._series
         if series is None:
@@ -53,14 +61,29 @@ class Probe:
             assert bus is not None, "probe sampled before subscribe()"
             if not bus.enabled:
                 return
-            series = self._series = bus.tracer.lockstep(self.channels())
+            series = self._series = bus.tracer.lockstep(
+                self.channels(), values)
+            self._appends = [ts.values.append for ts in series]
+            self._types = list(map(type, values))
         times = series[0].times
         if times and now < times[-1]:
             raise ValueError(f"{series[0].name}: time went backwards "
                              f"({now} < {times[-1]})")
+        types = list(map(type, values))
+        if types != self._types:
+            self._loosen(series, types)
         times.append(now)
-        for ts, value in zip(series, values):
-            ts.values.append(value)
+        for append, value in zip(self._appends, values):
+            append(value)
+
+    def _loosen(self, series: list[TimeSeries], types: list[type]) -> None:
+        """Move each channel whose value type changed to a list."""
+        for i, (ts, kind) in enumerate(zip(series, types)):
+            if kind is not self._types[i] and not isinstance(ts.values,
+                                                             list):
+                ts.values = list(ts.values)
+                self._appends[i] = ts.values.append
+        self._types = types
 
 
 class SessionProbe(Probe):

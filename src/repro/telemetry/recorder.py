@@ -10,7 +10,10 @@ margin) and the outcome.
 
 :class:`SignalRing` is the one bounded log in the repo; the span sink
 (:class:`~repro.telemetry.tracing.SpanRecorder`) is the same ring over
-a different entry type. Design constraints, in order:
+a different entry type. Both keep compact tuples and build their entry
+objects (:class:`DecisionRecord`, :class:`~repro.telemetry.tracing.
+Span`) only when something iterates, queries or exports them. Design
+constraints, in order:
 
 - **Seed-stable.** Entries contain only caller-supplied values
   (simulation time, byte counts, rates) plus a monotonic sequence
@@ -35,19 +38,25 @@ from collections import Counter, deque
 from typing import (Callable, Generic, Iterable, Iterator, Mapping,
                     Optional, Protocol, TypeVar, Union)
 
+from repro.sim.trace import EventFields, event_fields
+
 #: Entries every recorder in the repo retains before FIFO eviction.
 RING_CAPACITY = 65536
 
-#: ``(time, kind, fields)`` — what a producer hands the recorder. The
-#: producer's identity (``source``) is bound into the hook itself.
+#: ``(time, kind, fields)`` — what a producer hands the recorder, with
+#: ``fields`` a tuple laid out by :data:`~repro.sim.trace.EVENT_FIELDS`
+#: or a mapping. The producer's identity (``source``) is bound into the
+#: hook itself.
 #:
 #: Ownership, for every signal hook (this one,
-#: :data:`~repro.telemetry.tracing.SpanHook` and
-#: :data:`~repro.core.adapter.EventHook`): a sink keeps the ``fields``
-#: mapping it is handed and never copies it, so one event is one
-#: mapping however many sinks hold it. The producer builds a fresh
-#: mapping for each event and never touches it again.
-RecorderHook = Callable[[float, str, Mapping[str, object]], None]
+#: :class:`~repro.telemetry.tracing.SpanSource` and
+#: :data:`~repro.sim.trace.EventHook`): an event is stored once, as the
+#: entry ``(time, kind, fields, source)`` the hook returns. The ring and
+#: the session's :attr:`~repro.sim.trace.Tracer.log` hold that same
+#: tuple, and a ``qa.*`` span holds a reference to it; records, the
+#: tracer's events and the spans are views built from it on read. The
+#: producer never touches ``fields`` again.
+RecorderHook = Callable[[float, str, EventFields], tuple]
 
 
 class _JsonLine(Protocol):
@@ -72,9 +81,10 @@ class SignalRing(Generic[EntryT]):
 
     :class:`FlightRecorder` (decision records) and
     :class:`~repro.telemetry.tracing.SpanRecorder` (spans) are this
-    ring plus their own entry type and producer hook. Appending stays
-    inline in each producer path — ``_entries.append`` and one
-    ``_accepted`` increment — so the ring adds no call per entry.
+    ring plus their own stored tuple, the view that iteration builds
+    from it and a producer hook. Appending stays inline in each
+    producer path — one ``append`` and one counter increment — so the
+    ring adds no call per entry.
     """
 
     def __init__(self, capacity: int = RING_CAPACITY,
@@ -83,7 +93,7 @@ class SignalRing(Generic[EntryT]):
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.enabled = enabled
-        self._entries: deque[EntryT] = deque(maxlen=capacity)
+        self._entries: deque[tuple] = deque(maxlen=capacity)
         self._accepted = 0
 
     # ------------------------------------------------------------ queries
@@ -92,7 +102,8 @@ class SignalRing(Generic[EntryT]):
         return len(self._entries)
 
     def __iter__(self) -> Iterator[EntryT]:
-        return iter(self._entries)
+        """The retained entries, oldest first, built from the ring."""
+        raise NotImplementedError
 
     @property
     def total_recorded(self) -> int:
@@ -102,7 +113,7 @@ class SignalRing(Generic[EntryT]):
     @property
     def evicted(self) -> int:
         """Entries pushed out of the ring by newer ones."""
-        return self._accepted - len(self._entries)
+        return self.total_recorded - len(self._entries)
 
     # ------------------------------------------------------------- export
 
@@ -110,7 +121,7 @@ class SignalRing(Generic[EntryT]):
         """The retained entries as JSONL (one entry per line)."""
         if not self._entries:
             return ""
-        return "\n".join(e.to_json() for e in self._entries) + "\n"
+        return "\n".join(e.to_json() for e in self) + "\n"
 
     def digest(self) -> str:
         """sha256 of :meth:`to_jsonl` — the run's fingerprint."""
@@ -184,24 +195,35 @@ class DecisionRecord:
 
 
 class FlightRecorder(SignalRing[DecisionRecord]):
-    """The decision log: a :class:`SignalRing` of :class:`DecisionRecord`."""
+    """The decision log: a :class:`SignalRing` of ``(time, kind, fields,
+    source)`` entries, read as :class:`DecisionRecord`.
+
+    A record's ``seq`` is its acceptance index, so it is not stored: the
+    ``i``-th retained entry is record ``evicted + i``.
+    """
 
     # ---------------------------------------------------------- recording
 
-    def hook(self, source: str) -> Optional[RecorderHook]:
+    def hook(self, source: str, log: Optional[list[tuple]] = None
+             ) -> Optional[RecorderHook]:
         """A ``(time, kind, fields)`` recording callable for ``source``.
 
         Returns ``None`` when the recorder is disabled; producers must
-        treat that as "don't even build the record".
+        treat that as "don't even build the record". With ``log`` (a
+        session's :attr:`~repro.sim.trace.Tracer.log`) each entry is
+        appended there too: one tuple, held by both.
         """
         if not self.enabled:
             return None
+        entries = self._entries
 
-        def _record(
-            time: float, kind: str, fields: Mapping[str, object]
-        ) -> None:
-            self.record(time, source, kind, fields)
-
+        def _record(time: float, kind: str, fields: EventFields) -> tuple:
+            entry = (time, kind, fields, source)
+            entries.append(entry)
+            if log is not None:
+                log.append(entry)
+            self._accepted += 1
+            return entry
         return _record
 
     def record(
@@ -209,25 +231,31 @@ class FlightRecorder(SignalRing[DecisionRecord]):
         time: float,
         source: str,
         kind: str,
-        fields: Mapping[str, object],
+        fields: EventFields,
     ) -> None:
         """Append one decision record (dropped when disabled)."""
         if not self.enabled:
             return
-        self._entries.append(
-            DecisionRecord(self._accepted, time, source, kind, fields)
-        )
+        self._entries.append((time, kind, fields, source))
         self._accepted += 1
 
     # ------------------------------------------------------------ queries
+
+    def __iter__(self) -> Iterator[DecisionRecord]:
+        for seq, (time, kind, fields, source) in enumerate(
+                self._entries, self.evicted):
+            yield DecisionRecord(seq, time, source, kind,
+                                 event_fields(kind, fields))
 
     def records_of(self, kind: str, source: Optional[str] = None
                    ) -> list[DecisionRecord]:
         """Retained records of ``kind`` (optionally from one source)."""
         return [
-            r for r in self._entries
-            if r.kind == kind and (source is None or r.source == source)
+            DecisionRecord(seq, time, src, kind, event_fields(kind, fields))
+            for seq, (time, k, fields, src) in enumerate(
+                self._entries, self.evicted)
+            if k == kind and (source is None or src == source)
         ]
 
     def _breakdown(self) -> dict[str, object]:
-        return {"kinds": tally(r.kind for r in self._entries)}
+        return {"kinds": tally(entry[1] for entry in self._entries)}

@@ -19,10 +19,12 @@ correlation layer:
   caller's clock; instant events have ``end == start``).
 - :class:`SpanRecorder` — the bounded sink, the same
   :class:`~repro.telemetry.recorder.SignalRing` the flight recorder is
-  built on. Producers bind a :meth:`~SpanRecorder.span_hook` once per
-  ``(source, context)`` and get ``None`` when recording is disabled,
-  which they guard exactly like ``FlightRecorder.hook`` and the metric
-  hooks, so the hot path stays free when tracing is off.
+  built on. Producers bind a :meth:`~SpanRecorder.span_hook` (a
+  :class:`SpanSource`) once per ``(source, context)`` and get ``None``
+  when recording is disabled, which they guard exactly like
+  ``FlightRecorder.hook`` and the metric hooks, so the hot path stays
+  free when tracing is off. The ring keeps compact tuples and builds
+  :class:`Span` objects only when read.
 
 This module never reads a clock (``telemetry`` is an RL001
 determinism zone): timestamps arrive as hook arguments — simulation
@@ -33,18 +35,11 @@ span recorded through a given hook always gets the same id.
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Callable, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from repro.sim.rng import derive_seed
+from repro.sim.trace import event_fields
 from repro.telemetry.recorder import SignalRing, json_line, tally
-
-#: ``(start, end, name, fields)`` — what a producer hands the recorder.
-#: The producer's identity (``source``) and trace membership
-#: (``TraceContext``) are bound into the hook itself. The span keeps
-#: ``fields`` as handed over (ownership rule at
-#: :data:`~repro.telemetry.recorder.RecorderHook`).
-SpanHook = Callable[[float, float, str, Mapping[str, object]], None]
 
 #: Key under which a trace context travels in HELLO/WELCOME JSON
 #: options — absent entirely when tracing is off, so traced and
@@ -136,42 +131,117 @@ class TraceContext:
         return f"TraceContext({self.trace_id}, {self.span_id})"
 
 
+class SpanSource:
+    """One producer's span hook, bound to a ``(source, context)``.
+
+    Calling it with ``(start, end, name, fields)`` records a span and
+    keeps ``fields`` as handed over (ownership rule at
+    :data:`~repro.telemetry.recorder.RecorderHook`); :meth:`tick` and
+    :meth:`mirror` record the session core's two span shapes without
+    building their fields. Each stores one tuple in its recorder's
+    ring, led by this source:
+
+    - ``(self, start, end, name, fields)`` — any span;
+    - ``(self, t0, t1, active)`` — the session core's ``qa.tick``;
+    - ``(self, entry)`` — an instant ``qa.<kind>`` span over the
+      decision entry ``(time, kind, fields, ...)`` a decision sink kept.
+
+    A span's ``n`` (its place in this source's sequence) is not stored:
+    the ring holds a suffix of every source's spans, so the view counts
+    back from :attr:`recorded`. Span ids are hashed when first read and
+    kept in :attr:`_ids`.
+    """
+
+    __slots__ = ("trace_id", "parent_id", "source", "recorded",
+                 "_ring", "_append", "_ids")
+
+    def __init__(self, recorder: "SpanRecorder", source: str,
+                 context: TraceContext) -> None:
+        self.trace_id = context.trace_id
+        self.parent_id = context.span_id
+        self.source = source
+        self.recorded = 0
+        self._ring = recorder
+        self._append = recorder._entries.append
+        self._ids: dict[int, str] = {}
+
+    def __call__(self, start: float, end: float, name: str,
+                 fields: Mapping[str, object]) -> None:
+        self._append((self, start, end, name, fields))
+        self.recorded += 1
+        self._ring._accepted += 1
+
+    def tick(self, t0: float, t1: float, active: int) -> None:
+        """A ``qa.tick`` over ``[t0, t1]`` with ``active`` layers."""
+        self._append((self, t0, t1, active))
+        self.recorded += 1
+        self._ring._accepted += 1
+
+    def mirror(self, entry: tuple) -> None:
+        """An instant span over a stored decision entry."""
+        self._append((self, entry))
+        self.recorded += 1
+        self._ring._accepted += 1
+
+    def span_id(self, n: int) -> str:
+        """The id of this source's ``n``-th span, a pure function of
+        ``(trace, source, n)``; a span nobody reads by id never pays."""
+        span_id = self._ids.get(n)
+        if span_id is None:
+            span_id = self._ids[n] = _hex_id(
+                int(self.trace_id, 16), self.source, n)
+        return span_id
+
+    def view(self, stored: tuple, n: int) -> "Span":
+        """The :class:`Span` a stored tuple stands for."""
+        if len(stored) == 5:
+            _, start, end, name, fields = stored
+            return Span(self, n, name, start, end, fields)
+        if len(stored) == 4:
+            return Span(self, n, "qa.tick", stored[1], stored[2],
+                        {"active": stored[3]})
+        time, kind, fields = stored[1][:3]
+        return Span(self, n, "qa." + kind, time, time,
+                    event_fields(kind, fields))
+
+
 class Span:
     """One timed operation inside a trace (its source's ``n``-th)."""
 
-    __slots__ = ("trace_id", "n", "parent_id", "source", "name",
-                 "start", "end", "fields", "_span_id")
+    __slots__ = ("_source", "n", "name", "start", "end", "fields")
 
     def __init__(
         self,
-        trace_id: str,
+        source: SpanSource,
         n: int,
-        parent_id: str,
-        source: str,
         name: str,
         start: float,
         end: float,
         fields: Mapping[str, object],
     ) -> None:
-        self.trace_id = trace_id
+        self._source = source
         self.n = n
-        self.parent_id = parent_id
-        self.source = source
         self.name = name
         self.start = start
         self.end = end
         self.fields = fields
-        self._span_id: Optional[str] = None
+
+    @property
+    def trace_id(self) -> str:
+        return self._source.trace_id
+
+    @property
+    def parent_id(self) -> str:
+        return self._source.parent_id
+
+    @property
+    def source(self) -> str:
+        return self._source.source
 
     @property
     def span_id(self) -> str:
-        """A pure function of ``(trace, source, n)``, hashed on first
-        read: a span nobody exports or queries by id never pays it."""
-        span_id = self._span_id
-        if span_id is None:
-            span_id = self._span_id = _hex_id(
-                int(self.trace_id, 16), self.source, self.n)
-        return span_id
+        """Hashed on first read (:meth:`SpanSource.span_id`)."""
+        return self._source.span_id(self.n)
 
     @property
     def duration(self) -> float:
@@ -201,19 +271,20 @@ class Span:
 
 
 class SpanRecorder(SignalRing[Span]):
-    """The span sink: a :class:`SignalRing` of :class:`Span`.
+    """The span sink: a :class:`SignalRing` of :class:`SpanSource`
+    tuples, read as :class:`Span`.
 
-    Span ids derive from the owning trace id, the source and a per-hook
-    counter, so the n-th span a hook records is identical across runs —
-    bind one hook per ``(source, context)`` pair to keep that property.
-    The hook only stores the counter; :attr:`Span.span_id` does the
-    hashing when an export, a merge or a query first reads it.
+    Span ids derive from the owning trace id, the source and the span's
+    place in its hook's sequence, so the n-th span a hook records is
+    identical across runs — bind one hook per ``(source, context)``
+    pair to keep that property. Nothing is hashed while recording; an
+    export, a merge or a query pays on first read.
     """
 
     # ---------------------------------------------------------- recording
 
     def span_hook(self, source: str,
-                  context: TraceContext) -> Optional[SpanHook]:
+                  context: TraceContext) -> Optional[SpanSource]:
         """A ``(start, end, name, fields)`` recording callable.
 
         Returns ``None`` when the recorder is disabled; producers must
@@ -222,26 +293,33 @@ class SpanRecorder(SignalRing[Span]):
         """
         if not self.enabled:
             return None
-        trace_id, parent_id = context.trace_id, context.span_id
-        sequence = count()
-
-        def _record(start: float, end: float, name: str,
-                    fields: Mapping[str, object]) -> None:
-            self._entries.append(Span(
-                trace_id, next(sequence), parent_id,
-                source, name, start, end, fields))
-            self._accepted += 1
-
-        return _record
+        return SpanSource(self, source, context)
 
     # ------------------------------------------------------------ queries
+
+    def __iter__(self) -> Iterator[Span]:
+        """The retained spans, oldest first. Ids cached for spans that
+        have since been evicted are forgotten on the way."""
+        spans = []
+        seen: dict[SpanSource, int] = {}
+        for stored in reversed(self._entries):
+            source = stored[0]
+            back = seen[source] = seen.get(source, 0) + 1
+            spans.append(source.view(stored, source.recorded - back))
+        for source, kept in seen.items():
+            oldest = source.recorded - kept
+            ids = source._ids
+            for n in [n for n in ids if n < oldest]:
+                del ids[n]
+        spans.reverse()
+        return iter(spans)
 
     def spans_of(self, name: Optional[str] = None,
                  source: Optional[str] = None,
                  trace_id: Optional[str] = None) -> list[Span]:
         """Retained spans filtered by name / source / trace."""
         return [
-            s for s in self._entries
+            s for s in self
             if (name is None or s.name == name)
             and (source is None or s.source == source)
             and (trace_id is None or s.trace_id == trace_id)
@@ -249,11 +327,11 @@ class SpanRecorder(SignalRing[Span]):
 
     def trace_ids(self) -> list[str]:
         """Distinct trace ids among retained spans, sorted."""
-        return sorted({s.trace_id for s in self._entries})
+        return sorted({stored[0].trace_id for stored in self._entries})
 
     def _breakdown(self) -> dict[str, object]:
         return {"traces": len(self.trace_ids()),
-                "names": tally(s.name for s in self._entries)}
+                "names": tally(s.name for s in self)}
 
 
 def merge_spans(*recorders: Optional[SpanRecorder]) -> list[Span]:

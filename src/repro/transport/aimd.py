@@ -99,8 +99,8 @@ class WindowAimdSource(AimdSource):
         self.sim.schedule_at(self.law.next_poll, self._timeout_tick,
                              priority=0)
 
-    def _backoff_fields(self, feedback: Feedback) -> dict[str, object]:
-        return {**super()._backoff_fields(feedback), "cwnd": self.cwnd}
+    def _backoff_fields(self, feedback: Feedback) -> tuple:
+        return (*super()._backoff_fields(feedback), self.cwnd)
 
     def receive(self, packet: Packet) -> None:
         if packet.ptype is not ACK:

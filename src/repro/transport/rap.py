@@ -34,6 +34,7 @@ from typing import Callable, Optional
 from repro.sim.engine import Simulator
 from repro.sim.node import Host
 from repro.sim.packet import ACK, DATA, Packet
+from repro.sim.trace import EventHook
 from repro.transport.base import TransportAgent, next_flow_id
 from repro.transport.law import NOTHING, AckLedger, Feedback, PacketHandler, RapLaw
 
@@ -41,9 +42,6 @@ ACK_SIZE = 40
 
 PayloadPicker = Callable[[int], Optional[dict]]
 BackoffHandler = Callable[[float], None]
-#: ``(time, kind, fields)`` decision-record sink (same shape as the
-#: adapter's hook); ``None`` when nobody is recording, and callers guard.
-EventHook = Callable[[float, str, dict[str, object]], None]
 
 
 class AimdSource(TransportAgent):
@@ -136,26 +134,23 @@ class AimdSource(TransportAgent):
             return False
         self.stats.timeouts += 1
         if self.on_event is not None:
-            self.on_event(self.sim.now, "transport_timeout", {
-                "outstanding": len(feedback.lost),
-                "idle": feedback.idle, "rto": self.law.rto,
-            })
+            self.on_event(self.sim.now, "transport_timeout", (
+                len(feedback.lost), feedback.idle, self.law.rto))
         feedback.replay(self.on_ack, self._lost, self._backed_off)
         return True
 
     def _lost(self, seq: int, meta: dict, size: int) -> None:
         self.stats.packets_lost += 1
         if self.on_event is not None:
-            self.on_event(self.sim.now, "transport_loss", {
-                "seq": seq, "size": size,
-                "layer": meta.get("layer"),
-            })
+            self.on_event(self.sim.now, "transport_loss",
+                          (seq, size, meta.get("layer")))
         if self.on_loss is not None:
             self.on_loss(seq, meta, size)
 
-    def _backoff_fields(self, feedback: Feedback) -> dict[str, object]:
-        return {"rate": feedback.backoff_rate, "srtt": self.law.srtt,
-                "trigger_seq": feedback.trigger_seq}
+    def _backoff_fields(self, feedback: Feedback) -> tuple:
+        """A ``transport_backoff``'s values, laid out by
+        :data:`~repro.sim.trace.EVENT_FIELDS`."""
+        return (feedback.backoff_rate, self.law.srtt, feedback.trigger_seq)
 
     def _backed_off(self, feedback: Feedback) -> None:
         self.stats.backoffs += 1

@@ -155,7 +155,8 @@ class TestPinnedScenario:
         assert [f.bytes_delivered for f in result.flows] == [
             193000, 155000, 119000]
         series = {
-            channel: [bus.series(channel).times, bus.series(channel).values]
+            channel: [list(bus.series(channel).times),
+                      list(bus.series(channel).values)]
             for channel in ("bn_qlen", "bn_qbytes", "bn_drops")}
         digest = hashlib.sha256(json.dumps(series).encode()).hexdigest()
         assert digest.startswith("b6fa98c333155e96")

@@ -101,7 +101,7 @@ def test_a_probe_refuses_a_sample_from_the_past_whole(sim):
     with pytest.raises(ValueError, match="hop0_qlen: time went backwards"):
         probe.sample(0.5)
     # One check for the probe's channels, before any of them is written.
-    assert [series.times for series in bus.tracer.series.values()] \
+    assert [list(series.times) for series in bus.tracer.series.values()] \
         == [[1.0]] * 3
 
 
@@ -120,7 +120,7 @@ def test_a_probe_owned_channel_refuses_an_ad_hoc_sample(sim):
         bus.tracer.record("hop0_drops", 2.0, 0.0)
     probe.sample(2.0)
     series = bus.tracer.series
-    assert [(s.times, len(s.values)) for s in series.values()] \
+    assert [(list(s.times), len(s.values)) for s in series.values()] \
         == [([1.0, 2.0], 2)] * 3
     assert series["hop0_qlen"].times is series["hop0_drops"].times
     bus.record("other", 2.0, 1.0)  # a channel no probe owns

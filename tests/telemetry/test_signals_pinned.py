@@ -66,7 +66,8 @@ def test_the_observed_scenario_exports_what_it_did_before():
         sha = hashlib.sha256()
         for name, series in tracer.series.items():
             assert series.name == name
-            sha.update(repr((name, series.times, series.values)).encode())
+            sha.update(repr((name, list(series.times),
+                             list(series.values))).encode())
         metrics = flow.session.server.adapter.metrics
         sessions[flow.label] = (
             sum(len(series.times) for series in tracer.series.values()),
