@@ -158,9 +158,11 @@ class LayerBufferSet:
                 for i in range(active_layers)]
 
     def total(self, active_layers: Optional[int] = None) -> Bytes:
-        """Sum of buffered bytes over the first ``active_layers`` layers."""
+        """Sum of buffered bytes over the first ``active_layers`` layers
+        (``0.0``, a float like every other sum, when there are none)."""
         return sum(self.levels(
-            self.max_layers if active_layers is None else active_layers))
+            self.max_layers if active_layers is None else active_layers),
+            0.0)
 
     def delivered(self, layer: int) -> Bytes:
         """Cumulative bytes credited to ``layer``."""

@@ -20,7 +20,8 @@ closed form:
 
 :mod:`repro.sim.fluid` drives these helpers per flow. The §3.1 add
 requirement and the split read the one Appendix A ladder
-(:func:`repro.core.states.ladder`, through ``kmax_targets``);
+(:func:`repro.core.states.ladder`'s kernel, through ``kmax_targets``,
+or bound once per window by :func:`add_requirement_form`);
 :mod:`repro.sim.fluid_batch` composes the same ladder's ``K_max``
 totals vectorized over numpy arrays for homogeneous flow classes, and
 a property test pins the two bit for bit at N = 1. The packet-vs-fluid
@@ -34,7 +35,7 @@ from typing import Callable, Optional
 
 from repro.core import formulas
 from repro.core.config import QAConfig
-from repro.core.states import kmax_targets
+from repro.core.states import kmax_form, kmax_targets
 
 # Re-exported: every tolerance is defined once, in core.tolerances.
 from repro.core.tolerances import TIME_TOLERANCE as TIME_TOLERANCE
@@ -101,9 +102,9 @@ def add_requirement(rate: BytesPerSec, config: QAConfig,
     :func:`split_total`): every per-layer target of the ``K_max``
     sequence is met, and §2.1's condition 2 (one further backoff with
     the new layer) holds, exactly when the *total* clears this level.
-    Probed at every bracket and bisection step of the add residual, so the
-    targets come from :func:`repro.core.states.kmax_targets` (one flat
-    ladder call), not from a state sequence built per probe.
+    This per-call form is the reference; the fluid add residual binds
+    :func:`add_requirement_form` once per window instead, which returns
+    the same float at every rate (tested with ``==``).
     """
     targets = kmax_targets(
         rate, config.layer_rate, active_layers, slope, config.k_max)
@@ -112,23 +113,28 @@ def add_requirement(rate: BytesPerSec, config: QAConfig,
     return base_reserve + max(formulas.share_sum(targets), condition2)
 
 
-def add_margin(rate: BytesPerSec, total_buffer: Bytes, config: QAConfig,
-               active_layers: int, slope: BytesPerSec2,
-               base_reserve: Bytes) -> Bytes:
-    """Headroom of the add condition; crosses zero when an add fires.
+def add_requirement_form(config: QAConfig, active_layers: int,
+                         slope: BytesPerSec2, base_reserve: Bytes
+                         ) -> Callable[[BytesPerSec], Bytes]:
+    """:func:`add_requirement` bound for one window: ``rate -> bytes``.
 
-    Returns ``-inf``-like negative margin at the layer ceiling and, for
-    the ``buffer_and_rate`` rule, while the instantaneous rate is below
-    the consumption of existing plus new layers.
+    Everything but the rate is fixed while no epoch passes: the
+    sequential triangle's bands (:func:`repro.core.states.kmax_form`),
+    condition 2's consumption ``(na + 1)*C`` and the base reserve are
+    bound here, once, so a probe only walks the ``K_max`` rungs of its
+    rate.
     """
-    if active_layers >= config.max_layers:
-        return -float("inf")
-    if config.add_rule == "buffer_and_rate":
-        if rate < config.consumption(active_layers + 1):
-            return -float("inf")
-    required = add_requirement(rate, config, active_layers, slope,
-                               base_reserve)
-    return total_buffer - required
+    targets_at = kmax_form(
+        config.layer_rate, active_layers, slope, config.k_max)
+    consumption = config.consumption(active_layers + 1)
+    one_backoff, share_sum = (formulas.one_backoff_requirement,
+                              formulas.share_sum)
+
+    def required(rate: BytesPerSec) -> Bytes:
+        return base_reserve + max(share_sum(targets_at(rate)),
+                                  one_backoff(rate, consumption, slope))
+
+    return required
 
 
 def drop_margin(rate: BytesPerSec, consumption: BytesPerSec,

@@ -15,12 +15,17 @@ state it has passed.
 :func:`ladder` computes every state once, with the float expressions of
 eqs A.4-A.5: ``k1``, the scenario-1 state of each k, scenario 2's first
 and sequential triangles, and the per-layer maxima over the states up to
-``K_max``. Everything else reads it:
+``K_max``. One kernel does it in two halves: the sequential triangle's
+bands depend on ``(C, na, S)`` and not on the rate, and one rate walk
+takes ``k1``, the rungs up to ``K_max`` and the maxima. Everything else
+reads it:
 
-- :func:`state` composes any ``(scenario, k)`` state from it;
+- :func:`state` composes any ``(scenario, k)`` state from a ladder;
 - :func:`kmax_targets` is the end of the path, which the add condition
-  (section 3.1), the filling policy's K_max step and the fluid solver
+  (section 3.1), the filling policy's K_max step and the fluid split
   read per call -- a plain function, no sequence and no sort;
+  :func:`kmax_form` binds its rate-free half once, for the fluid add
+  residual's probes;
 - :class:`StateSequence` sorts the states up to ``K_max`` (Figure 9) and
   takes the running maximum (Figure 10), for the draining planner
   (section 4.2) and the analytic figures;
@@ -32,7 +37,8 @@ and sequential triangles, and the per-layer maxima over the states up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterator, Sequence
 
 from repro.core import formulas
 from repro.core.formulas import SCENARIO_ONE, SCENARIO_TWO
@@ -188,42 +194,20 @@ def ladder(rate: BytesPerSec, layer_rate: BytesPerSec,
       scenario 2's state ``k1 + n`` is ``rungs[k1 - 1]`` plus ``n`` of
       them;
     - ``targets``: the per-layer maxima over every state up to ``k_max``
-      in both scenarios, the end of the monotone path. A maximum does not
-      depend on the Figure 9 order, and ``a + n*b`` with ``b >= 0`` never
-      falls as ``n`` grows, so scenario 2 contributes its ``k_max`` state
-      alone.
+      in both scenarios, the end of the monotone path.
 
-    A rung holds only the bands its triangle reaches (the layers above
+    ``sequential`` is the rate-free half (:func:`_rate_free`); ``k1``,
+    the rungs and the targets come from one rate walk (:func:`_walk`),
+    the same code :func:`kmax_targets` and :func:`kmax_form` run. A
+    rung holds only the bands its triangle reaches (the layers above
     hold nothing), cut to ``na`` when repeated additions of C fall short
     of ``na*C`` and the slicer yields a sliver more; :func:`state` pads
     them to ``na`` layers.
     """
-    # k1 validates the rate and the consumption.
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if active_layers < 1:
-        raise ValueError("need at least one active layer")
-    consumption = active_layers * layer_rate
-    k1 = formulas.k1_backoffs(rate, consumption)
-    if slope <= 0:
-        raise ValueError("slope must be positive")
-    two_s = 2.0 * slope
-    targets = [0.0] * active_layers
+    sequential = _rate_free(layer_rate, active_layers, slope, k_max)
     rungs: list[State] = []
-    for k in range(1, max(k_max, k1) + 1):
-        deficit = consumption - rate / (2.0 ** k)
-        bands = formulas.band_shares(
-            deficit, layer_rate, slope)[:active_layers]
-        rungs.append((deficit * deficit / two_s if deficit > 0 else 0.0,
-                      bands))
-        if k <= k_max:
-            _raise_to(targets, bands)
-    half = consumption / 2.0
-    sequential = (half * half / two_s, formulas.band_shares(
-        half, layer_rate, slope)[:active_layers])
-    if k_max > k1:
-        _raise_to(targets, _past_k1(rungs[k1 - 1], sequential,
-                                    k_max - k1)[1])
+    k1, targets = _walk(rate, layer_rate, active_layers, slope, k_max,
+                        sequential[1], rungs)
     return k1, rungs, sequential, tuple(targets)
 
 
@@ -242,7 +226,9 @@ def state(built: Ladder, scenario: int, k: int) -> State:
     if scenario == SCENARIO_ONE or (scenario == SCENARIO_TWO and k <= k1):
         total, shares = rungs[k - 1]
     elif scenario == SCENARIO_TWO:
-        total, shares = _past_k1(rungs[k1 - 1], sequential, k - k1)
+        (first_total, first), (seq_total, seq) = rungs[k1 - 1], sequential
+        total = first_total + (k - k1) * seq_total
+        shares = tuple(_past_k1(first, seq, k - k1))
     else:
         raise ValueError(f"scenario must be 1 or 2, got {scenario}")
     return total, shares + (0.0,) * (len(targets) - len(shares))
@@ -255,25 +241,94 @@ def kmax_targets(rate: BytesPerSec, layer_rate: BytesPerSec,
     allows adding a layer (section 3.1).
 
     Equal, float for float, to ``StateSequence(...).final_targets``
-    (tested with ``==``), with no :class:`BufferState` objects and no
-    sort: the add condition and the fluid solver ask for it per probe.
+    (tested with ``==``), with no :class:`BufferState` objects, no sort
+    and no rung past ``K_max``: the add condition asks for it per call.
     """
-    return ladder(rate, layer_rate, active_layers, slope, k_max)[3]
+    sequential = _rate_free(layer_rate, active_layers, slope, k_max)[1]
+    return tuple(_walk(rate, layer_rate, active_layers, slope, k_max,
+                       sequential)[1])
 
 
-def _raise_to(targets: list[Bytes], shares: Sequence[Bytes]) -> None:
-    """Lift each of ``targets`` to the share of its layer, in place."""
-    for i, share in enumerate(shares):
-        if share > targets[i]:
-            targets[i] = share
+def kmax_form(layer_rate: BytesPerSec, active_layers: int,
+              slope: BytesPerSec2,
+              k_max: int) -> Callable[[BytesPerSec], list[Bytes]]:
+    """:func:`kmax_targets` bound for one ``(C, na, S, K_max)``: ``rate
+    -> targets``, as a list.
+
+    The rate-free half (the checks of these arguments and the
+    sequential triangle's bands) is done here, once; a call is the rate
+    walk alone. The fluid add residual binds one per window and calls
+    it at every probe.
+    """
+    sequential = _rate_free(layer_rate, active_layers, slope, k_max)[1]
+
+    def targets(rate: BytesPerSec) -> list[Bytes]:
+        return _walk(rate, layer_rate, active_layers, slope, k_max,
+                     sequential)[1]
+
+    return targets
 
 
-def _past_k1(first: State, sequential: State, n: int) -> State:
-    """Scenario 2's state ``n`` sequential backoffs past ``k1``; a layer
-    either triangle does not reach adds nothing."""
-    (first_total, first_shares), (seq_total, seq_shares) = first, sequential
-    width = max(len(first_shares), len(seq_shares))
-    first_shares += (0.0,) * (width - len(first_shares))
-    seq_shares += (0.0,) * (width - len(seq_shares))
-    return (first_total + n * seq_total,
-            tuple([a + n * b for a, b in zip(first_shares, seq_shares)]))
+def _rate_free(layer_rate: BytesPerSec, active_layers: int,
+               slope: BytesPerSec2, k_max: int) -> State:
+    """Check the arguments no rate enters, and slice scenario 2's
+    sequential triangle, of height ``na*C/2`` (Figure 14), into bands
+    cut to ``na``."""
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if active_layers < 1:
+        raise ValueError("need at least one active layer")
+    if slope <= 0:
+        raise ValueError("slope must be positive")
+    half = active_layers * layer_rate / 2.0
+    return (half * half / (2.0 * slope), formulas.band_shares(
+        half, layer_rate, slope)[:active_layers])
+
+
+def _walk(rate: BytesPerSec, layer_rate: BytesPerSec, active_layers: int,
+          slope: BytesPerSec2, k_max: int, sequential: tuple[Bytes, ...],
+          rungs: list[State] | None = None) -> tuple[int, list[Bytes]]:
+    """The rate walk: ``(k1, targets)`` for one rate, given the
+    sequential triangle's bands.
+
+    Slices the rungs ``1..K_max``, and lifts ``targets`` to the
+    per-layer maxima over every state up to ``K_max``. A maximum does
+    not depend on the Figure 9 order, and ``a + n*b`` with ``b >= 0``
+    never falls as ``n`` grows, so scenario 2 contributes its ``K_max``
+    state alone: rung ``k1`` plus ``K_max - k1`` sequential triangles.
+    Given ``rungs``, appends ``(total, bands)`` of every rung to it, on
+    to ``k1`` (the filling policy reads scenario 2 up to there).
+    """
+    consumption = active_layers * layer_rate
+    # k1 validates the rate and the consumption.
+    k1 = formulas.k1_backoffs(rate, consumption)
+    targets = [0.0] * active_layers
+    first: tuple[Bytes, ...] = ()
+    for k in range(1, (k_max if rungs is None else max(k_max, k1)) + 1):
+        deficit = consumption - rate / (2.0 ** k)
+        bands = formulas.band_shares(
+            deficit, layer_rate, slope)[:active_layers]
+        if rungs is not None:
+            rungs.append((deficit * deficit / (2.0 * slope)
+                          if deficit > 0 else 0.0, bands))
+        if k > k_max:
+            continue
+        if k == k1:
+            first = bands
+        for i, share in enumerate(bands):
+            if share > targets[i]:
+                targets[i] = share
+    if k_max > k1:
+        for i, share in enumerate(_past_k1(first, sequential, k_max - k1)):
+            if share > targets[i]:
+                targets[i] = share
+    return k1, targets
+
+
+def _past_k1(first: Sequence[Bytes], sequential: Sequence[Bytes],
+             n: int) -> list[Bytes]:
+    """Scenario 2's shares ``n`` sequential backoffs past ``k1``, from
+    rung ``k1``'s; a layer either triangle does not reach adds
+    nothing."""
+    return [a + n * b for a, b in zip_longest(first, sequential,
+                                               fillvalue=0.0)]

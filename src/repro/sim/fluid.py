@@ -59,6 +59,8 @@ _STALL = "stall"
 #: float precision and the run must fail loudly, not spin.
 MAX_EPOCHS = 100_000
 
+_INF = float("inf")
+
 
 @dataclass
 class FluidFlowResult:
@@ -385,14 +387,21 @@ class FluidEngine:
         if na >= config.max_layers:
             return None
         # Everything constant over the window is bound here, so a probe
-        # of the residual is arithmetic only.
-        b0, reserve, slope = self.buffer, config.base_floor_bytes, self.slope
+        # of the residual (the add condition's headroom) is the rate's
+        # arithmetic only. The buffer_and_rate rule also refuses while
+        # the rate is below the consumption with the new layer.
+        b0 = self.buffer
         rate_at, delta = self.bandwidth.rate, self._net_since(t0, cons)
-        add_margin = fluid_solver.add_margin
+        required = fluid_solver.add_requirement_form(
+            config, na, self.slope, config.base_floor_bytes)
+        floor = (config.consumption(na + 1)
+                 if config.add_rule == "buffer_and_rate" else -_INF)
 
         def residual(t: Seconds) -> float:
-            return add_margin(rate_at(t), b0 + delta(t), config, na,
-                              slope, reserve)
+            rate = rate_at(t)
+            if rate < floor:
+                return -_INF
+            return b0 + delta(t) - required(rate)
 
         return fluid_solver.first_crossing(residual, t0, hi)
 

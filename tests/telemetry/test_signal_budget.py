@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import states
+from repro.core import formulas
 from repro.scenario import Scenario, ScenarioConfig
 from repro.sim.trace import Tracer
 from repro.telemetry import TelemetryBus, tracing
@@ -171,15 +171,16 @@ def test_the_tracer_log_and_the_qa_spans_equal_their_views():
 
 def test_no_ladder_is_built_only_to_be_logged(monkeypatch):
     """``add_eval``'s ``kmax_margin`` is worked out when a record is
-    read: running with every signal on builds the Appendix A ladders the
-    mechanism builds with them off, and not one more."""
+    read: running with every signal on walks the Appendix A ladder as
+    often as the mechanism does with them off, and not once more (each
+    rate walk computes ``k1`` once)."""
     built = [0]
 
-    def counted(*args, inner=states.ladder):
+    def counted(*args, inner=formulas.k1_backoffs):
         built[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(states, "ladder", counted)
+    monkeypatch.setattr(formulas, "k1_backoffs", counted)
     counts = {}
     for signals in (True, False):
         scenario = Scenario(observed_config(signals))
