@@ -171,3 +171,8 @@ class LayerBufferSet:
     def consumed(self, layer: int) -> Bytes:
         """Cumulative bytes the decoder has consumed from ``layer``."""
         return self._consumed[layer]
+
+    def counters(self) -> tuple[list[Bytes], list[Bytes]]:
+        """The live per-layer ``(delivered, consumed)`` lists, for a
+        reader that walks every layer at once; callers never write them."""
+        return self._delivered, self._consumed

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core import formulas
 from repro.core.config import QAConfig
@@ -93,6 +93,71 @@ def scripted_backoffs(seed: int, flow_index: int, duration: float,
         gap = mean_interval * (1.0 + jitter * (2.0 * rng.random() - 1.0))
         t += max(min_gap, gap)
     return times
+
+
+#: Flows whose uniforms :func:`backoff_table` draws per pass: bounds the
+#: pass's word buffer and temporaries, not the result.
+_TABLE_ROWS = 1024
+#: CPython's ``random()``: ``(a * 2**26 + b) * 2**-53`` from the top 27
+#: and 26 bits of two consecutive 32-bit Mersenne Twister outputs.
+_HIGH_SCALE = 67108864.0
+_UNIT = 1.0 / 9007199254740992.0
+
+
+def backoff_table(seed: int, n_flows: int, duration: float,
+                  mean_interval: float, min_gap: float,
+                  jitter: float = 0.3) -> np.ndarray:
+    """Flows ``0..n_flows-1``'s :func:`scripted_backoffs`, as one table.
+
+    Row ``i`` holds flow ``i``'s script padded with ``inf``, equal to
+    the list to the last bit; the table is as wide as the widest script
+    (at least one column). Each flow's stream is still its own
+    ``SeededRNG``, read as raw words (``randbytes``: the same outputs,
+    in order, that ``random()`` consumes) and turned into uniforms,
+    first instants, gaps and running sums by the same IEEE operations
+    in the same order as the per-flow loop — no float is boxed. A row
+    draws a fixed number of uniforms, bounded by the narrowest gap;
+    drawing past a script's end touches only that flow's private
+    stream, so rows do not depend on which other flows share the table.
+    """
+    _load_numpy()
+    narrowest = max(min_gap, mean_interval * (1.0 - abs(jitter)))
+    if not narrowest > 0.0:
+        raise ValueError("min_gap or 1 - jitter must be positive")
+    # The first instant, a gap per backoff before ``duration``, the gap
+    # that crosses it, and one more for rounding in the running sum.
+    draws = max(0, int(duration / narrowest)) + 3
+    table = np.empty((n_flows, draws))
+    words = np.empty((min(_TABLE_ROWS, n_flows), 2 * draws), dtype="<u4")
+    width = 1
+    for lo in range(0, n_flows, _TABLE_ROWS):
+        rows = table[lo:lo + _TABLE_ROWS]
+        chunk = words[:len(rows)]
+        for row in range(len(rows)):
+            rng = SeededRNG(derive_seed(seed, "fluid-batch-flow", lo + row))
+            chunk[row] = np.frombuffer(rng.randbytes(8 * draws), "<u4")
+        np.multiply(chunk[:, 0::2] >> 5, _HIGH_SCALE, out=rows)
+        rows += chunk[:, 1::2] >> 6
+        rows *= _UNIT
+        first = rows[:, 0]
+        first *= 0.8
+        first += 0.2
+        first *= mean_interval
+        gaps = rows[:, 1:]
+        gaps *= 2.0
+        gaps -= 1.0
+        gaps *= jitter
+        gaps += 1.0
+        gaps *= mean_interval
+        np.maximum(gaps, min_gap, out=gaps)
+        np.cumsum(rows, axis=1, out=rows)
+        if (rows[:, -1] < duration).any():
+            raise ValueError(
+                f"a backoff script outgrew its {draws - 1} columns")
+        past = rows >= duration
+        rows[past] = np.inf
+        width = max(width, draws - int(past.all(axis=0).sum()))
+    return table[:, :width].copy()
 
 
 @dataclass
@@ -144,8 +209,9 @@ class FlowClassBatch:
         slope: shared AIMD slope S (bytes/s^2).
         initial_rate: per-flow start rates, shape ``(n_flows,)`` (or a
             scalar broadcast to all).
-        backoff_times: per-flow scripts as a padded 2D array — row i
-            holds flow i's backoff instants, padded with ``np.inf``.
+        backoff_times: per-flow scripts as a padded 2D array (or nested
+            lists) — row i holds flow i's backoff instants, padded with
+            ``np.inf``.
             Consecutive entries in a row must be at least ``2 * step``
             apart (one backoff per window).
         duration: simulated seconds.
@@ -160,7 +226,7 @@ class FlowClassBatch:
         n_flows: int,
         slope: float,
         initial_rate: "np.ndarray | float",
-        backoff_times: np.ndarray,
+        backoff_times: "np.ndarray | Sequence[Sequence[float]]",
         duration: float,
         step: float = DEFAULT_STEP,
         max_rate: Optional[float] = None,
@@ -185,13 +251,13 @@ class FlowClassBatch:
         self.min_rate = float(min_rate)
         self.rate = np.broadcast_to(
             np.asarray(initial_rate, dtype=np.float64), (n_flows,)).copy()
-        if backoff_times.ndim != 2 or backoff_times.shape[0] != n_flows:
-            raise ValueError("backoff_times must be (n_flows, k)")
         self.backoffs = np.asarray(backoff_times, dtype=np.float64)
+        if self.backoffs.ndim != 2 or self.backoffs.shape[0] != n_flows:
+            raise ValueError("backoff_times must be (n_flows, k)")
         with np.errstate(invalid="ignore"):  # inf-padded rows: inf - inf
             gaps = np.diff(self.backoffs, axis=1)
-        finite = np.isfinite(gaps)
-        if finite.any() and float(gaps[finite].min()) < 2.0 * self.step:
+        closest = gaps.min(where=np.isfinite(gaps), initial=np.inf)
+        if closest < 2.0 * self.step:
             raise ValueError(
                 "backoff scripts need >= 2*step spacing per flow")
         #: 2.0 ** k for k in 0..k_max, exact: the k1 halvings' divisors.
@@ -212,18 +278,11 @@ class FlowClassBatch:
         """A class of flows oscillating around a fair share.
 
         Per-flow backoff phases come from index-keyed derived seeds, so
-        the class is identical however it is partitioned into batches.
+        the class is identical however it is partitioned into batches;
+        the scripts are built as one table (:func:`backoff_table`).
         """
-        _load_numpy()
-        scripts = [
-            scripted_backoffs(seed, i, duration, mean_backoff_interval,
-                              min_gap=2.0 * step)
-            for i in range(n_flows)
-        ]
-        width = max(1, max(len(s) for s in scripts))
-        padded = np.full((n_flows, width), np.inf, dtype=np.float64)
-        for i, script in enumerate(scripts):
-            padded[i, :len(script)] = script
+        padded = backoff_table(seed, n_flows, duration,
+                               mean_backoff_interval, min_gap=2.0 * step)
         return cls(
             config, n_flows, slope,
             initial_rate=fair_share,

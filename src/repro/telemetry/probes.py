@@ -51,9 +51,8 @@ class Probe:
         enters ``tracer.series`` with its first sample. The channels
         share one clock (:meth:`~repro.sim.trace.Tracer.lockstep`):
         ``now`` is checked and stored once, then one value per channel.
-        A sample whose value types differ from the last one's (checked
-        once per sample, not per value) moves each channel whose type
-        changed from its array to a list, so reads keep every type.
+        A value whose type differs from its channel's last one moves
+        that channel from its array to a list, so reads keep every type.
         """
         series = self._series
         if series is None:
@@ -69,21 +68,26 @@ class Probe:
         if times and now < times[-1]:
             raise ValueError(f"{series[0].name}: time went backwards "
                              f"({now} < {times[-1]})")
-        types = list(map(type, values))
-        if types != self._types:
-            self._loosen(series, types)
         times.append(now)
-        for append, value in zip(self._appends, values):
+        for append, kind, value in zip(self._appends, self._types, values):
+            if type(value) is not kind:
+                append = self._loosen(append, type(value))
             append(value)
 
-    def _loosen(self, series: list[TimeSeries], types: list[type]) -> None:
-        """Move each channel whose value type changed to a list."""
-        for i, (ts, kind) in enumerate(zip(series, types)):
-            if kind is not self._types[i] and not isinstance(ts.values,
-                                                             list):
-                ts.values = list(ts.values)
-                self._appends[i] = ts.values.append
-        self._types = types
+    def _loosen(self, append: Callable[[Any], None],
+                kind: type) -> Callable[[Any], None]:
+        """Move the channel ``append`` stores to, whose value type
+        changed, to a list."""
+        assert self._series is not None
+        # Bound methods compare by the object they are bound to, so this
+        # finds the channel without counting channels on every sample.
+        channel = self._appends.index(append)
+        ts = self._series[channel]
+        if not isinstance(ts.values, list):
+            ts.values = list(ts.values)
+            self._appends[channel] = ts.values.append
+        self._types[channel] = kind
+        return self._appends[channel]
 
 
 class SessionProbe(Probe):
@@ -135,19 +139,28 @@ class SessionProbe(Probe):
         values = [rap.rate, adapter.consumption, adapter.active_layers,
                   playout.total_buffered(), rap.srtt]
         dt = self.period
-        for i in range(self.server.config.max_layers):
-            sent = adapter.sent_bytes_per_layer[i]
-            consumed = playout.buffers.consumed(i)
-            delivered = playout.buffers.delivered(i)
+        # One pass over the live per-layer counters: sent, the client's
+        # delivered/consumed, and the server's estimate of the same.
+        sent = adapter.sent_bytes_per_layer
+        delivered, consumed = playout.buffers.counters()
+        est_delivered, est_consumed = adapter.buffers.counters()
+        for now_sent, now_got, now_played, est_got, est_played, \
+                last_sent, last_got, last_played in zip(
+                    sent, delivered, consumed, est_delivered, est_consumed,
+                    self._last_sent, self._last_delivered,
+                    self._last_consumed):
+            level = now_got - now_played
+            estimate = est_got - est_played
             values += (
-                (sent - self._last_sent[i]) / dt,
-                max(0.0, (consumed - self._last_consumed[i])
-                    - (delivered - self._last_delivered[i])) / dt,
-                playout.level(i),
-                adapter.buffers.level(i))
-            self._last_sent[i] = sent
-            self._last_consumed[i] = consumed
-            self._last_delivered[i] = delivered
+                (now_sent - last_sent) / dt,
+                max(0.0, (now_played - last_played)
+                    - (now_got - last_got)) / dt,
+                level if level > 0.0 else 0.0,
+                estimate if estimate > 0.0 else 0.0)
+        layers = len(self._last_sent)
+        self._last_sent = sent[:layers]
+        self._last_delivered = delivered[:layers]
+        self._last_consumed = consumed[:layers]
         self.store(now, values)
 
 

@@ -29,6 +29,15 @@ def test_rejects_bad_shapes_and_spacing():
     with pytest.raises(ValueError):
         FlowClassBatch(CONFIG, 4, 1000.0, 20_000.0, tight, 10.0,
                        step=0.1)
+    # Nested lists are converted before the shape is checked.
+    with pytest.raises(ValueError, match="n_flows, k"):
+        FlowClassBatch(CONFIG, 4, 1000.0, 20_000.0, [[np.inf]] * 3, 10.0)
+    with pytest.raises(ValueError, match="n_flows, k"):
+        FlowClassBatch(CONFIG, 4, 1000.0, 20_000.0, [np.inf] * 4, 10.0)
+    assert np.array_equal(
+        FlowClassBatch(CONFIG, 2, 1000.0, 20_000.0, [[1.0, np.inf],
+                                                     [2.0, 3.0]],
+                       10.0).backoffs, [[1.0, np.inf], [2.0, 3.0]])
 
 
 @pytest.mark.parametrize("field, value", [
