@@ -13,7 +13,8 @@ code:
 - the **packet simulator** (:class:`~repro.server.server.VideoServer`)
   binds a ``RapSource`` and drives ticks from a ``PeriodicSampler``;
 - the **asyncio service** (:mod:`repro.service`) binds a ``RapPacer``
-  and ticks last in each session step, as the sampler does in its instant.
+  and ticks last at each instant the session runs, as the sampler does
+  in its instant.
 
 A :class:`SessionTransport` is anything exposing the two live numbers
 the adapter reads between feedback events: the current transmission

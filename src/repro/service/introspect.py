@@ -15,8 +15,10 @@ loop and answers three read-only endpoints while sessions stream:
   otherwise; the body carries the sanitizer's live report either way.
 
 Everything is computed on demand from live objects — no background
-task, no state of its own — so attaching the listener never perturbs
-pacing. Each connection serves one request and closes (``Connection:
+task, no state of its own. ``/sessions`` settles each session to the
+request's instant before reading it (a session runs its steps, polls
+and ticks lazily); settling runs only what was already due, each at its
+own instant, so attaching the listener never perturbs pacing. Each connection serves one request and closes (``Connection:
 close``), which keeps the handler free of keep-alive bookkeeping.
 """
 
@@ -170,12 +172,13 @@ class IntrospectionServer:
         return 200, _PROM_TYPE, metrics.to_prometheus().encode()
 
     def sessions_snapshot(self) -> dict:
-        """The live per-session state, JSON-shaped."""
+        """The live per-session state at ``now``, JSON-shaped."""
         service = self.service
         now = service.now()
         sessions = []
         for session_id in sorted(service.sessions):
             session = service.sessions[session_id]
+            session.settle(now)
             adapter = session.core.adapter
             active = adapter.active_layers
             sessions.append({

@@ -1,9 +1,11 @@
 """The service's clock over the shared RAP controller.
 
 :class:`RapPacer` *is* :class:`~repro.transport.law.RapLaw`, deadlines
-included; the service wakes it at :meth:`~RapLaw.next_deadline`, sends
-if :meth:`~RapLaw.send_due`, then calls :meth:`~RapLaw.advance` and
-replays the :class:`~repro.transport.law.Feedback` into
+included; the service wakes it at its send slot (``next_send``), first
+calling :meth:`~RapLaw.advance` at each step or poll instant due before
+it, sends if :meth:`~RapLaw.send_due`, then calls
+:meth:`~RapLaw.advance` again and replays each
+:class:`~repro.transport.law.Feedback` into
 :class:`~repro.server.core.SessionCore`. No I/O, no asyncio, no
 wall-clock reads happen here, which keeps it unit testable with a
 scripted clock. What it adds is service-specific:

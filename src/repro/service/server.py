@@ -5,16 +5,26 @@ many sessions: each HELLO spawns a :class:`ServiceSession` owning one
 :class:`~repro.server.core.SessionCore` (the paper's quality adapter
 plus feedback wiring — the same object the simulator drives) and one
 :class:`~repro.service.pacing.RapPacer` (the sans-IO AIMD controller).
-Sessions are steppers: :meth:`ServiceSession.step` runs what is due and
-returns its next deadline, and one scheduler task steps every session
-due on a ``(deadline, seq, session)`` heap. The shared
-``datagram_received`` dispatches ACK/FIN feedback to the owning session
-by session id, and only when it comes from that session's own address.
+Sessions are steppers woken only to send: :meth:`ServiceSession.step`
+runs one send slot and returns the next one (or the idle reaper's
+deadline, if sooner), and one scheduler task steps every session due on
+a ``(deadline, seq, session)`` heap. The AIMD steps, timeout polls and
+adapter ticks between two slots change only session state, so the
+session runs them lazily: :meth:`ServiceSession.settle` runs each one
+due before a given instant at its own instant, in the instant order
+send, step(s), poll, tick. Whatever reads a session (its next slot, an
+ACK, FIN, expiry, ``close()``, the introspection snapshot) settles it
+first. The shared ``datagram_received`` dispatches ACK/FIN feedback to
+the owning session by session id, and only when it comes from that
+session's own address.
 
 Clocking: every timestamp is *service-relative* — ``loop.time() - t0``
 — so decision records and FIN_ACK summaries read like simulation
 traces (seconds from service start), and DATA ``send_ts`` echoes stay
-small enough for the wire format.
+small enough for the wire format. Each session's core reads the
+session's own clock, the instant the session is processing: a send
+slot's or an ACK's arrival time, or the nominal instant of a step,
+poll or tick being settled.
 
 Backpressure: each session owns a bounded outbox. When the event loop
 pauses writing (socket buffer full) frames queue there; a full outbox
@@ -33,6 +43,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.core.config import QAConfig
@@ -136,6 +147,19 @@ def session_summary(core: SessionCore, pacer: RapPacer) -> dict:
     }
 
 
+class _Clock:
+    """The instant a session is processing; its core reads ``now``.
+
+    A cell of its own, read through ``partial(getattr, ...)``: a clock
+    bound to the session would tie session and core into a cycle.
+    """
+
+    __slots__ = ("now",)
+
+    def __init__(self, now: float) -> None:
+        self.now = now
+
+
 class ServiceSession:
     """One client's stream: SessionCore + RapPacer, stepped by the service."""
 
@@ -159,8 +183,9 @@ class ServiceSession:
             service.spans.span_hook(self.label, self.trace)
             if service.spans is not None and self.trace is not None
             else None)
+        self._clock = clock = _Clock(now)
         self.core = SessionCore(
-            cfg.qa, now_fn=service.now, start=now,
+            cfg.qa, now_fn=partial(getattr, clock, "now"), start=now,
             on_event=recorder_hook, span_hook=self._span)
         # The pacer *is* a SessionTransport: it exposes rate and slope.
         self.pacer = RapPacer(
@@ -180,6 +205,9 @@ class ServiceSession:
         self.done = False
         self._drain_period = self.core.config.drain_period
         self._next_tick = now + self._drain_period
+        #: A silent session is stepped this long after it was last
+        #: heard from, so the reaper fires within one drain period.
+        self._reap_after = cfg.session_timeout + self._drain_period
 
     # ------------------------------------------------------------ sending
 
@@ -225,15 +253,16 @@ class ServiceSession:
         self.core.on_backoff(feedback.backoff_rate)
         span = self._span
         if span is not None:
-            now = self.service.now()
+            now = self._clock.now
             span(now, now, "pacer.backoff", {
                 "rate": feedback.backoff_rate,
                 "lost": len(feedback.lost),
                 "timeout": feedback.timed_out,
             })
 
-    def handle_ack(self, frame: protocol.AckFrame) -> None:
-        now = self.service.now()
+    def handle_ack(self, frame: protocol.AckFrame, now: float) -> None:
+        self.settle(now)
+        self._clock.now = now
         # The pacer protects itself from an impossible ACK either way;
         # here it only decides what the service counts and measures.
         if self.pacer.plausible(frame.acked_seq, frame.echo_ts, now):
@@ -246,19 +275,41 @@ class ServiceSession:
 
     # ---------------------------------------------------------- stepping
 
-    def step(self, now: float) -> Optional[float]:
-        """Run what is due at ``now``; return the next deadline, or None
-        once the idle reaper has expired the session."""
-        if self.pacer.send_due(now):
-            self._send_data(now)
+    def _run_due(self, now: float) -> None:
+        """The additive step(s), the timeout poll, then the adapter
+        tick, each if due at ``now``."""
         self._apply(self.pacer.advance(now))
         while now >= self._next_tick:
             self.core.tick()
             self._next_tick += self._drain_period
+
+    def settle(self, now: float) -> None:
+        """Run every step, poll and tick due strictly before ``now``,
+        each at its own instant, earliest first."""
+        pacer, clock = self.pacer, self._clock
+        while True:
+            at = min(pacer.next_step, pacer.next_poll, self._next_tick)
+            if at >= now:
+                return
+            clock.now = at
+            self._run_due(at)
+
+    def step(self, now: float) -> Optional[float]:
+        """Settle, send if the slot is due, run what else is due at
+        ``now``; return the next send slot (or the reaper's deadline if
+        sooner), or None once the idle reaper has expired the
+        session."""
+        pacer = self.pacer
+        self.settle(now)
+        self._clock.now = now
+        if pacer.send_due(now):
+            self._send_data(now)
+        if min(pacer.next_step, pacer.next_poll, self._next_tick) <= now:
+            self._run_due(now)
         if now - self.last_heard > self.service.config.session_timeout:
             self.service.expire_session(self)
             return None
-        return min(self.pacer.next_deadline(now), self._next_tick)
+        return min(pacer.next_send, self.last_heard + self._reap_after)
 
     def finish(self) -> None:
         """Stop stepping; the scheduler drops the heap entry when due."""
@@ -360,7 +411,7 @@ class StreamingService(asyncio.DatagramProtocol):
         return self.transport.get_extra_info("sockname")[1]
 
     def now(self) -> float:
-        """Service-relative seconds (the session clock)."""
+        """Service-relative seconds: the loop clock sessions are woken on."""
         assert self._loop is not None
         return self._loop.time() - self._t0
 
@@ -370,13 +421,19 @@ class StreamingService(asyncio.DatagramProtocol):
         return self.transport is not None and not self._closed
 
     async def close(self) -> None:
-        """Graceful shutdown: stop the scheduler, close the socket."""
+        """Graceful shutdown: settle and finish every live session, stop
+        the scheduler, close the socket."""
         if self._closed:
             return
         self._closed = True
         if self._timer is not None:
             self._timer.cancel()
         self._heap.clear()
+        if self.sessions:
+            now = self.now()
+            for session in self.sessions.values():
+                session.settle(now)
+                session.finish()
         self.sessions.clear()
         self._by_addr.clear()
         if self._scheduler is not None:
@@ -400,14 +457,14 @@ class StreamingService(asyncio.DatagramProtocol):
         wake, one loop iteration later, so datagrams still interleave
         and no session starves the rest.
         """
-        loop, heap = asyncio.get_running_loop(), self._heap
+        loop, heap, t0 = asyncio.get_running_loop(), self._heap, self._t0
         while True:
-            if heap and heap[0][0] <= self.now():
+            if heap and heap[0][0] <= loop.time() - t0:
                 await asyncio.sleep(0)
             else:
                 self._woken = woken = loop.create_future()
                 if heap:
-                    self._timer = loop.call_at(self._t0 + heap[0][0],
+                    self._timer = loop.call_at(t0 + heap[0][0],
                                                woken.set_result, None)
                 await woken
             self._wake()
@@ -494,9 +551,8 @@ class StreamingService(asyncio.DatagramProtocol):
         except protocol.ProtocolError:
             self.count("malformed_frames")
             return
-        if isinstance(frame, protocol.HelloFrame):
-            self._handle_hello(frame, addr)
-        elif isinstance(frame, protocol.AckFrame):
+        # ACKs far outnumber all other frames, so they are tested first.
+        if isinstance(frame, protocol.AckFrame):
             session = self.sessions.get(frame.session_id)
             if session is None or session.done:
                 return
@@ -504,7 +560,9 @@ class StreamingService(asyncio.DatagramProtocol):
                 self.count("malformed_frames")  # spoofed feedback
                 return
             self.count("acks_received")
-            session.handle_ack(frame)
+            session.handle_ack(frame, self.now())
+        elif isinstance(frame, protocol.HelloFrame):
+            self._handle_hello(frame, addr)
         elif isinstance(frame, protocol.FinFrame):
             self._handle_fin(frame, addr)
         else:
@@ -575,8 +633,10 @@ class StreamingService(asyncio.DatagramProtocol):
         if addr != session.addr:
             self.count("malformed_frames")  # spoofed teardown
             return
+        now = self.now()
+        session.settle(now)
         summary = session_summary(session.core, session.pacer)
-        session.record_session_span(self.now(), "fin")
+        session.record_session_span(now, "fin")
         session.finish()
         self.count("sessions_completed")
         self.sendto(protocol.encode_fin_ack(
@@ -584,7 +644,8 @@ class StreamingService(asyncio.DatagramProtocol):
         self._remove(session)
 
     def expire_session(self, session: ServiceSession) -> None:
-        """The idle reaper fired: drop a session that stopped ACKing."""
+        """Drop a session that stopped ACKing (its step settled it) or
+        whose step raised."""
         session.record_session_span(self.now(), "expired")
         session.finish()
         self.count("sessions_expired")

@@ -2,12 +2,17 @@
 
 Every session is a stepper on one ``(deadline, seq, session)`` heap
 that one scheduler task drives: each wake-up (``_wake``) steps every
-session that is due, once. So wake-ups never exceed steps, and both per
-DATA frame are exact counts for a seed. This run is a small
-``service_virtual``: the benchmark suite's QA and impairment profiles,
-16 sessions for 2 s (64 for 10 s read 1.58 steps and 1.45 wake-ups per
-DATA). The fleet's clients ride one ``FleetTimers`` heap, so it never
-holds more than one live loop timer.
+session that is due, once. A session is due only at its next send slot
+(or, unheard for ``session_timeout``, at the reaper's deadline); the
+additive steps, timeout polls and adapter ticks in between run when it
+is next stepped or read. So every step is a send slot, and a wake-up
+that steps nothing pops the heap entry of a session that has since
+ended: at most one per session. Both per DATA frame are exact counts
+for a seed. This run is a small ``service_virtual``: the benchmark
+suite's QA and impairment profiles, 16 sessions for 2 s (64 for 10 s
+read 1.003 wake-ups per DATA frame; 1.45 when each step, poll and tick
+woke its session). The fleet's clients ride one ``FleetTimers`` heap,
+so it never holds more than one live loop timer.
 """
 
 from repro.core.config import QAConfig
@@ -57,11 +62,12 @@ class FleetTimerCensus(virtual_loop.VirtualLoop):
 
 
 def test_steps_and_wakeups_per_data_frame(monkeypatch):
-    counts = {"step": 0, "wake": 0, "data": 0}
+    counts = {"step": 0, "slot": 0, "wake": 0, "data": 0}
     step, wake = ServiceSession.step, StreamingService._wake
 
     def counted_step(self, now):
         counts["step"] += 1
+        counts["slot"] += self.pacer.send_due(now)
         return step(self, now)
 
     def counted_wake(self):
@@ -93,10 +99,12 @@ def test_steps_and_wakeups_per_data_frame(monkeypatch):
     finally:
         loop.close()
     assert all(r.ok for r in results)
-    assert counts["wake"] <= counts["step"]
-    # 1.56 steps and 1.47 wake-ups per DATA frame. 2085 / 1972 / 1363
-    # while a step advanced the pacer before sending: a packet due at a
-    # step's instant now leaves at the rate before the increase.
-    assert counts == {"step": 2055, "wake": 1942, "data": 1317}
+    assert counts["step"] == counts["slot"]
+    assert counts["wake"] <= counts["step"] + len(results)
+    # One step per DATA frame (no slot idles here) and 1.011 wake-ups;
+    # 2055 steps and 1942 wake-ups when each step, poll and tick woke
+    # its session.
+    assert counts == {"step": 1317, "slot": 1317, "wake": 1332,
+                      "data": 1317}
     assert loop.fleet_timers and loop.most_live == 1
     assert loop.live() == []
